@@ -7,7 +7,7 @@ out an interference fringe. Fitting that fringe yields the fringe zero
 working points are the fringe zero plus multiples of pi/2.
 
 At scan intensities the click probability saturates, so the fit model
-is the interferometric click law 1 - exp(-k*(1 + v*cos(phi - phi0)))
+is link's coherent-state click law (link.coherent_click_probability)
 rather than a bare cosine; a first-harmonic projection of the
 log-inverted counts seeds a deterministic local refinement, and the
 residuals are minimized in the count-fraction domain. Dark counts are
@@ -21,10 +21,9 @@ from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.special import i0 as bessel_i0
 
-from .link import LinkModel, click_probability, transmittance
+from .link import (PHASE_GRID, LinkModel, click_probability, coherent_click_probability,
+                   mean_photons_for_click)
 
 __all__ = [
     "ScanCurve",
@@ -109,13 +108,7 @@ def scan_intensity_for_peak(model: LinkModel, peak: float = 0.5,
     """Reference-pulse mean photon number giving the requested peak click probability."""
     if not 0.0 < peak < 1.0:
         raise ValueError(f"peak={peak} must be in (0, 1)")
-    eta = transmittance(model, length_km)
-    if eta <= 0:
-        raise ValueError("link transmittance is zero; no scan intensity exists")
-    residual = (1.0 - peak) / (1.0 - model.y0)
-    if residual >= 1.0:
-        raise ValueError(f"dark counts alone exceed the requested peak {peak}")
-    return -math.log(residual) / (eta * (1.0 + model.visibility) / 2.0)
+    return mean_photons_for_click(model, peak, length_km)
 
 
 def simulate_scan(model: LinkModel, strong_mean_photons: float, offsets: Sequence[float],
@@ -134,10 +127,7 @@ def simulate_scan(model: LinkModel, strong_mean_photons: float, offsets: Sequenc
         raise InsufficientScanRangeError(
             f"scan must span >= 2*pi, got {grid[-1] - grid[0] if grid.size else 0.0:.3f} rad"
         )
-    probs = np.array([
-        click_probability(model, strong_mean_photons, phi - true_phase_zero, length_km)
-        for phi in grid
-    ])
+    probs = click_probability(model, strong_mean_photons, grid - true_phase_zero, length_km)
     if noiseless:
         counts = probs * pulses_per_point
     else:
@@ -161,6 +151,9 @@ def fit_fringe(curve: ScanCurve) -> FringeFit:
     a flat curve fits with visibility near zero and the residual is
     the only signal that the phase is unconstrained.
     """
+    from scipy.optimize import least_squares
+    from scipy.special import i0 as bessel_i0
+
     if curve.offsets.size < 8 or curve.span < TWO_PI - 1e-9:
         raise InsufficientScanRangeError(
             f"fringe fit needs >= 8 points spanning >= 2*pi, got {curve.offsets.size} "
@@ -178,8 +171,9 @@ def fit_fringe(curve: ScanCurve) -> FringeFit:
     zero0 = math.atan2(coeff[2], coeff[1])
 
     def residuals(x: np.ndarray) -> np.ndarray:
+        # The click law with y0 = 0 and depth = eta*m/2.
         depth, vis, zero = x
-        return 1.0 - np.exp(-depth * (1.0 + vis * np.cos(curve.offsets - zero))) - y
+        return coherent_click_probability(2.0 * depth, vis, 0.0, curve.offsets - zero) - y
 
     result = least_squares(
         residuals, [depth0, vis0, zero0],
@@ -196,7 +190,7 @@ def fit_fringe(curve: ScanCurve) -> FringeFit:
 
 def working_points(fit: FringeFit) -> tuple[float, float, float, float]:
     """The four modulation phases {zero + k*pi/2}, each normalized to [0, 2*pi)."""
-    return tuple(_wrap_phase(fit.phase_zero + k * math.pi / 2.0) for k in range(4))
+    return tuple(_wrap_phase(fit.phase_zero + d) for d in PHASE_GRID)
 
 
 def scan_overhead(curve: ScanCurve, session_pulses: float) -> float:

@@ -20,7 +20,8 @@ from dataclasses import fields
 from typing import IO, Sequence
 
 from . import calibration, link, sim, tables
-from .estimator import AnalysisError, MeasuredStats, ProtocolParams, analyze_row
+from .estimator import (AnalysisError, MeasuredStats, ProtocolParams, analyze_row,
+                        require_finite)
 
 EXIT_OK = 0
 EXIT_PARSE = 3
@@ -155,14 +156,11 @@ def _parse_grid(spec: str) -> list[float]:
         start, stop, step = (float(v) for v in spec.split(":"))
     except ValueError:
         raise ValueError(f"grid must be START:STOP:STEP, got {spec!r}") from None
+    require_finite(start=start, stop=stop, step=step)
     if step <= 0 or stop < start:
         raise ValueError(f"grid {spec!r} must have positive step and stop >= start")
-    grid = []
-    value = start
-    while value <= stop + 1e-9:
-        grid.append(round(value, 9))
-        value += step
-    return grid
+    count = math.floor((stop + 1e-9 - start) / step) + 1
+    return [round(start + i * step, 9) for i in range(count)]
 
 
 def _read_input_table(args: argparse.Namespace) -> list[MeasuredStats]:
@@ -199,6 +197,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    require_finite(pulses=args.pulses)
     params = _resolve_params(args)
     model = _resolve_link(args, params)
     config = sim.SimConfig(

@@ -30,7 +30,15 @@ __all__ = [
     "e1_upper_bound",
     "key_rate",
     "analyze_row",
+    "require_finite",
 ]
+
+
+def require_finite(**values: float) -> None:
+    """Raise ValueError naming the first of the keyword values that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name}={value} must be finite")
 
 
 class AnalysisError(ValueError):
@@ -69,6 +77,7 @@ class ProtocolParams:
     n_nu: float = 1e9
 
     def __post_init__(self) -> None:
+        require_finite(**vars(self))
         if self.mu < 0 or self.nu < 0:
             raise ValueError(f"mean photon numbers must be >= 0, got mu={self.mu}, nu={self.nu}")
         if self.nu > self.mu:
@@ -109,8 +118,10 @@ class MeasuredStats:
     e_nu: float
 
     def __post_init__(self) -> None:
-        if self.length_km < 0:
-            raise ValueError(f"length_km={self.length_km} must be >= 0")
+        # One comparison rejects negative, infinite and NaN lengths; a call
+        # to require_finite here would add to the cost of every table row.
+        if not 0.0 <= self.length_km < math.inf:
+            raise ValueError(f"length_km={self.length_km} must be finite and >= 0")
         for name in ("s_mu", "e_mu", "s_nu", "e_nu"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:

@@ -1,23 +1,22 @@
 """Analytic model of the fiber link and single-detector interferometric receiver.
 
-The detection model is a lumped interferometric click probability: a
-weak coherent pulse of mean photon number m arriving with phase
-difference d on a fringe of visibility V clicks with probability
+The only module that writes the detection model. A photon arriving with
+phase difference d on a fringe of visibility V is detected with
+probability eta*(1 + V*cos(d))/2, eta being the end-to-end transmittance
+(fiber attenuation, fixed excess loss, detector efficiency); a dark count
+of probability y0 per gate clicks independently, so a pulse clicks with
+probability 1 - (1 - y0) * P(no photon detected). For exactly n photons
+(photon_click_probability, drawn by the Monte Carlo) P is
+(1 - eta*(1 + V*cos(d))/2)^n; its Poisson mixture at mean photon number m
+(coherent_click_probability) is exp(-eta*m*(1 + V*cos(d))/2). Expected
+gains average over the uniform phase differences of PHASE_GRID; the QBER
+is the fraction of matched-basis clicks at the destructive phase.
 
-    1 - (1 - y0) * exp(-eta * m * (1 + V*cos(d)) / 2)
-
-where eta is the end-to-end transmittance (fiber attenuation, fixed
-excess loss, detector efficiency) and y0 the dark-count probability
-per gate. Poisson photon statistics are implicit in the exponential.
-Both parties choose phases from {0, pi/2, pi, 3pi/2}; expected gains
-average over the resulting uniform phase-difference distribution, and
-the QBER is the fraction of matched-basis clicks landing at the
-destructive phase.
-
-fit_link inverts a table of measured rates into (attenuation, lumped
-excess loss, visibility) with the dark rate held fixed; sweep_key_rate
-feeds modelled rates through the security bounds to locate the largest
-fiber length with a positive secure rate.
+The laws broadcast over numpy arrays. fit_link inverts a table of
+measured rates into (attenuation, lumped excess loss, visibility) with
+the dark rate held fixed; sweep_key_rate feeds modelled rates through
+the security bounds to locate the largest fiber length with a positive
+secure rate.
 """
 
 from __future__ import annotations
@@ -27,16 +26,20 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
-from .estimator import AnalysisError, MeasuredStats, ProtocolParams, analyze_row
+from .estimator import (AnalysisError, MeasuredStats, ProtocolParams, analyze_row,
+                        require_finite)
 
 __all__ = [
+    "PHASE_GRID",
     "LinkModel",
     "LengthSweep",
     "UnidentifiableDataError",
     "transmittance",
+    "coherent_click_probability",
+    "photon_click_probability",
     "click_probability",
+    "mean_photons_for_click",
     "expected_gain",
     "expected_qber",
     "expected_stats",
@@ -45,12 +48,17 @@ __all__ = [
     "sweep_key_rate",
 ]
 
-_QUARTER_PHASES = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
+# Phase differences of the four-phase modulation; index k is k*pi/2, so
+# index 0 is constructive and index 2 destructive interference.
+PHASE_GRID = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
 
-# Deterministic coarse grid seeding the local refinement of fit_link.
-_FIT_GRID_ALPHA = np.linspace(0.05, 0.40, 36)
-_FIT_GRID_LUMPED_DB = np.linspace(0.0, 40.0, 41)
-_FIT_GRID_VISIBILITY = np.linspace(0.80, 0.999, 20)
+# Deterministic coarse grid (alpha, lumped dB, visibility) seeding the
+# local refinement of fit_link.
+_FIT_GRID = (
+    np.linspace(0.05, 0.40, 36),
+    np.linspace(0.0, 40.0, 41),
+    np.linspace(0.80, 0.999, 20),
+)
 
 
 class UnidentifiableDataError(ValueError):
@@ -75,6 +83,8 @@ class LinkModel:
     visibility: float = 0.99
 
     def __post_init__(self) -> None:
+        require_finite(alpha_db_per_km=self.alpha_db_per_km,
+                       excess_loss_db=self.excess_loss_db)
         if self.alpha_db_per_km < 0:
             raise ValueError(f"alpha_db_per_km={self.alpha_db_per_km} must be >= 0")
         if not 0.0 <= self.eta_det <= 1.0:
@@ -100,72 +110,137 @@ class LengthSweep:
     cutoff_km: float | None
 
 
+def _transmittance(alpha_db_per_km, excess_loss_db, eta_det, length_km):
+    loss_db = alpha_db_per_km * length_km + excess_loss_db
+    return eta_det * 10.0 ** (-loss_db / 10.0)
+
+
 def transmittance(model: LinkModel, length_km: float) -> float:
     """End-to-end transmittance eta_det * 10^-(alpha*L + excess)/10."""
     if length_km < 0:
         raise ValueError(f"length_km={length_km} must be >= 0")
-    loss_db = model.alpha_db_per_km * length_km + model.excess_loss_db
-    return model.eta_det * 10.0 ** (-loss_db / 10.0)
+    return float(_transmittance(model.alpha_db_per_km, model.excess_loss_db,
+                                model.eta_det, length_km))
 
 
-def click_probability(model: LinkModel, mean_photons: float, phase_diff: float,
-                      length_km: float = 0.0) -> float:
-    """Click probability for one pulse at the given phase difference."""
+def _float_if_scalar(value):
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def _fringe(scale, visibility, phase_diff):
+    """scale*(1 + V*cos(d))/2: detection probability per photon for scale=eta,
+    mean detected photons per pulse for scale=eta*m."""
+    # Halving scale rather than the product saves an array operation when
+    # scale is a scalar; scaling by 2 is exact, so the bits are the same.
+    return scale / 2.0 * (1.0 + visibility * np.cos(phase_diff))
+
+
+def _with_darks(y0, no_signal_click):
+    """Click probability given the probability that no signal photon is detected."""
+    return 1.0 - (1.0 - y0) * no_signal_click
+
+
+def coherent_click_probability(arriving_photons, visibility, y0, phase_diff):
+    """Click probability of a coherent pulse whose mean photon number at the
+    receiver is arriving_photons (eta*m); the arguments broadcast."""
+    # Negating arriving_photons rather than the fringe saves an array operation.
+    return _float_if_scalar(
+        _with_darks(y0, np.exp(_fringe(-arriving_photons, visibility, phase_diff))))
+
+
+def photon_click_probability(eta, visibility, y0, photons, phase_diff):
+    """Click probability of a pulse of exactly `photons` photons through a link
+    of transmittance eta; the arguments broadcast."""
+    per_photon = np.clip(_fringe(eta, visibility, phase_diff), 0.0, 1.0)
+    return _float_if_scalar(_with_darks(y0, (1.0 - per_photon) ** photons))
+
+
+def click_probability(model: LinkModel, mean_photons: float, phase_diff,
+                      length_km: float = 0.0):
+    """Click probability for one pulse at the given phase difference.
+
+    phase_diff may be an array; a scalar phase gives a float.
+    """
     if mean_photons < 0:
         raise ValueError(f"mean_photons={mean_photons} must be >= 0")
+    return coherent_click_probability(transmittance(model, length_km) * mean_photons,
+                                      model.visibility, model.y0, phase_diff)
+
+
+def mean_photons_for_click(model: LinkModel, probability: float,
+                           length_km: float = 0.0) -> float:
+    """Mean photon number at which the click probability at phase difference 0
+    (constructive interference) reaches `probability`."""
     eta = transmittance(model, length_km)
-    exponent = eta * mean_photons * (1.0 + model.visibility * math.cos(phase_diff)) / 2.0
-    return 1.0 - (1.0 - model.y0) * math.exp(-exponent)
+    if eta <= 0:
+        raise ValueError("link transmittance is zero; no mean photon number exists")
+    no_signal_click = (1.0 - probability) / (1.0 - model.y0)
+    if no_signal_click >= 1.0:
+        raise ValueError(f"dark counts alone exceed the requested click probability "
+                         f"{probability}")
+    return -math.log(no_signal_click) / float(_fringe(eta, model.visibility, 0.0))
 
 
-def expected_gain(model: LinkModel, mean_photons: float, length_km: float = 0.0) -> float:
-    """Click rate per emitted pulse, averaged over the four phase differences."""
-    return sum(
-        click_probability(model, mean_photons, d, length_km) for d in _QUARTER_PHASES
-    ) / 4.0
-
-
-def expected_qber(model: LinkModel, mean_photons: float, length_km: float = 0.0) -> float:
-    """Error fraction among matched-basis clicks.
+def _gain_qber(eta, visibility, y0, mean_photons):
+    """Expected gain and QBER; eta, visibility and mean_photons broadcast.
 
     Matched slots split equally between constructive (phase 0) and
     destructive (phase pi) interference; clicks at the destructive
     phase are the errors. Dark counts enter through y0 in the click
-    probabilities and push the result toward 1/2. Returns 0 when there
-    are no clicks at all.
+    probabilities and push the QBER toward 1/2. The QBER is 0 where
+    there are no clicks at all.
     """
-    p_good = click_probability(model, mean_photons, 0.0, length_km)
-    p_bad = click_probability(model, mean_photons, math.pi, length_km)
-    total = p_good + p_bad
-    if total == 0.0:
-        return 0.0
-    return p_bad / total
+    arriving = eta * mean_photons
+    clicks = [coherent_click_probability(arriving, visibility, y0, d) for d in PHASE_GRID]
+    gain = sum(clicks) / 4.0
+    good, bad = clicks[0], clicks[2]
+    total = good + bad
+    qber = np.divide(bad, total, out=np.zeros_like(total), where=total > 0)
+    return gain, qber
+
+
+def _model_gain_qber(model: LinkModel, mean_photons: float, length_km: float):
+    if mean_photons < 0:
+        raise ValueError(f"mean_photons={mean_photons} must be >= 0")
+    return _gain_qber(transmittance(model, length_km), model.visibility, model.y0,
+                      mean_photons)
+
+
+def expected_gain(model: LinkModel, mean_photons: float, length_km: float = 0.0) -> float:
+    """Click rate per emitted pulse, averaged over the four phase differences."""
+    return float(_model_gain_qber(model, mean_photons, length_km)[0])
+
+
+def expected_qber(model: LinkModel, mean_photons: float, length_km: float = 0.0) -> float:
+    """Error fraction among matched-basis clicks; 0 when there are no clicks."""
+    return float(_model_gain_qber(model, mean_photons, length_km)[1])
 
 
 def expected_stats(model: LinkModel, params: ProtocolParams, length_km: float) -> MeasuredStats:
     """Modelled MeasuredStats row for both intensity classes at one length."""
-    return MeasuredStats(
-        length_km=length_km,
-        s_mu=expected_gain(model, params.mu, length_km),
-        e_mu=expected_qber(model, params.mu, length_km),
-        s_nu=expected_gain(model, params.nu, length_km),
-        e_nu=expected_qber(model, params.nu, length_km),
-    )
+    s_mu, e_mu = _model_gain_qber(model, params.mu, length_km)
+    s_nu, e_nu = _model_gain_qber(model, params.nu, length_km)
+    return MeasuredStats(length_km, float(s_mu), float(e_mu), float(s_nu), float(e_nu))
 
 
-def _fit_residuals(alpha: float, lumped_db: float, visibility: float, y0: float,
-                   table: Sequence[MeasuredStats], params: ProtocolParams) -> list[float]:
-    # Gains span decades -> log residuals; QBERs do not -> linear residuals.
-    model = LinkModel(alpha_db_per_km=alpha, excess_loss_db=lumped_db,
-                      eta_det=1.0, y0=y0, visibility=visibility)
-    residuals = []
-    for row in table:
-        residuals.append(math.log(expected_gain(model, params.mu, row.length_km))
-                         - math.log(row.s_mu))
-        residuals.append(math.log(expected_gain(model, params.nu, row.length_km))
-                         - math.log(row.s_nu))
-        residuals.append(expected_qber(model, params.mu, row.length_km) - row.e_mu)
-    return residuals
+def _table_array(table: Sequence[MeasuredStats]) -> np.ndarray:
+    """Rows (length_km, s_mu, e_mu, s_nu, e_nu) of a table as an (n, 5) array."""
+    return np.array([(r.length_km, r.s_mu, r.e_mu, r.s_nu, r.e_nu) for r in table],
+                    dtype=float).reshape(-1, 5)
+
+
+def _fit_residuals(alpha, lumped_db, visibility, y0: float, rows: np.ndarray,
+                   params: ProtocolParams) -> np.ndarray:
+    """Residuals (..., 3) per row of `rows` (..., 5); the arguments broadcast.
+
+    Gains span decades -> log residuals; QBERs do not -> linear residuals.
+    """
+    length, s_mu, e_mu, s_nu, _ = np.moveaxis(rows, -1, 0)
+    eta = _transmittance(alpha, lumped_db, 1.0, length)
+    gain_mu, qber_mu = _gain_qber(eta, visibility, y0, params.mu)
+    gain_nu, _ = _gain_qber(eta, visibility, y0, params.nu)
+    return np.stack([np.log(gain_mu) - np.log(s_mu), np.log(gain_nu) - np.log(s_nu),
+                     qber_mu - e_mu], axis=-1)
 
 
 def fit_objective(model: LinkModel, table: Sequence[MeasuredStats],
@@ -173,8 +248,8 @@ def fit_objective(model: LinkModel, table: Sequence[MeasuredStats],
     """Sum of squared fit residuals of a model against a measured table."""
     lumped = model.excess_loss_db - 10.0 * math.log10(model.eta_det)
     r = _fit_residuals(model.alpha_db_per_km, lumped, model.visibility, model.y0,
-                       table, params)
-    return float(sum(v * v for v in r))
+                       _table_array(table), params)
+    return float(np.square(r).sum())
 
 
 def fit_link(table: Sequence[MeasuredStats], params: ProtocolParams,
@@ -190,6 +265,8 @@ def fit_link(table: Sequence[MeasuredStats], params: ProtocolParams,
     Raises UnidentifiableDataError unless the table spans at least
     three distinct lengths.
     """
+    from scipy.optimize import least_squares
+
     if len({row.length_km for row in table}) < 3:
         raise UnidentifiableDataError(
             f"link fit needs >= 3 distinct fiber lengths, got {len(table)} row(s) "
@@ -201,18 +278,17 @@ def fit_link(table: Sequence[MeasuredStats], params: ProtocolParams,
                 f"non-positive counting rate at {row.length_km} km cannot be log-fitted"
             )
 
-    best_cost, best_x = math.inf, None
-    for alpha in _FIT_GRID_ALPHA:
-        for lumped in _FIT_GRID_LUMPED_DB:
-            for vis in _FIT_GRID_VISIBILITY:
-                r = _fit_residuals(alpha, lumped, vis, y0, table, params)
-                cost = sum(v * v for v in r)
-                if cost < best_cost:
-                    best_cost, best_x = cost, (alpha, lumped, vis)
+    rows = _table_array(table)
+    # One row at a time keeps memory on the order of the grid size.
+    grid = np.ix_(*_FIT_GRID)
+    cost = sum(np.square(_fit_residuals(*grid, y0, row, params)).sum(axis=-1)
+               for row in rows)
+    best = np.unravel_index(np.argmin(cost), cost.shape)
+    start = [axis[i] for axis, i in zip(_FIT_GRID, best)]
 
     result = least_squares(
-        lambda x: _fit_residuals(x[0], x[1], x[2], y0, table, params),
-        best_x,
+        lambda x: _fit_residuals(*x, y0, rows, params).ravel(),
+        start,
         bounds=([0.0, 0.0, 0.0], [5.0, 80.0, 1.0]),
         method="trf",
     )
@@ -221,12 +297,17 @@ def fit_link(table: Sequence[MeasuredStats], params: ProtocolParams,
                      eta_det=1.0, y0=y0, visibility=float(vis))
 
 
+def _key_rate(params: ProtocolParams, stats: MeasuredStats) -> float:
+    """Key-rate bound of one modelled row; NaN where the bounds abort."""
+    try:
+        return analyze_row(params, stats).r_lower
+    except AnalysisError:
+        return math.nan
+
+
 def _rate_at(model: LinkModel, params: ProtocolParams, length_km: float) -> float:
     """Modelled key-rate bound at one length; NaN where the bounds abort."""
-    try:
-        return analyze_row(params, expected_stats(model, params, length_km)).r_lower
-    except AnalysisError:
-        return float("nan")
+    return _key_rate(params, expected_stats(model, params, length_km))
 
 
 def sweep_key_rate(model: LinkModel, params: ProtocolParams,
@@ -244,7 +325,12 @@ def sweep_key_rate(model: LinkModel, params: ProtocolParams,
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise ValueError("length grid must be strictly increasing")
 
-    rates = np.array([_rate_at(model, params, length) for length in grid])
+    # Modelled statistics for the whole grid in one array evaluation per class.
+    eta = _transmittance(model.alpha_db_per_km, model.excess_loss_db, model.eta_det, grid)
+    s_mu, e_mu = _gain_qber(eta, model.visibility, model.y0, params.mu)
+    s_nu, e_nu = _gain_qber(eta, model.visibility, model.y0, params.nu)
+    rows = zip(*(column.tolist() for column in (grid, s_mu, e_mu, s_nu, e_nu)))
+    rates = np.array([_key_rate(params, MeasuredStats(*row)) for row in rows])
     positive = np.nan_to_num(rates, nan=-math.inf) > 0
 
     cutoff = None

@@ -3,15 +3,12 @@
 Each pulse: Alice picks the intensity class (decoy with probability
 decoy_fraction), the photon number is drawn from the Poisson law of
 the class mean, both parties pick phases uniformly from
-{0, pi/2, pi, 3pi/2}, and the detector clicks with the
-photon-number-conditioned probability
-
-    1 - (1 - y0) * (1 - eta*(1 + V*cos(d)) / 2) ** n
-
-whose Poisson mixture equals the aggregate coherent-state click law.
-Sifting keeps clicks whose phase difference is 0 mod pi; phases
-{0, pi/2} encode bit 0 and {pi, 3pi/2} bit 1, so a kept click is an
-error exactly when the phase difference is pi.
+link.PHASE_GRID, and the detector clicks with the photon-number-
+conditioned probability link.photon_click_probability, whose Poisson
+mixture is link's coherent-state click law. Sifting keeps clicks whose
+phase difference is 0 mod pi; phases {0, pi/2} encode bit 0 and
+{pi, 3pi/2} bit 1, so a kept click is an error exactly when the phase
+difference is pi.
 
 Randomness is split into fixed-size chunks; chunk i of a session draws
 from numpy's SeedSequence((seed, i)) in a documented order (class,
@@ -29,8 +26,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .estimator import MeasuredStats, ProtocolParams, SecurityBounds
-from .link import LinkModel, transmittance
+from .estimator import MeasuredStats, ProtocolParams, SecurityBounds, require_finite
+from .link import PHASE_GRID, LinkModel, photon_click_probability, transmittance
 
 __all__ = [
     "DEFAULT_CHUNK_PULSES",
@@ -53,8 +50,6 @@ __all__ = [
 
 DEFAULT_CHUNK_PULSES = 1_000_000
 
-_PHASE_GRID = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -76,6 +71,7 @@ class SimConfig:
     bob_phase_error: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(length_km=self.length_km, bob_phase_error=self.bob_phase_error)
         if self.n_pulses < 1:
             raise ValueError(f"n_pulses={self.n_pulses} must be >= 1")
         if not 0.0 < self.decoy_fraction < 1.0:
@@ -196,23 +192,22 @@ def _simulate_arrays(config: SimConfig, chunk_index: int, n_pulses: int) -> dict
 
     is_decoy = rng.random(n_pulses) < config.decoy_fraction
     photons = np.empty(n_pulses, dtype=np.int64)
-    n_decoy = int(is_decoy.sum())
-    photons[is_decoy] = rng.poisson(nu, n_decoy)
-    photons[~is_decoy] = rng.poisson(mu, n_pulses - n_decoy)
+    # Integer-index scatter: same values as boolean-mask assignment, ~3x faster.
+    decoy_index = np.flatnonzero(is_decoy)
+    photons[decoy_index] = rng.poisson(nu, decoy_index.size)
+    photons[np.flatnonzero(~is_decoy)] = rng.poisson(mu, n_pulses - decoy_index.size)
     alice = rng.integers(0, 4, n_pulses, dtype=np.int8)
     bob = rng.integers(0, 4, n_pulses, dtype=np.int8)
     click_draw = rng.random(n_pulses)
 
-    diff = (alice.astype(np.int64) - bob.astype(np.int64)) & 3
-    eta = transmittance(config.link, config.length_km)
-    phase_diffs = np.asarray(_PHASE_GRID) + config.bob_phase_error
-    per_photon = np.clip(
-        eta * (1.0 + config.link.visibility * np.cos(phase_diffs)) / 2.0, 0.0, 1.0
+    diff = (alice - bob) & 3  # int8 two's complement: same values as mod 4
+    phase_diffs = np.asarray(PHASE_GRID) + config.bob_phase_error
+    # Exact click-probability table indexed by (diff, n).
+    p_table = photon_click_probability(
+        transmittance(config.link, config.length_km), config.link.visibility,
+        config.link.y0, np.arange(int(photons.max(initial=0)) + 1), phase_diffs[:, None],
     )
-    # Exact survival-probability table (1-q)^n indexed by (diff, n).
-    n_max = int(photons.max(initial=0))
-    survival = (1.0 - per_photon)[:, None] ** np.arange(n_max + 1)[None, :]
-    p_click = 1.0 - (1.0 - config.link.y0) * survival[diff, photons]
+    p_click = p_table[diff, photons]
 
     clicked = click_draw < p_click
     matched = (diff & 1) == 0
@@ -224,24 +219,18 @@ def _simulate_arrays(config: SimConfig, chunk_index: int, n_pulses: int) -> dict
 
 def _tally_arrays(arrays: dict[str, np.ndarray], config_key: str) -> SimTally:
     is_decoy, photons = arrays["is_decoy"], arrays["photons"]
-    clicked, sifted, error = arrays["clicked"], arrays["sifted"], arrays["error"]
+    flags = (arrays["clicked"], arrays["sifted"], arrays["error"])
 
-    def class_tally(mask: np.ndarray) -> ClassTally:
-        return ClassTally(emitted=int(mask.sum()), clicked=int((clicked & mask).sum()),
-                          sifted=int((sifted & mask).sum()), errors=int((error & mask).sum()))
+    def counts(mask: np.ndarray) -> ClassTally:
+        return ClassTally(int(np.count_nonzero(mask)),
+                          *(int(np.count_nonzero(flag & mask)) for flag in flags))
 
     signal_mask = ~is_decoy
-    bins = np.minimum(photons, 3)
-    per_bin = []
-    for field_mask in (signal_mask, clicked & signal_mask, sifted & signal_mask,
-                       error & signal_mask):
-        per_bin.append(np.bincount(bins[field_mask], minlength=4))
     photon_bins = tuple(
-        ClassTally(emitted=int(per_bin[0][i]), clicked=int(per_bin[1][i]),
-                   sifted=int(per_bin[2][i]), errors=int(per_bin[3][i]))
-        for i in range(4)
+        counts(signal_mask & bin_mask)
+        for bin_mask in (photons == 0, photons == 1, photons == 2, photons >= 3)
     )
-    return SimTally(signal=class_tally(signal_mask), decoy=class_tally(is_decoy),
+    return SimTally(signal=counts(signal_mask), decoy=counts(is_decoy),
                     signal_photons=photon_bins, config_key=config_key)
 
 
@@ -325,8 +314,8 @@ def pulse_records(config: SimConfig, n_pulses: int | None = None) -> list[PulseR
     for i in range(n):
         records.append(PulseRecord(
             intensity_class="decoy" if arrays["is_decoy"][i] else "signal",
-            alice_phase=_PHASE_GRID[arrays["alice"][i]],
-            bob_phase=_PHASE_GRID[arrays["bob"][i]],
+            alice_phase=PHASE_GRID[arrays["alice"][i]],
+            bob_phase=PHASE_GRID[arrays["bob"][i]],
             photon_count=int(arrays["photons"][i]),
             clicked=bool(arrays["clicked"][i]),
             basis_matched=bool(arrays["matched"][i]),

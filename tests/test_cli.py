@@ -3,6 +3,9 @@ import filecmp
 import hashlib
 import io
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -158,6 +161,19 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--input", str(table)]) == EXIT_PARSE
         assert "line 2" in capsys.readouterr().err
 
+    def test_nan_length_rejected_with_line_number(self, tmp_path, capsys):
+        table = tmp_path / "nan.tsv"
+        table.write_text("length_km\ts_mu\te_mu\ts_nu\te_nu\n"
+                         "nan\t8.6e-4\t0.0103\t2.9e-4\t0.020\n")
+        assert main(["analyze", "--input", str(table)]) == EXIT_PARSE
+        assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, name", [("--n-nu", "inf", "n_nu"),
+                                                   ("--u-alpha", "nan", "u_alpha")])
+    def test_non_finite_param_rejected(self, capsys, flag, value, name):
+        assert main(["analyze", flag, value]) == EXIT_VALIDATION
+        assert f"{name}={value} must be finite" in capsys.readouterr().err
+
     def test_unanalyzable_row_reported_inline(self, tmp_path):
         table = tmp_path / "mixed.tsv"
         table.write_text(
@@ -266,6 +282,15 @@ class TestSweepCommand:
 
     def test_bad_grid_spec(self, link_file):
         assert main(["sweep", "--link", link_file, "--grid", "abc"]) == EXIT_VALIDATION
+        assert main(["sweep", "--link", link_file, "--grid", "0:1:nan"]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("key, value", [("alpha_db_per_km", "nan"),
+                                            ("excess_loss_db", "-inf")])
+    def test_non_finite_link_value_rejected(self, tmp_path, capsys, key, value):
+        config = tmp_path / "link.cfg"
+        config.write_text(f"{key}={value}\n")
+        assert main(["sweep", "--link", str(config)]) == EXIT_VALIDATION
+        assert f"{key}={value} must be finite" in capsys.readouterr().err
 
 
 class TestSimulateCommand:
@@ -301,6 +326,22 @@ class TestSimulateCommand:
 
     def test_zero_pulses_rejected(self, link_file):
         assert main(["simulate", "--link", link_file, "--pulses", "0"]) == EXIT_VALIDATION
+
+    def test_infinite_pulses_rejected(self, link_file, capsys):
+        assert main(["simulate", "--link", link_file, "--pulses", "inf"]) == EXIT_VALIDATION
+        assert "pulses=inf must be finite" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.optimize dominates the import time; only the fits need it
+    import decoyqkd
+    src = os.path.dirname(os.path.dirname(os.path.abspath(decoyqkd.__file__)))
+    code = ("import sys, decoyqkd.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 class TestCalibrateCommand:
