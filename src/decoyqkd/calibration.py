@@ -22,6 +22,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
+from .estimator import require_finite
 from .link import (PHASE_GRID, LinkModel, click_probability, coherent_click_probability,
                    mean_photons_for_click)
 
@@ -79,8 +80,9 @@ class ScanCurve:
             raise ValueError("scan offsets must be strictly increasing")
         if self.pulses_per_point < 1:
             raise ValueError(f"pulses_per_point={self.pulses_per_point} must be >= 1")
-        if np.any(counts < 0) or np.any(counts > self.pulses_per_point):
-            raise ValueError("counts must lie in [0, pulses_per_point]")
+        # Written so that NaN, for which every comparison is false, fails it.
+        if not np.all((counts >= 0) & (counts <= self.pulses_per_point)):
+            raise ValueError("counts must be finite and lie in [0, pulses_per_point]")
 
     @property
     def span(self) -> float:
@@ -195,6 +197,7 @@ def working_points(fit: FringeFit) -> tuple[float, float, float, float]:
 
 def scan_overhead(curve: ScanCurve, session_pulses: float) -> float:
     """Scan duration in pulse slots as a fraction of the session length."""
+    require_finite(session_pulses=session_pulses)
     if session_pulses <= 0:
         raise ValueError(f"session_pulses={session_pulses} must be > 0")
     return curve.offsets.size * curve.pulses_per_point / session_pulses

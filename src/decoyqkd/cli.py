@@ -67,9 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_simulate.add_argument("--pulses", type=float, default=1e6, help="emitted pulses")
     p_simulate.add_argument("--length-km", type=float, default=50.0, help="fiber length")
     p_simulate.add_argument("--decoy-fraction", type=float, default=0.5)
-    p_simulate.add_argument("--workers", type=int, default=1,
-                            help="process count for chunk execution")
-    p_simulate.add_argument("--chunk-size", type=int, default=sim.DEFAULT_CHUNK_PULSES)
+    # Accepted and ignored: a session is one cheap count-level draw.
+    p_simulate.add_argument("--workers", type=int, help=argparse.SUPPRESS)
     add_common(p_simulate)
 
     p_sweep = sub.add_parser("sweep", help="key rate versus fiber length with cutoff")
@@ -204,8 +203,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         n_pulses=int(args.pulses), link=model, params=params,
         decoy_fraction=args.decoy_fraction, seed=args.seed, length_km=args.length_km,
     )
-    tally, stats = sim.run_session(config, chunk_size=args.chunk_size,
-                                   workers=args.workers)
+    tally, stats = sim.run_session(config)
     lines = ["# command=simulate",
              f"# seed={args.seed} n_pulses={config.n_pulses} "
              f"length_km={args.length_km!r} decoy_fraction={args.decoy_fraction!r}"]

@@ -1,4 +1,4 @@
-"""Pulse-level Monte Carlo of the one-detector two-intensity decoy session.
+"""Monte Carlo of the one-detector two-intensity decoy session.
 
 Each pulse: Alice picks the intensity class (decoy with probability
 decoy_fraction), the photon number is drawn from the Poisson law of
@@ -10,18 +10,24 @@ phase difference is 0 mod pi; phases {0, pi/2} encode bit 0 and
 {pi, 3pi/2} bit 1, so a kept click is an error exactly when the phase
 difference is pi.
 
-Randomness is split into fixed-size chunks; chunk i of a session draws
-from numpy's SeedSequence((seed, i)) in a documented order (class,
-decoy photon numbers, signal photon numbers, Alice phases, Bob phases,
-click uniforms). Parallel and sequential execution therefore tally
-identically, and tallies merge by field-wise summation.
+Pulses are i.i.d., so run_session draws a session's counts directly,
+with exactly the law of pulse-by-pulse sampling. Determinism contract:
+one default_rng(SeedSequence(seed)) per session draws, in this order,
+the decoy count Binomial(n_pulses, decoy_fraction); then for the signal
+class and then the decoy class, with K = ceil(m + 12*sqrt(m)) + 12 for
+class mean m: one multinomial over the cells photon number n < K times
+phase difference d (n-major, p = Poisson(n)/4) plus a last tail cell
+for n >= K; one binomial click count per (n, d) cell, in cell order;
+and for the t pulses of the tail cell, t uniforms giving n by inverse
+transform over the Poisson law conditioned on n >= K, t phase
+differences and t click uniforms. pulse_records keeps the
+pulse-by-pulse sampler, which is also the tests' reference.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -30,14 +36,12 @@ from .estimator import MeasuredStats, ProtocolParams, SecurityBounds, require_fi
 from .link import PHASE_GRID, LinkModel, photon_click_probability, transmittance
 
 __all__ = [
-    "DEFAULT_CHUNK_PULSES",
     "SimConfig",
     "ClassTally",
     "PhotonBinTally",
     "SimTally",
     "PulseRecord",
     "SoundnessReport",
-    "run_chunk",
     "run_session",
     "merge_tallies",
     "measured_stats",
@@ -47,8 +51,6 @@ __all__ = [
     "tally_to_text",
     "tally_from_text",
 ]
-
-DEFAULT_CHUNK_PULSES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -185,67 +187,69 @@ def config_fingerprint(config: SimConfig) -> str:
     return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
 
 
-def _simulate_arrays(config: SimConfig, chunk_index: int, n_pulses: int) -> dict[str, np.ndarray]:
-    """Draw one chunk of pulses; the draw order here is the determinism contract."""
-    rng = np.random.default_rng(np.random.SeedSequence((config.seed, chunk_index)))
-    mu, nu = config.params.mu, config.params.nu
+def _photon_cutoff(mean: float) -> int:
+    """K of the count-level draw: P(n >= K) is below 1e-25 for any class mean."""
+    return math.ceil(mean + 12.0 * math.sqrt(mean)) + 12
 
+
+def _poisson_pmf(mean: float, photons: np.ndarray) -> np.ndarray:
+    """Poisson(mean) probabilities of the given photon numbers, through lgamma."""
+    if mean == 0.0:
+        return (photons == 0).astype(float)
+    log_factorial = np.array([math.lgamma(n + 1.0) for n in photons.tolist()])
+    return np.exp(photons * math.log(mean) - mean - log_factorial)
+
+
+def _draw_class(rng: np.random.Generator, pulses: int, mean: float,
+                click_law) -> list[ClassTally]:
+    """Counts of one intensity class in photon bins n = 0, 1, 2, >= 3, drawn as
+    the module docstring fixes; click_law(photons, diffs) is the click
+    probability at a photon number and a phase-difference index."""
+    cutoff = _photon_cutoff(mean)
+    # The tail weights are summed upward from the cutoff, not taken as one
+    # minus the rest; beyond n = mean + 24*sqrt(mean) + 48 they are below
+    # 1e-70 of the first.
+    pmf = _poisson_pmf(mean, np.arange(math.ceil(mean + 24.0 * math.sqrt(mean)) + 48))
+    tail = pmf[cutoff:]
+    cells = rng.multinomial(pulses, np.append(np.repeat(pmf[:cutoff] / 4.0, 4), tail.sum()))
+    emitted = cells[:-1].reshape(cutoff, 4)
+    clicks = rng.binomial(emitted, click_law(np.arange(cutoff)[:, None], np.arange(4)))
+    # Rows 0, 1, 2 are photon bins 0, 1, 2; every n >= 3, tail included, is bin 3.
+    emitted, clicks = (np.add.reduceat(a, [0, 1, 2, 3]) for a in (emitted, clicks))
+    n_tail = cells[-1]
+    if n_tail:
+        cumulative = np.cumsum(tail)
+        index = np.searchsorted(cumulative, rng.random(n_tail) * cumulative[-1], side="right")
+        diffs = rng.integers(0, 4, n_tail)
+        hit = rng.random(n_tail) < click_law(cutoff + np.minimum(index, tail.size - 1), diffs)
+        emitted[3] += np.bincount(diffs, minlength=4)
+        clicks[3] += np.bincount(diffs[hit], minlength=4)
+    counts = np.column_stack([emitted.sum(axis=1), clicks.sum(axis=1),
+                              clicks[:, 0] + clicks[:, 2], clicks[:, 2]])
+    return [ClassTally(*row) for row in counts.tolist()]
+
+
+def _simulate_arrays(config: SimConfig, n_pulses: int) -> dict[str, np.ndarray]:
+    """Draw n_pulses pulses one by one: pulse_records and the test reference."""
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     is_decoy = rng.random(n_pulses) < config.decoy_fraction
-    photons = np.empty(n_pulses, dtype=np.int64)
-    # Integer-index scatter: same values as boolean-mask assignment, ~3x faster.
-    decoy_index = np.flatnonzero(is_decoy)
-    photons[decoy_index] = rng.poisson(nu, decoy_index.size)
-    photons[np.flatnonzero(~is_decoy)] = rng.poisson(mu, n_pulses - decoy_index.size)
-    alice = rng.integers(0, 4, n_pulses, dtype=np.int8)
-    bob = rng.integers(0, 4, n_pulses, dtype=np.int8)
-    click_draw = rng.random(n_pulses)
-
-    diff = (alice - bob) & 3  # int8 two's complement: same values as mod 4
-    phase_diffs = np.asarray(PHASE_GRID) + config.bob_phase_error
-    # Exact click-probability table indexed by (diff, n).
-    p_table = photon_click_probability(
-        transmittance(config.link, config.length_km), config.link.visibility,
-        config.link.y0, np.arange(int(photons.max(initial=0)) + 1), phase_diffs[:, None],
-    )
-    p_click = p_table[diff, photons]
-
-    clicked = click_draw < p_click
-    matched = (diff & 1) == 0
+    photons = rng.poisson(np.where(is_decoy, config.params.nu, config.params.mu))
+    alice = rng.integers(0, 4, n_pulses)
+    bob = rng.integers(0, 4, n_pulses)
+    diff = (alice - bob) % 4
+    p_click = photon_click_probability(
+        transmittance(config.link, config.length_km), config.link.visibility, config.link.y0,
+        photons, np.asarray(PHASE_GRID)[diff] + config.bob_phase_error)
+    clicked = rng.random(n_pulses) < p_click
+    matched = diff % 2 == 0
     sifted = clicked & matched
-    error = sifted & (diff == 2)
     return {"is_decoy": is_decoy, "photons": photons, "alice": alice, "bob": bob,
-            "clicked": clicked, "matched": matched, "sifted": sifted, "error": error}
-
-
-def _tally_arrays(arrays: dict[str, np.ndarray], config_key: str) -> SimTally:
-    is_decoy, photons = arrays["is_decoy"], arrays["photons"]
-    flags = (arrays["clicked"], arrays["sifted"], arrays["error"])
-
-    def counts(mask: np.ndarray) -> ClassTally:
-        return ClassTally(int(np.count_nonzero(mask)),
-                          *(int(np.count_nonzero(flag & mask)) for flag in flags))
-
-    signal_mask = ~is_decoy
-    photon_bins = tuple(
-        counts(signal_mask & bin_mask)
-        for bin_mask in (photons == 0, photons == 1, photons == 2, photons >= 3)
-    )
-    return SimTally(signal=counts(signal_mask), decoy=counts(is_decoy),
-                    signal_photons=photon_bins, config_key=config_key)
-
-
-def run_chunk(config: SimConfig, chunk_index: int, n_pulses: int) -> SimTally:
-    """Simulate one sub-stream chunk of a session."""
-    arrays = _simulate_arrays(config, chunk_index, n_pulses)
-    return _tally_arrays(arrays, config_fingerprint(config))
-
-
-def _run_chunk_task(args: tuple[SimConfig, int, int]) -> SimTally:
-    return run_chunk(*args)
+            "clicked": clicked, "matched": matched, "sifted": sifted,
+            "error": sifted & (diff == 2)}
 
 
 def merge_tallies(parts: list[SimTally]) -> SimTally:
-    """Field-wise sum of tallies from disjoint sub-streams of one config."""
+    """Field-wise sum of tallies of one config, e.g. sessions with different seeds."""
     if not parts:
         raise ValueError("cannot merge an empty list of tallies")
     keys = {t.config_key for t in parts if t.config_key}
@@ -282,34 +286,29 @@ def session_params(params: ProtocolParams, tally: SimTally) -> ProtocolParams:
                                n_nu=max(1, tally.decoy.emitted))
 
 
-def run_session(config: SimConfig, chunk_size: int = DEFAULT_CHUNK_PULSES,
-                workers: int = 1) -> tuple[SimTally, MeasuredStats]:
-    """Run a full session and derive its observed statistics.
+def run_session(config: SimConfig) -> tuple[SimTally, MeasuredStats]:
+    """Run a full session, drawn as the module docstring fixes, and derive
+    its observed statistics."""
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    n_decoy = int(rng.binomial(config.n_pulses, config.decoy_fraction))
+    eta = transmittance(config.link, config.length_km)
+    phase_diffs = np.asarray(PHASE_GRID) + config.bob_phase_error
 
-    The session is split into ceil(n_pulses/chunk_size) chunks with
-    per-chunk sub-streams; identical (seed, chunk_size) give identical
-    results regardless of workers. With workers > 1 chunks run in a
-    process pool and merge in chunk order.
-    """
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size={chunk_size} must be >= 1")
-    specs = [
-        (config, i, min(chunk_size, config.n_pulses - i * chunk_size))
-        for i in range((config.n_pulses + chunk_size - 1) // chunk_size)
-    ]
-    if workers > 1 and len(specs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_chunk_task, specs))
-    else:
-        parts = [run_chunk(*spec) for spec in specs]
-    tally = merge_tallies(parts)
+    def click_law(photons: np.ndarray, diffs: np.ndarray) -> np.ndarray:
+        return photon_click_probability(eta, config.link.visibility, config.link.y0,
+                                        photons, phase_diffs[diffs])
+
+    signal = _draw_class(rng, config.n_pulses - n_decoy, config.params.mu, click_law)
+    decoy = _draw_class(rng, n_decoy, config.params.nu, click_law)
+    tally = SimTally(signal=sum(signal, ClassTally()), decoy=sum(decoy, ClassTally()),
+                     signal_photons=tuple(signal), config_key=config_fingerprint(config))
     return tally, measured_stats(tally, config.length_km)
 
 
 def pulse_records(config: SimConfig, n_pulses: int | None = None) -> list[PulseRecord]:
-    """Materialize individual pulses (first chunk's stream); for small n only."""
+    """Materialize individual pulses of the pulse-by-pulse sampler; for small n only."""
     n = config.n_pulses if n_pulses is None else n_pulses
-    arrays = _simulate_arrays(config, 0, n)
+    arrays = _simulate_arrays(config, n)
     records = []
     for i in range(n):
         records.append(PulseRecord(

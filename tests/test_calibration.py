@@ -1,4 +1,5 @@
 """Phase-scan simulation, fringe fitting and working points."""
+import io
 import math
 
 import numpy as np
@@ -200,3 +201,8 @@ class TestScanCurveIO:
     def test_invalid_counts_rejected(self):
         with pytest.raises(ValueError):
             ScanCurve(offsets=grid(16), counts=np.full(16, 11.0), pulses_per_point=10)
+
+    def test_nan_count_rejected_on_read(self):
+        text = "offset\tcount\tpulses_per_point\n0.0\tnan\t10\n1.0\t5.0\t10\n"
+        with pytest.raises(ValueError, match="finite"):
+            read_scan_curve(io.StringIO(text))

@@ -1,8 +1,12 @@
 """Monte Carlo session: statistics, determinism, merging, soundness."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import chi2, chi2_contingency
 
 from decoyqkd import (
     LinkModel,
@@ -20,12 +24,12 @@ from decoyqkd import (
     soundness_report,
     transmittance,
 )
+from decoyqkd import sim
 from decoyqkd.estimator import InsufficientStatisticsError
 from decoyqkd.link import photon_click_probability
 from decoyqkd.sim import (
     ClassTally,
     measured_stats,
-    run_chunk,
     session_params,
     tally_from_text,
     tally_to_text,
@@ -37,6 +41,21 @@ LUMPED_L0 = LinkModel(alpha_db_per_km=0.0, excess_loss_db=0.0, eta_det=1.0,
 
 def binomial_sigma(p, n):
     return math.sqrt(p * (1.0 - p) / n)
+
+
+def reference_tally(config, n_pulses):
+    """Tally of the pulse-by-pulse reference sampler."""
+    arrays = sim._simulate_arrays(config, n_pulses)
+    flags = (arrays["clicked"], arrays["sifted"], arrays["error"])
+
+    def counts(mask):
+        return ClassTally(int(np.count_nonzero(mask)),
+                          *(int(np.count_nonzero(flag & mask)) for flag in flags))
+
+    signal, photons = ~arrays["is_decoy"], arrays["photons"]
+    bins = [photons == 0, photons == 1, photons == 2, photons >= 3]
+    return SimTally(signal=counts(signal), decoy=counts(arrays["is_decoy"]),
+                    signal_photons=tuple(counts(signal & b) for b in bins))
 
 
 @pytest.fixture(scope="module")
@@ -142,28 +161,6 @@ class TestDeterminismAndMerging:
         assert stats_a == stats_b
         assert tally_to_text(tally_a) == tally_to_text(tally_b)
 
-    def test_parallel_equals_sequential(self, fitted_model, default_params):
-        config = SimConfig(n_pulses=200_000, link=fitted_model, params=default_params,
-                           seed=43, length_km=49.2)
-        sequential, _ = run_session(config, chunk_size=50_000, workers=1)
-        parallel, _ = run_session(config, chunk_size=50_000, workers=2)
-        assert sequential == parallel
-
-    def test_session_equals_merged_chunks(self, fitted_model, default_params):
-        config = SimConfig(n_pulses=120_000, link=fitted_model, params=default_params,
-                           seed=44, length_km=49.2)
-        whole, _ = run_session(config, chunk_size=50_000)
-        parts = [run_chunk(config, 0, 50_000), run_chunk(config, 1, 50_000),
-                 run_chunk(config, 2, 20_000)]
-        assert merge_tallies(parts) == whole
-
-    def test_single_pulse_chunks_merge_to_sequential_tally(self, default_params):
-        config = SimConfig(n_pulses=10_000, link=LUMPED_L0, params=default_params,
-                           seed=45)
-        whole, _ = run_session(config, chunk_size=1)
-        parts = [run_chunk(config, i, 1) for i in range(10_000)]
-        assert merge_tallies(parts) == whole
-
     def test_merge_rejects_empty_list(self):
         with pytest.raises(ValueError):
             merge_tallies([])
@@ -179,8 +176,8 @@ class TestDeterminismAndMerging:
         config_a = SimConfig(n_pulses=1000, link=LUMPED_L0, params=default_params, seed=1)
         config_b = SimConfig(n_pulses=1000, link=LUMPED_L0, params=default_params,
                              seed=1, length_km=10.0)
-        part_a = run_chunk(config_a, 0, 1000)
-        part_b = run_chunk(config_b, 0, 1000)
+        part_a, _ = run_session(config_a)
+        part_b, _ = run_session(config_b)
         with pytest.raises(ValueError):
             merge_tallies([part_a, part_b])
 
@@ -210,7 +207,7 @@ class TestPulseRecords:
     def test_records_agree_with_tally(self, default_params):
         config = SimConfig(n_pulses=4000, link=LUMPED_L0, params=default_params, seed=7)
         records = pulse_records(config)
-        tally = run_chunk(config, 0, 4000)
+        tally = reference_tally(config, 4000)
         signal = [r for r in records if r.intensity_class == "signal"]
         assert len(signal) == tally.signal.emitted
         assert sum(r.clicked for r in signal) == tally.signal.clicked
@@ -236,7 +233,6 @@ class TestSoundness:
         assert produced == 10
         assert violations == 0
 
-    @pytest.mark.slow
     def test_asymptotic_bound_is_not_tight(self, fitted_model):
         # with no statistical penalty the yield bound still undershoots truth
         params = ProtocolParams(u_alpha=0.0)
@@ -310,3 +306,96 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimTally(signal=ClassTally(emitted=5), decoy=ClassTally(),
                      signal_photons=(ClassTally(),) * 4)
+
+
+# Bright enough that every pulse outcome below is seen many times per session.
+AGREEMENT_LINK = LinkModel(alpha_db_per_km=0.0, excess_loss_db=3.0, eta_det=0.5,
+                           y0=0.02, visibility=0.9)
+
+
+def outcome_counts(tally):
+    """The 20 mutually exclusive pulse outcomes the 24 tally counts resolve.
+
+    Per signal photon bin and for the decoy class: no click, unsifted
+    click, sifted correct click, sifted error. Pulses are i.i.d., so a
+    session's outcome counts are multinomial over these cells.
+    """
+    counts = []
+    for c in (*tally.signal_photons, tally.decoy):
+        counts += [c.emitted - c.clicked, c.clicked - c.sifted, c.sifted - c.errors, c.errors]
+    return counts
+
+
+class TestSamplerAgreement:
+    """The count-level run_session against the pulse-by-pulse reference sampler."""
+
+    @pytest.mark.parametrize("mu, nu, phase_error, cutoff", [
+        (0.6, 0.2, 0.0, None),
+        (5.0, 1.0, 0.1, None),
+        # A cutoff of 4 sends most signal pulses (mean 5) through the tail cell.
+        (5.0, 1.0, 0.1, 4),
+    ])
+    def test_outcome_counts_agree(self, monkeypatch, mu, nu, phase_error, cutoff):
+        if cutoff is not None:
+            monkeypatch.setattr(sim, "_photon_cutoff", lambda mean: cutoff)
+        n_pulses, seeds = 100_000, range(40)
+        configs = [SimConfig(n_pulses=n_pulses, link=AGREEMENT_LINK,
+                             params=ProtocolParams(mu=mu, nu=nu), seed=seed,
+                             bob_phase_error=phase_error) for seed in seeds]
+        counts = np.array([
+            [outcome_counts(run_session(config)[0]) for config in configs],
+            [outcome_counts(reference_tally(config, n_pulses)) for config in configs],
+        ])
+        # Same outcome law: 2 x 20 homogeneity test on the pooled counts.
+        totals = counts.sum(axis=1)
+        assert chi2_contingency(totals).pvalue > 1e-4
+        # Same spread: each session against the pooled outcome law.
+        expected = n_pulses * totals.sum(axis=0) / totals.sum()
+        dof = len(seeds) * (expected.size - 1)
+        for sampler in counts:
+            dispersion = float(((sampler - expected) ** 2 / expected).sum())
+            assert 1e-4 < chi2.cdf(dispersion, dof) < 1 - 1e-4
+
+
+@st.composite
+def sim_configs(draw):
+    """Any valid session: mu up to 200, any visibility, darks, phase error and split."""
+    unit = st.floats(0.0, 1.0)
+    mu = draw(st.floats(0.0, 200.0))
+    link = LinkModel(alpha_db_per_km=draw(st.floats(0.0, 1.0)),
+                     excess_loss_db=draw(st.floats(-10.0, 60.0)),
+                     eta_det=draw(unit), y0=draw(unit), visibility=draw(unit))
+    return SimConfig(n_pulses=draw(st.integers(1, 10**12)), link=link,
+                     params=ProtocolParams(mu=mu, nu=draw(st.floats(0.0, mu))),
+                     decoy_fraction=draw(st.floats(0.0, 1.0, exclude_min=True,
+                                                   exclude_max=True)),
+                     seed=draw(st.integers(0, 2**32)),
+                     length_km=draw(st.floats(0.0, 300.0)),
+                     bob_phase_error=draw(st.floats(-10.0, 10.0)))
+
+
+class TestSessionProperties:
+    @settings(deadline=None)
+    @given(sim_configs())
+    def test_tally_invariants(self, config):
+        tally, _ = run_session(config)
+        assert tally.signal.emitted + tally.decoy.emitted == config.n_pulses
+        for field in ("emitted", "clicked", "sifted", "errors"):
+            assert (sum(getattr(b, field) for b in tally.signal_photons)
+                    == getattr(tally.signal, field))
+        for c in (tally.signal, tally.decoy, *tally.signal_photons):
+            assert 0 <= c.errors <= c.sifted <= c.clicked <= c.emitted
+
+    @settings(deadline=None)
+    @given(sim_configs(), st.lists(st.integers(0, 2**32), min_size=3, max_size=3))
+    def test_merge_is_associative_with_zero_identity(self, config, seeds):
+        a, b, c = (run_session(replace(config, seed=seed))[0] for seed in seeds)
+        assert (merge_tallies([merge_tallies([a, b]), c])
+                == merge_tallies([a, merge_tallies([b, c])]))
+        assert merge_tallies([SimTally.zero(), a]) == a == merge_tallies([a, SimTally.zero()])
+
+    @settings(deadline=None)
+    @given(sim_configs())
+    def test_text_round_trip_is_exact(self, config):
+        tally, _ = run_session(config)
+        assert tally_from_text(tally_to_text(tally)) == tally
