@@ -30,6 +30,7 @@ from .estimator import (
     s_nu_lower,
 )
 from .link import (
+    FitConvergenceError,
     LengthSweep,
     LinkModel,
     UnidentifiableDataError,
@@ -56,6 +57,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisError",
+    "FitConvergenceError",
     "FringeFit",
     "InsufficientScanRangeError",
     "InsufficientStatisticsError",

@@ -9,9 +9,10 @@ working points are the fringe zero plus multiples of pi/2.
 At scan intensities the click probability saturates, so the fit model
 is link's coherent-state click law (link.coherent_click_probability)
 rather than a bare cosine; a first-harmonic projection of the
-log-inverted counts seeds a deterministic local refinement, and the
-residuals are minimized in the count-fraction domain. Dark counts are
-negligible against the strong-pulse click rates and are not fitted.
+log-inverted counts seeds a deterministic local refinement (link's
+bounded Levenberg-Marquardt, the one fit_link uses), and the residuals
+are minimized in the count-fraction domain. Dark counts are negligible
+against the strong-pulse click rates and are not fitted.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from typing import IO, Sequence
 import numpy as np
 
 from .estimator import require_finite
-from .link import (PHASE_GRID, LinkModel, click_probability, coherent_click_probability,
-                   mean_photons_for_click)
+from .link import (PHASE_GRID, FitConvergenceError, LinkModel, _least_squares,
+                   click_probability, coherent_click_probability, mean_photons_for_click)
 
 __all__ = [
     "ScanCurve",
@@ -151,11 +152,9 @@ def fit_fringe(curve: ScanCurve) -> FringeFit:
     minimizes count-fraction residuals. Deterministic: no random
     starts. The reported residual is the rms count-fraction misfit;
     a flat curve fits with visibility near zero and the residual is
-    the only signal that the phase is unconstrained.
+    the only signal that the phase is unconstrained. Raises
+    FitConvergenceError when the refinement runs out of iterations.
     """
-    from scipy.optimize import least_squares
-    from scipy.special import i0 as bessel_i0
-
     if curve.offsets.size < 8 or curve.span < TWO_PI - 1e-9:
         raise InsufficientScanRangeError(
             f"fringe fit needs >= 8 points spanning >= 2*pi, got {curve.offsets.size} "
@@ -172,20 +171,20 @@ def fit_fringe(curve: ScanCurve) -> FringeFit:
     vis0 = min(math.hypot(coeff[1], coeff[2]) / depth0, 1.0)
     zero0 = math.atan2(coeff[2], coeff[1])
 
-    def residuals(x: np.ndarray) -> np.ndarray:
-        # The click law with y0 = 0 and depth = eta*m/2.
-        depth, vis, zero = x
+    def residuals(points: np.ndarray) -> np.ndarray:
+        # The click law with y0 = 0 and depth = eta*m/2, one row per point.
+        depth, vis, zero = points[..., None]
         return coherent_click_probability(2.0 * depth, vis, 0.0, curve.offsets - zero) - y
 
-    result = least_squares(
+    x, iterations, converged = _least_squares(
         residuals, [depth0, vis0, zero0],
-        bounds=([1e-15, 0.0, zero0 - math.pi], [np.inf, 1.0, zero0 + math.pi]),
-        method="trf", ftol=1e-15, xtol=1e-15, gtol=1e-15,
-    )
-    depth, vis, zero = result.x
-    rms = float(np.sqrt(np.mean(residuals(result.x) ** 2)))
+        [1e-15, 0.0, zero0 - math.pi], [np.inf, 1.0, zero0 + math.pi])
+    if not converged:
+        raise FitConvergenceError(f"fringe fit did not converge in {iterations} iterations")
+    depth, vis, zero = x
+    rms = float(np.sqrt(np.mean(residuals(x[:, None]) ** 2)))
     # Mean click probability over a full fringe period.
-    amplitude = float(1.0 - math.exp(-depth) * bessel_i0(depth * vis))
+    amplitude = float(1.0 - math.exp(-depth) * np.i0(depth * vis))
     return FringeFit(amplitude=amplitude, visibility_est=float(vis),
                      phase_zero=_wrap_phase(float(zero)), residual=rms)
 

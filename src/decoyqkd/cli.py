@@ -258,7 +258,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_fit(args: argparse.Namespace) -> int:
     rows = _read_input_table(args)
     params = _resolve_params(args)
-    model = link.fit_link(rows, params, y0=args.fit_y0)
+    fit = link.fit_link_report(rows, params, y0=args.fit_y0)
+    model = fit.model
     objective = link.fit_objective(model, rows, params)
     stream = _open_out(args)
     try:
@@ -270,6 +271,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
             stream.write(f"{key}={getattr(model, key)!r}\n")
     finally:
         _close_out(stream)
+    print(f"fit: converged in {fit.iterations} iterations, objective={objective!r}",
+          file=sys.stderr)
     return EXIT_OK
 
 

@@ -199,16 +199,26 @@ def s1_lower_bound(params: ProtocolParams, stats: MeasuredStats) -> float:
     with S_nu_L the finite-size-corrected decoy rate. The error term
     removes the worst-case vacuum contribution (background clicks carry
     QBER 1/2). A negative result is returned as-is; interpreting it is
-    left to the caller.
+    left to the caller. Raises AnalysisError when the bound is not a
+    finite float: e^mu overflows past mu ~ 709, and mu*nu - nu^2
+    underflows to zero for subnormal intensities.
     """
     params.require_two_intensity()
     mu, nu = params.mu, params.nu
     s_nu_l = s_nu_lower(stats.s_nu, params.n_nu, params.u_alpha)
-    return (mu / (mu * nu - nu**2)) * (
-        s_nu_l * math.exp(nu)
-        - stats.s_mu * math.exp(mu) * nu**2 / mu**2
-        - stats.e_mu * stats.s_mu * math.exp(mu) * (mu**2 - nu**2) / (0.5 * mu**2)
-    )
+    try:
+        bound = (mu / (mu * nu - nu**2)) * (
+            s_nu_l * math.exp(nu)
+            - stats.s_mu * math.exp(mu) * nu**2 / mu**2
+            - stats.e_mu * stats.s_mu * math.exp(mu) * (mu**2 - nu**2) / (0.5 * mu**2)
+        )
+    except (OverflowError, ZeroDivisionError):
+        bound = math.nan
+    if not math.isfinite(bound):
+        raise AnalysisError(
+            f"yield bound is not representable in floating point at mu={mu}, nu={nu}"
+        )
+    return bound
 
 
 def e1_upper_bound(params: ProtocolParams, stats: MeasuredStats, s1_l: float) -> float:
@@ -221,7 +231,12 @@ def e1_upper_bound(params: ProtocolParams, stats: MeasuredStats, s1_l: float) ->
         raise NoSinglePhotonBoundError(
             f"no single-photon bound: yield lower bound {s1_l:g} is not positive"
         )
-    return stats.e_mu * stats.s_mu / (s1_l * params.mu * math.exp(-params.mu))
+    single_photon_rate = s1_l * params.mu * math.exp(-params.mu)
+    if single_photon_rate == 0.0:
+        raise NoSinglePhotonBoundError(
+            f"no single-photon bound: single-photon rate {s1_l:g}*mu*e^-mu underflows"
+        )
+    return stats.e_mu * stats.s_mu / single_photon_rate
 
 
 def key_rate(params: ProtocolParams, stats: MeasuredStats, s1_l: float, e1_u: float) -> float:

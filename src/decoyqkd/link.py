@@ -14,9 +14,11 @@ is the fraction of matched-basis clicks at the destructive phase.
 
 The laws broadcast over numpy arrays. fit_link inverts a table of
 measured rates into (attenuation, lumped excess loss, visibility) with
-the dark rate held fixed; sweep_key_rate feeds modelled rates through
-the security bounds to locate the largest fiber length with a positive
-secure rate.
+the dark rate held fixed: a coarse grid picks the start and
+_least_squares, a bounded Levenberg-Marquardt refinement in numpy that
+calibration's fringe fit shares, finishes it. sweep_key_rate feeds
+modelled rates through the security bounds to locate the largest fiber
+length with a positive secure rate.
 """
 
 from __future__ import annotations
@@ -33,8 +35,10 @@ from .estimator import (AnalysisError, MeasuredStats, ProtocolParams, analyze_ro
 __all__ = [
     "PHASE_GRID",
     "LinkModel",
+    "LinkFit",
     "LengthSweep",
     "UnidentifiableDataError",
+    "FitConvergenceError",
     "transmittance",
     "coherent_click_probability",
     "photon_click_probability",
@@ -45,6 +49,7 @@ __all__ = [
     "expected_stats",
     "fit_objective",
     "fit_link",
+    "fit_link_report",
     "sweep_key_rate",
 ]
 
@@ -60,9 +65,21 @@ _FIT_GRID = (
     np.linspace(0.80, 0.999, 20),
 )
 
+# Relative step of the central-difference Jacobian of _least_squares: it
+# balances the rounding error (eps/h) against the truncation error (h^2).
+_DIFF_STEP = np.finfo(float).eps ** (1.0 / 3.0)
+# Relative change of cost and parameters below which _least_squares stops.
+_FIT_TOL = 1e-15
+# Trial steps before _least_squares gives up; the fits here take 2 to 16.
+_MAX_ITERATIONS = 100
+
 
 class UnidentifiableDataError(ValueError):
     """The measured table cannot constrain the link parameters."""
+
+
+class FitConvergenceError(RuntimeError):
+    """A least-squares fit ran out of iterations before meeting its tolerance."""
 
 
 @dataclass(frozen=True)
@@ -93,6 +110,14 @@ class LinkModel:
             raise ValueError(f"y0={self.y0} must be in [0, 1]")
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError(f"visibility={self.visibility} must be in [0, 1]")
+
+
+@dataclass(frozen=True)
+class LinkFit:
+    """Fitted link model and the number of trial steps its refinement took."""
+
+    model: LinkModel
+    iterations: int
 
 
 @dataclass(frozen=True)
@@ -252,6 +277,53 @@ def fit_objective(model: LinkModel, table: Sequence[MeasuredStats],
     return float(np.square(r).sum())
 
 
+def _least_squares(residuals, x0, lower, upper):
+    """Bounded Levenberg-Marquardt minimum of the sum of squared residuals.
+
+    residuals maps an (n, k) array of k parameter points to their (k, m)
+    residuals; the Jacobian is a central difference over one such call,
+    one-sided where a bound is nearer than the step. Each trial step solves
+    the normal equations damped by their diagonal and is clipped to
+    lower <= x <= upper. The fit has converged when an accepted step lowers
+    the cost, or moves the parameters, by no more than _FIT_TOL relative.
+
+    Returns (x, iterations, converged); iterations counts trial steps.
+    """
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+    x = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    r = residuals(x[:, None])[0]
+    cost, damping, rejected, jac, n = r @ r, 1e-3, 0, None, x.size
+    diagonal = np.arange(n)
+    for iteration in range(1, _MAX_ITERATIONS + 1):
+        if jac is None:
+            h = _DIFF_STEP * np.maximum(np.abs(x), 1.0)
+            ends = np.minimum(x + h, upper), np.maximum(x - h, lower)
+            points = np.tile(x[:, None], 2 * n)
+            points[diagonal, diagonal], points[diagonal, n + diagonal] = ends
+            f = residuals(points)
+            jac = ((f[:n] - f[n:]) / (ends[0] - ends[1])[:, None]).T
+            gradient, normal = jac.T @ r, jac.T @ jac
+            # A column that vanishes (a phase at zero visibility) still gets damped.
+            scale = np.maximum(np.diag(normal), np.finfo(float).eps * np.diag(normal).max())
+        trial = np.clip(x + np.linalg.solve(normal + damping * np.diag(scale), -gradient),
+                        lower, upper)
+        r_trial = residuals(trial[:, None])[0]
+        cost_trial = r_trial @ r_trial
+        if not cost_trial <= cost:  # also rejects NaN
+            # x10, x100, ... on consecutive rejections: at the cost's rounding
+            # floor the steps shrink below _FIT_TOL within a few trials.
+            rejected += 1
+            damping *= 10.0 ** rejected
+            continue
+        converged = (cost - cost_trial <= _FIT_TOL * cost
+                     or np.all(np.abs(trial - x) <= _FIT_TOL * np.abs(trial)))
+        x, r, cost, jac, rejected = trial, r_trial, cost_trial, None, 0
+        damping /= 10.0
+        if converged:
+            return x, iteration, True
+    return x, _MAX_ITERATIONS, False
+
+
 def fit_link(table: Sequence[MeasuredStats], params: ProtocolParams,
              y0: float = 5e-7) -> LinkModel:
     """Least-squares link model from a table of measured rates.
@@ -263,10 +335,15 @@ def fit_link(table: Sequence[MeasuredStats], params: ProtocolParams,
     picks the starting point, then bounded least squares refines it.
 
     Raises UnidentifiableDataError unless the table spans at least
-    three distinct lengths.
+    three distinct lengths, and FitConvergenceError when the refinement
+    runs out of iterations.
     """
-    from scipy.optimize import least_squares
+    return fit_link_report(table, params, y0).model
 
+
+def fit_link_report(table: Sequence[MeasuredStats], params: ProtocolParams,
+                    y0: float = 5e-7) -> LinkFit:
+    """fit_link, also reporting how many trial steps the refinement took."""
     if len({row.length_km for row in table}) < 3:
         raise UnidentifiableDataError(
             f"link fit needs >= 3 distinct fiber lengths, got {len(table)} row(s) "
@@ -286,15 +363,17 @@ def fit_link(table: Sequence[MeasuredStats], params: ProtocolParams,
     best = np.unravel_index(np.argmin(cost), cost.shape)
     start = [axis[i] for axis, i in zip(_FIT_GRID, best)]
 
-    result = least_squares(
-        lambda x: _fit_residuals(*x, y0, rows, params).ravel(),
-        start,
-        bounds=([0.0, 0.0, 0.0], [5.0, 80.0, 1.0]),
-        method="trf",
-    )
-    alpha, lumped, vis = result.x
-    return LinkModel(alpha_db_per_km=float(alpha), excess_loss_db=float(lumped),
-                     eta_det=1.0, y0=y0, visibility=float(vis))
+    def residuals(points: np.ndarray) -> np.ndarray:
+        return _fit_residuals(*points[..., None], y0, rows, params).reshape(
+            points.shape[1], -1)
+
+    (alpha, lumped, vis), iterations, converged = _least_squares(
+        residuals, start, [0.0, 0.0, 0.0], [5.0, 80.0, 1.0])
+    if not converged:
+        raise FitConvergenceError(f"link fit did not converge in {iterations} iterations")
+    model = LinkModel(alpha_db_per_km=float(alpha), excess_loss_db=float(lumped),
+                      eta_det=1.0, y0=y0, visibility=float(vis))
+    return LinkFit(model=model, iterations=iterations)
 
 
 def _key_rate(params: ProtocolParams, stats: MeasuredStats) -> float:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from decoyqkd import ProtocolParams, fit_link
@@ -30,3 +31,34 @@ def default_params():
 @pytest.fixture(scope="session")
 def fitted_model(reference_table, default_params):
     return fit_link(reference_table, default_params)
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Arguments (residuals, x0, lower, upper) of each refinement the fits run."""
+    from decoyqkd import calibration, link
+
+    solve = link._least_squares
+    calls = []
+
+    def spy(residuals, x0, lower, upper):
+        calls.append((residuals, x0, lower, upper))
+        return solve(residuals, x0, lower, upper)
+
+    monkeypatch.setattr(link, "_least_squares", spy)
+    monkeypatch.setattr(calibration, "_least_squares", spy)
+    return calls
+
+
+def scipy_refinement(call, **tolerances):
+    """scipy's bounded least squares (trf) on a recorded refinement problem."""
+    from scipy.optimize import least_squares
+
+    residuals, x0, lower, upper = call
+    return least_squares(lambda x: residuals(x[:, None])[0], x0, bounds=(lower, upper),
+                         method="trf", **tolerances).x
+
+
+def not_converged(residuals, x0, lower, upper):
+    """Stand-in refinement that runs out of iterations at its start."""
+    return np.asarray(x0, dtype=float), 100, False

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from decoyqkd import (
+    FitConvergenceError,
     FringeFit,
     InsufficientScanRangeError,
     LinkModel,
@@ -18,12 +21,15 @@ from decoyqkd import (
     simulate_scan,
     working_points,
 )
+from decoyqkd import calibration
 from decoyqkd.calibration import (
     read_scan_curve,
     scan_intensity_for_peak,
     scan_overhead,
     write_scan_curve,
 )
+
+from conftest import not_converged, scipy_refinement
 
 TWO_PI = 2.0 * math.pi
 
@@ -148,6 +154,41 @@ class TestFitFringe:
             assert min(wrapped, TWO_PI - wrapped) < 1e-9
 
 
+def phase_gap(a: float, b: float) -> float:
+    gap = abs(a - b) % TWO_PI
+    return min(gap, TWO_PI - gap)
+
+
+class TestFitFringeAgainstScipy:
+    # (model, peak, seed, noiseless, tolerance on the fringe zero). On the flat
+    # curve the phase barely moves the cost: scipy's trf stops (xtol) 1.8e-6 rad
+    # from where a Gauss-Newton step with the analytic Jacobian points, and
+    # _least_squares within 4e-8, so there the zeros agree to 1e-5 only.
+    CASES = {
+        **{f"seed{seed}": (LUMPED, 0.5, seed, False, 1e-9) for seed in range(10)},
+        "V=1 noiseless": (LinkModel(excess_loss_db=0.0, y0=0.0, visibility=1.0),
+                          0.5, 0, True, 1e-9),
+        "flat": (LinkModel(excess_loss_db=0.0, y0=5e-7, visibility=0.0), 0.3, 9, False, 1e-5),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_agrees_with_scipy(self, case, solver_calls):
+        model, peak, seed, noiseless, zero_tol = self.CASES[case]
+        strong = scan_intensity_for_peak(model, peak=peak)
+        curve = simulate_scan(model, strong, grid(64), 100_000, seed=seed,
+                              true_phase_zero=0.8, noiseless=noiseless)
+        fit = fit_fringe(curve)
+        _, vis, zero = scipy_refinement(solver_calls[0], ftol=1e-15, xtol=1e-15, gtol=1e-15)
+        assert fit.visibility_est == pytest.approx(vis, abs=1e-9)
+        assert phase_gap(fit.phase_zero, zero) <= zero_tol
+
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(calibration, "_least_squares", not_converged)
+        curve = simulate_scan(LUMPED, 1.0, grid(64), 1000, seed=0)
+        with pytest.raises(FitConvergenceError, match="did not converge in 100 iterations"):
+            fit_fringe(curve)
+
+
 class TestWorkingPoints:
     def test_canonical_zero(self):
         fit = FringeFit(amplitude=0.3, visibility_est=0.99, phase_zero=0.0, residual=0.0)
@@ -197,6 +238,21 @@ class TestScanCurveIO:
         assert np.array_equal(loaded.offsets, curve.offsets)
         assert np.array_equal(loaded.counts, curve.counts)
         assert loaded.pulses_per_point == curve.pulses_per_point
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_round_trip_is_exact_on_generated_curves(self, data):
+        pulses = data.draw(st.integers(1, 10**12))
+        offsets = sorted(data.draw(st.sets(st.floats(-1e300, 1e300), min_size=1, max_size=40)))
+        counts = data.draw(st.lists(st.floats(0.0, float(pulses)), min_size=len(offsets),
+                                    max_size=len(offsets)))
+        curve = ScanCurve(offsets=offsets, counts=counts, pulses_per_point=pulses)
+        buffer = io.StringIO()
+        write_scan_curve(curve, buffer)
+        loaded = read_scan_curve(io.StringIO(buffer.getvalue()))
+        assert loaded.offsets.tolist() == curve.offsets.tolist()
+        assert loaded.counts.tolist() == curve.counts.tolist()
+        assert loaded.pulses_per_point == pulses
 
     def test_invalid_counts_rejected(self):
         with pytest.raises(ValueError):

@@ -4,13 +4,16 @@ import hashlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from decoyqkd import MeasuredStats
-from decoyqkd.cli import EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
+from decoyqkd import MeasuredStats, calibration, link
+from decoyqkd.cli import EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_VALIDATION, main
 from decoyqkd.tables import (
     TableParseError,
     bundled_reference_table,
@@ -20,7 +23,7 @@ from decoyqkd.tables import (
     write_measured_stats,
 )
 
-from conftest import REFERENCE_BOUNDS
+from conftest import REFERENCE_BOUNDS, not_converged
 
 REFERENCE_SHA256 = "42dd2ad257a0f2fddab4c954dd0dd1114b924517e93c1fb0970d86cf61d30520"
 
@@ -75,6 +78,15 @@ class TestTableParsing:
         buffer = io.StringIO()
         write_measured_stats(rows, buffer)
         assert read_measured_stats(buffer.getvalue().splitlines()) == rows
+
+    @settings(deadline=None)
+    @given(st.lists(st.builds(MeasuredStats, st.floats(0.0, 1e300),
+                              *[st.floats(0.0, 1.0)] * 4), max_size=20))
+    def test_round_trip_is_exact_on_generated_tables(self, rows):
+        buffer = io.StringIO()
+        write_measured_stats(rows, buffer)
+        loaded = read_measured_stats(buffer.getvalue().splitlines())
+        assert [repr(row) for row in loaded] == [repr(row) for row in rows]
 
     def test_scientific_notation_and_comments(self):
         text = "# comment\n" + self.HEADER + "50\t1.5E-4\t1e-2\t5.1e-5\t0.02\n"
@@ -230,6 +242,27 @@ class TestFitCommand:
         assert set(values) == {"alpha_db_per_km", "excess_loss_db", "eta_det", "y0",
                                "visibility"}
 
+    def test_convergence_reported_on_stderr_outputs_byte_identical(self, tmp_path, capsys):
+        first, second = tmp_path / "first.cfg", tmp_path / "second.cfg"
+        assert main(["fit", "--out", str(first)]) == EXIT_OK
+        assert main(["fit", "--out", str(second)]) == EXIT_OK
+        assert first.read_bytes() == second.read_bytes()
+        err = capsys.readouterr().err.splitlines()
+        objective = next(line.split("=", 1)[1] for line in first.read_text().splitlines()
+                         if line.startswith("# objective="))
+        line = rf"fit: converged in [1-9]\d* iterations, objective={re.escape(objective)}"
+        assert len(err) == 2 and all(re.fullmatch(line, e) for e in err)
+        stdout = []
+        for _ in range(2):
+            assert main(["fit"]) == EXIT_OK
+            stdout.append(capsys.readouterr().out)
+        assert stdout[0] == stdout[1] == first.read_text()
+
+    def test_non_convergence_is_a_runtime_failure(self, monkeypatch, capsys):
+        monkeypatch.setattr(link, "_least_squares", not_converged)
+        assert main(["fit"]) == EXIT_RUNTIME
+        assert "link fit did not converge in 100 iterations" in capsys.readouterr().err
+
     def test_single_length_table_fails(self, tmp_path, capsys):
         table = tmp_path / "one.tsv"
         table.write_text(
@@ -326,7 +359,7 @@ class TestSimulateCommand:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy.optimize dominates the import time; only the fits need it
+    # scipy is a test dependency only; its import would dominate a command's time
     import decoyqkd
     src = os.path.dirname(os.path.dirname(os.path.abspath(decoyqkd.__file__)))
     code = ("import sys, decoyqkd.cli; "
@@ -335,6 +368,21 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [["fit"], ["calibrate", "--seed", "3"], ["sweep"],
+                                  ["simulate", "--pulses", "1e5"]],
+                         ids=["fit", "calibrate", "sweep", "simulate"])
+def test_commands_run_with_scipy_blocked(argv, tmp_path):
+    # Without --link, calibrate, sweep and simulate fit the bundled table too.
+    import decoyqkd
+    src = os.path.dirname(os.path.dirname(os.path.abspath(decoyqkd.__file__)))
+    code = ("import sys; sys.modules['scipy'] = None; from decoyqkd.cli import main; "
+            "raise SystemExit(main(sys.argv[1:]))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == EXIT_OK, out.stderr
 
 
 class TestCalibrateCommand:
@@ -364,6 +412,11 @@ class TestCalibrateCommand:
         assert main(["calibrate", "--seed", "3", "--out", str(out)]) == EXIT_OK
         values = parse_keyvalues(out.read_text())
         assert abs(float(values["visibility_est"]) - fitted_model.visibility) <= 0.005
+
+    def test_non_convergence_is_a_runtime_failure(self, monkeypatch, capsys, link_file):
+        monkeypatch.setattr(calibration, "_least_squares", not_converged)
+        assert main(["calibrate", "--link", link_file]) == EXIT_RUNTIME
+        assert "fringe fit did not converge in 100 iterations" in capsys.readouterr().err
 
     def test_four_point_grid_rejected(self, link_file):
         assert main(["calibrate", "--link", link_file, "--points", "4"]) == EXIT_VALIDATION

@@ -1,10 +1,14 @@
 """Security-bound math against frozen values and algebraic properties."""
 import math
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decoyqkd import (
+    AnalysisError,
     InsufficientStatisticsError,
     MeasuredStats,
     NoSinglePhotonBoundError,
@@ -296,3 +300,57 @@ class TestOracleEquivalence:
             assert bounds.e1_upper == pytest.approx(ref[2], rel=1e-12)
             assert bounds.r_lower == pytest.approx(ref[3], rel=1e-12)
             checked += 1
+
+
+@st.composite
+def protocol_params(draw):
+    """Any ProtocolParams the constructor accepts, up to 1e300 in each value."""
+    mu = draw(st.floats(0.0, 1e300))
+    return ProtocolParams(mu=mu, nu=draw(st.floats(0.0, mu)),
+                          q=draw(st.floats(0.0, 1.0, exclude_min=True)),
+                          f_ec=draw(st.floats(1.0, 1e300)),
+                          u_alpha=draw(st.floats(0.0, 1e300)),
+                          n_mu=draw(st.floats(1.0, 1e300)), n_nu=draw(st.floats(1.0, 1e300)))
+
+
+RATES = st.floats(0.0, 1.0)
+MEASURED_STATS = st.builds(MeasuredStats, st.floats(0.0, 1e300), RATES, RATES, RATES, RATES)
+
+
+def s1_or_none(params, stats):
+    try:
+        return s1_lower_bound(params, stats)
+    except AnalysisError:
+        return None
+
+
+class TestBoundProperties:
+    @settings(deadline=None)
+    @given(protocol_params(), MEASURED_STATS)
+    def test_analyze_row_returns_bounds_or_raises_analysis_error(self, params, stats):
+        try:
+            bounds = analyze_row(params, stats)
+        except AnalysisError:
+            return
+        assert isinstance(bounds, SecurityBounds)
+
+    @settings(deadline=None)
+    @given(protocol_params(), MEASURED_STATS, st.floats(0.0, 1e300), st.floats(0.0, 1e300))
+    def test_s1_lower_non_increasing_in_u_alpha(self, params, stats, u1, u2):
+        low = s1_or_none(replace(params, u_alpha=min(u1, u2)), stats)
+        high = s1_or_none(replace(params, u_alpha=max(u1, u2)), stats)
+        assert high is None or (low is not None and low >= high)
+
+    @settings(deadline=None)
+    @given(protocol_params(), MEASURED_STATS, st.floats(1.0, 1e300), st.floats(1.0, 1e300))
+    def test_s1_lower_non_decreasing_in_n_nu(self, params, stats, n1, n2):
+        small = s1_or_none(replace(params, n_nu=min(n1, n2)), stats)
+        large = s1_or_none(replace(params, n_nu=max(n1, n2)), stats)
+        assert small is None or (large is not None and large >= small)
+
+    @pytest.mark.parametrize("mu, nu", [(710.0, 0.2), (9.05e-223, 5.29e-223)])
+    def test_unrepresentable_bound_is_an_analysis_error(self, mu, nu):
+        # e^mu overflows; mu*nu - nu^2 underflows to zero
+        params = ProtocolParams(mu=mu, nu=nu, u_alpha=0.0)
+        with pytest.raises(AnalysisError, match="not representable"):
+            analyze_row(params, MeasuredStats(0.0, 0.0, 0.0, 1.0, 0.0))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from decoyqkd import (
+    FitConvergenceError,
     LinkModel,
     ProtocolParams,
     UnidentifiableDataError,
@@ -16,7 +17,10 @@ from decoyqkd import (
     sweep_key_rate,
     transmittance,
 )
+from decoyqkd import link
 from decoyqkd.link import fit_objective
+
+from conftest import not_converged, scipy_refinement
 
 
 class TestTransmittance:
@@ -162,6 +166,34 @@ class TestFitLink:
         rows = [MeasuredStats(L, 1e-4, 0.01, 0.0, 0.0) for L in (10.0, 20.0, 30.0)]
         with pytest.raises(UnidentifiableDataError):
             fit_link(rows, default_params)
+
+    def test_objective_no_worse_than_scipy(self, reference_table, default_params,
+                                           solver_calls):
+        fitted = fit_link(reference_table, default_params)
+        alpha, lumped, vis = scipy_refinement(solver_calls[0])
+        scipy_model = LinkModel(alpha_db_per_km=alpha, excess_loss_db=lumped, eta_det=1.0,
+                                y0=5e-7, visibility=vis)
+        scipy_cost = fit_objective(scipy_model, reference_table, default_params)
+        assert (fit_objective(fitted, reference_table, default_params)
+                <= scipy_cost * (1.0 + 1e-12))
+
+    @pytest.mark.parametrize("truth, lengths", [
+        (LinkModel(alpha_db_per_km=0.2, excess_loss_db=16.0, eta_det=1.0, y0=5e-7,
+                   visibility=0.98), (30.0, 55.0, 80.0, 105.0, 125.0)),
+        (LinkModel(alpha_db_per_km=0.19, excess_loss_db=16.5, eta_det=1.0, y0=5e-7,
+                   visibility=0.975), (49.2, 62.1, 83.7, 97.0, 108.0, 123.6)),
+    ])
+    def test_noise_free_recovery_is_exact(self, default_params, truth, lengths):
+        table = [expected_stats(truth, default_params, length) for length in lengths]
+        fitted = fit_link(table, default_params)
+        assert fitted.alpha_db_per_km == pytest.approx(truth.alpha_db_per_km, rel=1e-9)
+        assert fitted.excess_loss_db == pytest.approx(truth.excess_loss_db, rel=1e-9)
+        assert fitted.visibility == pytest.approx(truth.visibility, abs=1e-9)
+
+    def test_non_convergence_raises(self, monkeypatch, reference_table, default_params):
+        monkeypatch.setattr(link, "_least_squares", not_converged)
+        with pytest.raises(FitConvergenceError, match="did not converge in 100 iterations"):
+            fit_link(reference_table, default_params)
 
 
 class TestSweep:
