@@ -47,7 +47,6 @@ from .sim import (
     SimConfig,
     SimTally,
     SoundnessReport,
-    merge_tallies,
     pulse_records,
     run_session,
     soundness_report,
@@ -83,7 +82,6 @@ __all__ = [
     "fit_fringe",
     "fit_link",
     "key_rate",
-    "merge_tallies",
     "pulse_records",
     "run_session",
     "s1_lower_bound",

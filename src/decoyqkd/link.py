@@ -5,20 +5,23 @@ phase difference d on a fringe of visibility V is detected with
 probability eta*(1 + V*cos(d))/2, eta being the end-to-end transmittance
 (fiber attenuation, fixed excess loss, detector efficiency); a dark count
 of probability y0 per gate clicks independently, so a pulse clicks with
-probability 1 - (1 - y0) * P(no photon detected). For exactly n photons
-(photon_click_probability, drawn by the Monte Carlo) P is
-(1 - eta*(1 + V*cos(d))/2)^n; its Poisson mixture at mean photon number m
-(coherent_click_probability) is exp(-eta*m*(1 + V*cos(d))/2). Expected
-gains average over the uniform phase differences of PHASE_GRID; the QBER
-is the fraction of matched-basis clicks at the destructive phase.
+probability y0 + (1 - y0) * P(a signal photon is detected). For exactly
+n photons (photon_click_probability, drawn by the Monte Carlo) P is
+1 - (1 - eta*(1 + V*cos(d))/2)^n; its Poisson mixture at mean photon
+number m (coherent_click_probability) is 1 - exp(-eta*m*(1 + V*cos(d))/2).
+Both are evaluated through expm1 and log1p, so they keep full relative
+precision however few photons arrive. Expected gains average over the
+uniform phase differences of PHASE_GRID; the QBER is the fraction of
+matched-basis clicks at the destructive phase.
 
 The laws broadcast over numpy arrays. fit_link inverts a table of
 measured rates into (attenuation, lumped excess loss, visibility) with
-the dark rate held fixed: a coarse grid picks the start and
-_least_squares, a bounded Levenberg-Marquardt refinement in numpy that
-calibration's fringe fit shares, finishes it. sweep_key_rate feeds
-modelled rates through the security bounds to locate the largest fiber
-length with a positive secure rate.
+the dark rate held fixed: a straight line through the log gains and the
+QBER at the shortest length give the start, and _least_squares, a
+bounded Levenberg-Marquardt refinement in numpy that calibration's
+fringe fit shares, finishes it. sweep_key_rate feeds modelled rates
+through the security bounds to locate the largest fiber length with a
+positive secure rate.
 """
 
 from __future__ import annotations
@@ -56,14 +59,6 @@ __all__ = [
 # Phase differences of the four-phase modulation; index k is k*pi/2, so
 # index 0 is constructive and index 2 destructive interference.
 PHASE_GRID = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
-
-# Deterministic coarse grid (alpha, lumped dB, visibility) seeding the
-# local refinement of fit_link.
-_FIT_GRID = (
-    np.linspace(0.05, 0.40, 36),
-    np.linspace(0.0, 40.0, 41),
-    np.linspace(0.80, 0.999, 20),
-)
 
 # Relative step of the central-difference Jacobian of _least_squares: it
 # balances the rounding error (eps/h) against the truncation error (h^2).
@@ -160,9 +155,9 @@ def _fringe(scale, visibility, phase_diff):
     return scale / 2.0 * (1.0 + visibility * np.cos(phase_diff))
 
 
-def _with_darks(y0, no_signal_click):
-    """Click probability given the probability that no signal photon is detected."""
-    return 1.0 - (1.0 - y0) * no_signal_click
+def _with_darks(y0, signal_click):
+    """Click probability given the probability that a signal photon is detected."""
+    return y0 + (1.0 - y0) * signal_click
 
 
 def coherent_click_probability(arriving_photons, visibility, y0, phase_diff):
@@ -170,14 +165,18 @@ def coherent_click_probability(arriving_photons, visibility, y0, phase_diff):
     receiver is arriving_photons (eta*m); the arguments broadcast."""
     # Negating arriving_photons rather than the fringe saves an array operation.
     return _float_if_scalar(
-        _with_darks(y0, np.exp(_fringe(-arriving_photons, visibility, phase_diff))))
+        _with_darks(y0, -np.expm1(_fringe(-arriving_photons, visibility, phase_diff))))
 
 
 def photon_click_probability(eta, visibility, y0, photons, phase_diff):
     """Click probability of a pulse of exactly `photons` photons through a link
     of transmittance eta; the arguments broadcast."""
     per_photon = np.clip(_fringe(eta, visibility, phase_diff), 0.0, 1.0)
-    return _float_if_scalar(_with_darks(y0, (1.0 - per_photon) ** photons))
+    # At per_photon = 1, log1p gives -inf and zero photons give 0*(-inf) = NaN;
+    # a pulse without photons never gives a signal click.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        signal_click = -np.expm1(photons * np.log1p(-per_photon))
+    return _float_if_scalar(_with_darks(y0, np.where(photons == 0, 0.0, signal_click)))
 
 
 def click_probability(model: LinkModel, mean_photons: float, phase_diff,
@@ -199,11 +198,11 @@ def mean_photons_for_click(model: LinkModel, probability: float,
     eta = transmittance(model, length_km)
     if eta <= 0:
         raise ValueError("link transmittance is zero; no mean photon number exists")
-    no_signal_click = (1.0 - probability) / (1.0 - model.y0)
-    if no_signal_click >= 1.0:
+    signal_click = (probability - model.y0) / (1.0 - model.y0)
+    if signal_click <= 0.0:
         raise ValueError(f"dark counts alone exceed the requested click probability "
                          f"{probability}")
-    return -math.log(no_signal_click) / float(_fringe(eta, model.visibility, 0.0))
+    return -math.log1p(-signal_click) / float(_fringe(eta, model.visibility, 0.0))
 
 
 def _gain_qber(eta, visibility, y0, mean_photons):
@@ -331,8 +330,11 @@ def fit_link(table: Sequence[MeasuredStats], params: ProtocolParams,
     Fits (alpha_db_per_km, lumped excess loss, visibility) with y0 held
     fixed. Detector efficiency and excess loss only enter through their
     product, so they are fitted as one lumped dB value reported in
-    excess_loss_db with eta_det = 1. Deterministic: a fixed coarse grid
-    picks the starting point, then bounded least squares refines it.
+    excess_loss_db with eta_det = 1. Deterministic: the start is closed
+    form, then bounded least squares refines it. A straight line through
+    log10(s_mu/mu) against length gives alpha (its slope) and the lumped
+    loss (its intercept); the visibility starts at 1 - 2*e_mu of the
+    shortest length.
 
     Raises UnidentifiableDataError unless the table spans at least
     three distinct lengths, and FitConvergenceError when the refinement
@@ -356,12 +358,9 @@ def fit_link_report(table: Sequence[MeasuredStats], params: ProtocolParams,
             )
 
     rows = _table_array(table)
-    # One row at a time keeps memory on the order of the grid size.
-    grid = np.ix_(*_FIT_GRID)
-    cost = sum(np.square(_fit_residuals(*grid, y0, row, params)).sum(axis=-1)
-               for row in rows)
-    best = np.unravel_index(np.argmin(cost), cost.shape)
-    start = [axis[i] for axis, i in zip(_FIT_GRID, best)]
+    length, s_mu, e_mu = rows[:, 0], rows[:, 1], rows[:, 2]
+    slope, intercept = np.polyfit(length, np.log10(s_mu / params.mu), 1)
+    start = [-10.0 * slope, -10.0 * intercept, 1.0 - 2.0 * e_mu[np.argmin(length)]]
 
     def residuals(points: np.ndarray) -> np.ndarray:
         return _fit_residuals(*points[..., None], y0, rows, params).reshape(

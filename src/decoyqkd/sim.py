@@ -26,9 +26,8 @@ pulse-by-pulse sampler, which is also the tests' reference.
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +42,6 @@ __all__ = [
     "PulseRecord",
     "SoundnessReport",
     "run_session",
-    "merge_tallies",
     "measured_stats",
     "session_params",
     "soundness_report",
@@ -112,16 +110,12 @@ class SimTally:
     """Per-intensity counts plus per-photon-number ground truth for signal pulses.
 
     The photon bins resolve n = 0, 1, 2 and >= 3; their emitted counts
-    sum to the signal emitted count. config_key fingerprints the
-    generating configuration (everything except seed and pulse budget)
-    so that only compatible tallies merge; the empty key is the neutral
-    element of merging.
+    sum to the signal emitted count.
     """
 
     signal: ClassTally
     decoy: ClassTally
     signal_photons: tuple[ClassTally, ClassTally, ClassTally, ClassTally]
-    config_key: str = ""
 
     def __post_init__(self) -> None:
         if len(self.signal_photons) != 4:
@@ -131,11 +125,6 @@ class SimTally:
             raise ValueError(
                 f"photon bins account for {bin_total} pulses, signal emitted {self.signal.emitted}"
             )
-
-    @classmethod
-    def zero(cls) -> "SimTally":
-        empty = ClassTally()
-        return cls(signal=empty, decoy=empty, signal_photons=(empty,) * 4, config_key="")
 
 
 @dataclass(frozen=True)
@@ -175,16 +164,6 @@ class SoundnessReport:
     @property
     def sound(self) -> bool:
         return self.s1_ok and (self.e1_ok is not False)
-
-
-def config_fingerprint(config: SimConfig) -> str:
-    """Digest of the statistical configuration (seed and budget excluded)."""
-    parts = [f"{f.name}={getattr(config.link, f.name)!r}" for f in fields(config.link)]
-    parts += [f"{f.name}={getattr(config.params, f.name)!r}" for f in fields(config.params)]
-    parts += [f"decoy_fraction={config.decoy_fraction!r}",
-              f"length_km={config.length_km!r}",
-              f"bob_phase_error={config.bob_phase_error!r}"]
-    return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
 
 
 def _photon_cutoff(mean: float) -> int:
@@ -248,24 +227,6 @@ def _simulate_arrays(config: SimConfig, n_pulses: int) -> dict[str, np.ndarray]:
             "error": sifted & (diff == 2)}
 
 
-def merge_tallies(parts: list[SimTally]) -> SimTally:
-    """Field-wise sum of tallies of one config, e.g. sessions with different seeds."""
-    if not parts:
-        raise ValueError("cannot merge an empty list of tallies")
-    keys = {t.config_key for t in parts if t.config_key}
-    if len(keys) > 1:
-        raise ValueError(f"tallies come from mismatched configs: {sorted(keys)}")
-    total = parts[0]
-    for t in parts[1:]:
-        total = SimTally(
-            signal=total.signal + t.signal,
-            decoy=total.decoy + t.decoy,
-            signal_photons=tuple(a + b for a, b in zip(total.signal_photons, t.signal_photons)),
-            config_key=total.config_key or t.config_key,
-        )
-    return total
-
-
 def measured_stats(tally: SimTally, length_km: float = 0.0) -> MeasuredStats:
     """Observed per-class rates of a tally in MeasuredStats form."""
     def rate(num: int, den: int) -> float:
@@ -301,7 +262,7 @@ def run_session(config: SimConfig) -> tuple[SimTally, MeasuredStats]:
     signal = _draw_class(rng, config.n_pulses - n_decoy, config.params.mu, click_law)
     decoy = _draw_class(rng, n_decoy, config.params.nu, click_law)
     tally = SimTally(signal=sum(signal, ClassTally()), decoy=sum(decoy, ClassTally()),
-                     signal_photons=tuple(signal), config_key=config_fingerprint(config))
+                     signal_photons=tuple(signal))
     return tally, measured_stats(tally, config.length_km)
 
 
@@ -357,7 +318,7 @@ def soundness_report(tally: SimTally, bounds: SecurityBounds,
 
 def tally_to_text(tally: SimTally) -> str:
     """Serialize a tally as one key=value pair per line (fixed key order)."""
-    lines = [f"config_key={tally.config_key}"]
+    lines = []
     sections = [("signal", tally.signal), ("decoy", tally.decoy)]
     sections += list(zip(_PHOTON_BIN_NAMES, tally.signal_photons))
     for name, counts in sections:
@@ -389,5 +350,4 @@ def tally_from_text(text: str) -> SimTally:
         signal=counts("signal"),
         decoy=counts("decoy"),
         signal_photons=tuple(counts(name) for name in _PHOTON_BIN_NAMES),
-        config_key=values.get("config_key", ""),
     )

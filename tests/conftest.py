@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from decoyqkd import ProtocolParams, fit_link
 from decoyqkd.tables import bundled_reference_table
+
+# Property tests run fits and Monte Carlo sessions whose first call can take
+# longer than hypothesis' default deadline; example counts stay the defaults.
+settings.register_profile("decoyqkd", deadline=None)
+settings.load_profile("decoyqkd")
 
 # Reference per-length bounds the bundled dataset must reproduce:
 # (length_km, s1_lower, e1_upper, r_lower). The 83.7 km yield entry is

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
@@ -239,7 +239,6 @@ class TestScanCurveIO:
         assert np.array_equal(loaded.counts, curve.counts)
         assert loaded.pulses_per_point == curve.pulses_per_point
 
-    @settings(deadline=None)
     @given(st.data())
     def test_round_trip_is_exact_on_generated_curves(self, data):
         pulses = data.draw(st.integers(1, 10**12))

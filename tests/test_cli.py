@@ -9,7 +9,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from decoyqkd import MeasuredStats, calibration, link
@@ -79,7 +79,6 @@ class TestTableParsing:
         write_measured_stats(rows, buffer)
         assert read_measured_stats(buffer.getvalue().splitlines()) == rows
 
-    @settings(deadline=None)
     @given(st.lists(st.builds(MeasuredStats, st.floats(0.0, 1e300),
                               *[st.floats(0.0, 1.0)] * 4), max_size=20))
     def test_round_trip_is_exact_on_generated_tables(self, rows):

@@ -4,7 +4,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from decoyqkd import (
@@ -325,7 +325,6 @@ def s1_or_none(params, stats):
 
 
 class TestBoundProperties:
-    @settings(deadline=None)
     @given(protocol_params(), MEASURED_STATS)
     def test_analyze_row_returns_bounds_or_raises_analysis_error(self, params, stats):
         try:
@@ -334,14 +333,12 @@ class TestBoundProperties:
             return
         assert isinstance(bounds, SecurityBounds)
 
-    @settings(deadline=None)
     @given(protocol_params(), MEASURED_STATS, st.floats(0.0, 1e300), st.floats(0.0, 1e300))
     def test_s1_lower_non_increasing_in_u_alpha(self, params, stats, u1, u2):
         low = s1_or_none(replace(params, u_alpha=min(u1, u2)), stats)
         high = s1_or_none(replace(params, u_alpha=max(u1, u2)), stats)
         assert high is None or (low is not None and low >= high)
 
-    @settings(deadline=None)
     @given(protocol_params(), MEASURED_STATS, st.floats(1.0, 1e300), st.floats(1.0, 1e300))
     def test_s1_lower_non_decreasing_in_n_nu(self, params, stats, n1, n2):
         small = s1_or_none(replace(params, n_nu=min(n1, n2)), stats)

@@ -1,8 +1,11 @@
 """Link model, fit and key-rate sweep."""
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from decoyqkd import (
     FitConvergenceError,
@@ -18,7 +21,8 @@ from decoyqkd import (
     transmittance,
 )
 from decoyqkd import link
-from decoyqkd.link import fit_objective
+from decoyqkd.link import (coherent_click_probability, fit_objective,
+                           photon_click_probability)
 
 from conftest import not_converged, scipy_refinement
 
@@ -68,6 +72,27 @@ class TestClickProbability:
             lower = click_probability(LinkModel(y0=y0), 0.1, math.pi)
             higher = click_probability(LinkModel(y0=y0 * 10 + 1e-7), 0.1, math.pi)
             assert higher >= lower
+
+    @pytest.mark.parametrize("y0", [0.0, 5e-7])
+    def test_few_arriving_photons_keep_full_precision(self, y0):
+        # V = 1 at phase 0 makes the fringe exactly the arriving photon number x,
+        # so the law is y0 + (1 - y0)*(1 - e^-x); its Taylor series through x^5
+        # is exact to far below 1e-14 here.
+        arriving = np.logspace(-12, -4, 33)
+        got = coherent_click_probability(arriving, 1.0, y0, 0.0)
+        for x, value in zip(arriving.tolist(), got.tolist()):
+            terms = [(-1) ** (k + 1) * x**k / math.factorial(k) for k in range(1, 6)]
+            exact = math.fsum([y0, *terms, *(-y0 * t for t in terms)])
+            assert value == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+    def test_no_photons_at_certain_detection_give_dark_rate(self):
+        # n*log1p(-p) is 0*(-inf) at n = 0, p = 1; the law must give y0 there.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            clicks = photon_click_probability(1.0, 1.0, 5e-7, np.arange(3), 0.0)
+        assert clicks[0] == 5e-7
+        assert clicks[1] == clicks[2] == pytest.approx(1.0, rel=1e-15)
+        assert photon_click_probability(1.0, 1.0, 5e-7, 0, 0.0) == 5e-7
 
     def test_maximal_at_zero_phase(self):
         model = LinkModel(excess_loss_db=5.0)
@@ -177,6 +202,22 @@ class TestFitLink:
         assert (fit_objective(fitted, reference_table, default_params)
                 <= scipy_cost * (1.0 + 1e-12))
 
+    def test_objective_no_worse_than_grid_start(self, reference_table, default_params,
+                                                solver_calls):
+        # The best point of the 29,520-point grid (alpha 0.05-0.40 dB/km in 36
+        # steps, lumped 0-40 dB in 41, V 0.80-0.999 in 20) that seeded the
+        # refinement before the closed-form start replaced it.
+        fitted = fit_link(reference_table, default_params)
+        residuals, _, lower, upper = solver_calls[0]
+        (alpha, lumped, vis), _, converged = link._least_squares(
+            residuals, [0.17, 18.0, 0.9780526315789474], lower, upper)
+        assert converged
+        grid_model = LinkModel(alpha_db_per_km=alpha, excess_loss_db=lumped, eta_det=1.0,
+                               y0=5e-7, visibility=vis)
+        grid_cost = fit_objective(grid_model, reference_table, default_params)
+        assert (fit_objective(fitted, reference_table, default_params)
+                <= grid_cost * (1.0 + 1e-12))
+
     @pytest.mark.parametrize("truth, lengths", [
         (LinkModel(alpha_db_per_km=0.2, excess_loss_db=16.0, eta_det=1.0, y0=5e-7,
                    visibility=0.98), (30.0, 55.0, 80.0, 105.0, 125.0)),
@@ -189,6 +230,25 @@ class TestFitLink:
         assert fitted.alpha_db_per_km == pytest.approx(truth.alpha_db_per_km, rel=1e-9)
         assert fitted.excess_loss_db == pytest.approx(truth.excess_loss_db, rel=1e-9)
         assert fitted.visibility == pytest.approx(truth.visibility, abs=1e-9)
+
+    # Truth models across the box the coarse grid used to cover, measured at 3-8
+    # lengths on a 0.1 km raster (lengths a few ulps apart leave alpha
+    # unidentified); the example is a 92.5 dB link that the grid-started fit
+    # recovered only to 6.6e-9 relative.
+    @given(st.floats(0.05, 0.40), st.floats(0.0, 40.0), st.floats(0.80, 0.999),
+           st.lists(st.integers(0, 1600).map(lambda k: k / 10), min_size=3, max_size=8,
+                    unique=True))
+    @example(0.39, 34.0, 0.91, [108.0, 126.0, 150.0])
+    def test_noise_free_recovery_from_closed_form_start(self, alpha, lumped, visibility,
+                                                        lengths):
+        params = ProtocolParams()
+        truth = LinkModel(alpha_db_per_km=alpha, excess_loss_db=lumped, eta_det=1.0,
+                          y0=5e-7, visibility=visibility)
+        table = [expected_stats(truth, params, length) for length in lengths]
+        fitted = fit_link(table, params)
+        assert fitted.alpha_db_per_km == pytest.approx(alpha, rel=1e-9)
+        assert fitted.excess_loss_db == pytest.approx(lumped, rel=1e-9, abs=1e-9)
+        assert fitted.visibility == pytest.approx(visibility, abs=1e-9)
 
     def test_non_convergence_raises(self, monkeypatch, reference_table, default_params):
         monkeypatch.setattr(link, "_least_squares", not_converged)

@@ -1,10 +1,9 @@
-"""Monte Carlo session: statistics, determinism, merging, soundness."""
+"""Monte Carlo session: statistics, determinism, serialization, soundness."""
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import chi2, chi2_contingency
 
@@ -18,7 +17,6 @@ from decoyqkd import (
     click_probability,
     expected_gain,
     expected_qber,
-    merge_tallies,
     pulse_records,
     run_session,
     soundness_report,
@@ -160,26 +158,6 @@ class TestDeterminismAndMerging:
         assert tally_a == tally_b
         assert stats_a == stats_b
         assert tally_to_text(tally_a) == tally_to_text(tally_b)
-
-    def test_merge_rejects_empty_list(self):
-        with pytest.raises(ValueError):
-            merge_tallies([])
-
-    def test_zero_tally_is_merge_identity(self, default_params):
-        config = SimConfig(n_pulses=10_000, link=LUMPED_L0, params=default_params,
-                           seed=46)
-        tally, _ = run_session(config)
-        merged = merge_tallies([tally, SimTally.zero()])
-        assert merged == tally
-
-    def test_merge_rejects_mismatched_configs(self, default_params):
-        config_a = SimConfig(n_pulses=1000, link=LUMPED_L0, params=default_params, seed=1)
-        config_b = SimConfig(n_pulses=1000, link=LUMPED_L0, params=default_params,
-                             seed=1, length_km=10.0)
-        part_a, _ = run_session(config_a)
-        part_b, _ = run_session(config_b)
-        with pytest.raises(ValueError):
-            merge_tallies([part_a, part_b])
 
     def test_serialization_round_trip(self, fitted_model, default_params):
         config = SimConfig(n_pulses=50_000, link=fitted_model, params=default_params,
@@ -375,7 +353,6 @@ def sim_configs(draw):
 
 
 class TestSessionProperties:
-    @settings(deadline=None)
     @given(sim_configs())
     def test_tally_invariants(self, config):
         tally, _ = run_session(config)
@@ -386,15 +363,6 @@ class TestSessionProperties:
         for c in (tally.signal, tally.decoy, *tally.signal_photons):
             assert 0 <= c.errors <= c.sifted <= c.clicked <= c.emitted
 
-    @settings(deadline=None)
-    @given(sim_configs(), st.lists(st.integers(0, 2**32), min_size=3, max_size=3))
-    def test_merge_is_associative_with_zero_identity(self, config, seeds):
-        a, b, c = (run_session(replace(config, seed=seed))[0] for seed in seeds)
-        assert (merge_tallies([merge_tallies([a, b]), c])
-                == merge_tallies([a, merge_tallies([b, c])]))
-        assert merge_tallies([SimTally.zero(), a]) == a == merge_tallies([a, SimTally.zero()])
-
-    @settings(deadline=None)
     @given(sim_configs())
     def test_text_round_trip_is_exact(self, config):
         tally, _ = run_session(config)
