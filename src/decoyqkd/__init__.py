@@ -17,11 +17,13 @@ from .calibration import (
 )
 from .estimator import (
     AnalysisError,
+    BoundColumns,
     InsufficientStatisticsError,
     MeasuredStats,
     NoSinglePhotonBoundError,
     ProtocolParams,
     SecurityBounds,
+    analyze_columns,
     analyze_row,
     binary_entropy,
     e1_upper_bound,
@@ -43,11 +45,9 @@ from .link import (
     transmittance,
 )
 from .sim import (
-    PulseRecord,
     SimConfig,
     SimTally,
     SoundnessReport,
-    pulse_records,
     run_session,
     soundness_report,
 )
@@ -56,6 +56,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisError",
+    "BoundColumns",
     "FitConvergenceError",
     "FringeFit",
     "InsufficientScanRangeError",
@@ -65,13 +66,13 @@ __all__ = [
     "MeasuredStats",
     "NoSinglePhotonBoundError",
     "ProtocolParams",
-    "PulseRecord",
     "ScanCurve",
     "SecurityBounds",
     "SimConfig",
     "SimTally",
     "SoundnessReport",
     "UnidentifiableDataError",
+    "analyze_columns",
     "analyze_row",
     "binary_entropy",
     "click_probability",
@@ -82,7 +83,6 @@ __all__ = [
     "fit_fringe",
     "fit_link",
     "key_rate",
-    "pulse_records",
     "run_session",
     "s1_lower_bound",
     "s_nu_lower",

@@ -20,8 +20,8 @@ from dataclasses import fields
 from typing import IO, Sequence
 
 from . import calibration, link, sim, tables
-from .estimator import (AnalysisError, MeasuredStats, ProtocolParams, analyze_row,
-                        require_finite)
+from .estimator import (AnalysisError, MeasuredStats, ProtocolParams, analyze_columns,
+                        analyze_row, require_finite)
 
 EXIT_OK = 0
 EXIT_PARSE = 3
@@ -162,36 +162,31 @@ def _parse_grid(spec: str) -> list[float]:
     return [round(start + i * step, 9) for i in range(count)]
 
 
-def _read_input_table(args: argparse.Namespace) -> list[MeasuredStats]:
+def _read_input(args: argparse.Namespace, read):
+    """The --input table, or the bundled reference table, through the reader `read`."""
     if args.input is None:
-        return tables.bundled_reference_table()
+        return read(tables.bundled_reference_text().splitlines())
     with open(args.input, encoding="utf-8") as handle:
-        return tables.read_measured_stats(handle)
+        return read(handle)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    rows = _read_input_table(args)
+    table = _read_input(args, tables.read_stats_columns)
     params = _resolve_params(args)
-    out_rows = []
-    warnings = []
-    for stats in rows:
-        for flag in stats.warnings():
-            warnings.append(f"{stats.length_km} km: {flag}")
-        try:
-            out_rows.append(tables.BoundsRow(stats.length_km, analyze_row(params, stats)))
-        except AnalysisError as exc:
-            out_rows.append(tables.BoundsRow(stats.length_km, None, str(exc)))
+    length, s_mu, e_mu, s_nu, _ = table.T
+    bounds = analyze_columns(params, s_mu, e_mu, s_nu)
+    warnings = [f"{row[0]} km: {flag}" for row in table[s_mu <= s_nu].tolist()
+                for flag in MeasuredStats(*row).warnings()]
     header = ["command=analyze", *_params_header(params)]
     header += [f"warning: {w}" for w in warnings]
     stream = _open_out(args)
     try:
-        tables.write_bounds_table(out_rows, stream, header)
+        tables.write_bounds_table(length, bounds, stream, header)
     finally:
         _close_out(stream)
-    analyzed = sum(1 for r in out_rows if r.bounds is not None)
-    secure = sum(1 for r in out_rows if r.bounds is not None and r.bounds.secure)
-    print(f"analyze: {len(out_rows)} row(s), {analyzed} analyzable, {secure} secure",
-          file=sys.stderr)
+    analyzed = bounds.causes.count(None)
+    print(f"analyze: {length.size} row(s), {analyzed} analyzable, "
+          f"{bounds.secure.sum()} secure", file=sys.stderr)
     return EXIT_OK
 
 
@@ -256,7 +251,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    rows = _read_input_table(args)
+    rows = _read_input(args, tables.read_measured_stats)
     params = _resolve_params(args)
     fit = link.fit_link_report(rows, params, y0=args.fit_y0)
     model = fit.model

@@ -19,9 +19,10 @@ measured rates into (attenuation, lumped excess loss, visibility) with
 the dark rate held fixed: a straight line through the log gains and the
 QBER at the shortest length give the start, and _least_squares, a
 bounded Levenberg-Marquardt refinement in numpy that calibration's
-fringe fit shares, finishes it. sweep_key_rate feeds modelled rates
-through the security bounds to locate the largest fiber length with a
-positive secure rate.
+fringe fit shares, finishes it. sweep_key_rate feeds the modelled rates
+of its whole grid, and of each bisection step, through the column bound
+chain (estimator.analyze_columns) to locate the largest fiber length
+with a positive secure rate.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimator import (AnalysisError, MeasuredStats, ProtocolParams, analyze_row,
-                        require_finite)
+from .estimator import MeasuredStats, ProtocolParams, analyze_columns, require_finite
 
 __all__ = [
     "PHASE_GRID",
@@ -67,6 +67,9 @@ _DIFF_STEP = np.finfo(float).eps ** (1.0 / 3.0)
 _FIT_TOL = 1e-15
 # Trial steps before _least_squares gives up; the fits here take 2 to 16.
 _MAX_ITERATIONS = 100
+# Shortest spread of fiber lengths from which fit_link identifies the
+# attenuation: lengths a few ulps apart leave alpha at an arbitrary bound.
+_MIN_LENGTH_SPAN_KM = 0.1
 
 
 class UnidentifiableDataError(ValueError):
@@ -336,9 +339,9 @@ def fit_link(table: Sequence[MeasuredStats], params: ProtocolParams,
     loss (its intercept); the visibility starts at 1 - 2*e_mu of the
     shortest length.
 
-    Raises UnidentifiableDataError unless the table spans at least
-    three distinct lengths, and FitConvergenceError when the refinement
-    runs out of iterations.
+    Raises UnidentifiableDataError unless the table holds at least
+    three distinct lengths spanning at least 0.1 km, and
+    FitConvergenceError when the refinement runs out of iterations.
     """
     return fit_link_report(table, params, y0).model
 
@@ -346,10 +349,16 @@ def fit_link(table: Sequence[MeasuredStats], params: ProtocolParams,
 def fit_link_report(table: Sequence[MeasuredStats], params: ProtocolParams,
                     y0: float = 5e-7) -> LinkFit:
     """fit_link, also reporting how many trial steps the refinement took."""
-    if len({row.length_km for row in table}) < 3:
+    lengths = {row.length_km for row in table}
+    if len(lengths) < 3:
         raise UnidentifiableDataError(
             f"link fit needs >= 3 distinct fiber lengths, got {len(table)} row(s) "
-            f"spanning {len({row.length_km for row in table})}"
+            f"spanning {len(lengths)}"
+        )
+    if max(lengths) - min(lengths) < _MIN_LENGTH_SPAN_KM:
+        raise UnidentifiableDataError(
+            f"link fit needs lengths spanning >= {_MIN_LENGTH_SPAN_KM} km to identify "
+            f"the attenuation, got {max(lengths) - min(lengths)!r} km"
         )
     for row in table:
         if row.s_mu <= 0 or row.s_nu <= 0:
@@ -375,17 +384,12 @@ def fit_link_report(table: Sequence[MeasuredStats], params: ProtocolParams,
     return LinkFit(model=model, iterations=iterations)
 
 
-def _key_rate(params: ProtocolParams, stats: MeasuredStats) -> float:
-    """Key-rate bound of one modelled row; NaN where the bounds abort."""
-    try:
-        return analyze_row(params, stats).r_lower
-    except AnalysisError:
-        return math.nan
-
-
-def _rate_at(model: LinkModel, params: ProtocolParams, length_km: float) -> float:
-    """Modelled key-rate bound at one length; NaN where the bounds abort."""
-    return _key_rate(params, expected_stats(model, params, length_km))
+def _key_rates(model: LinkModel, params: ProtocolParams, eta: np.ndarray) -> np.ndarray:
+    """Key-rate bounds of the modelled rows at transmittances eta; NaN where
+    the bounds abort."""
+    s_mu, e_mu = _gain_qber(eta, model.visibility, model.y0, params.mu)
+    s_nu, _ = _gain_qber(eta, model.visibility, model.y0, params.nu)
+    return analyze_columns(params, s_mu, e_mu, s_nu).r_lower
 
 
 def sweep_key_rate(model: LinkModel, params: ProtocolParams,
@@ -402,13 +406,13 @@ def sweep_key_rate(model: LinkModel, params: ProtocolParams,
         raise ValueError("length grid must be nonempty")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise ValueError("length grid must be strictly increasing")
+    outside = ~((grid >= 0.0) & (grid < math.inf))
+    if outside.any():
+        raise ValueError(f"length_km={float(grid[outside][0])} must be finite and >= 0")
 
-    # Modelled statistics for the whole grid in one array evaluation per class.
-    eta = _transmittance(model.alpha_db_per_km, model.excess_loss_db, model.eta_det, grid)
-    s_mu, e_mu = _gain_qber(eta, model.visibility, model.y0, params.mu)
-    s_nu, e_nu = _gain_qber(eta, model.visibility, model.y0, params.nu)
-    rows = zip(*(column.tolist() for column in (grid, s_mu, e_mu, s_nu, e_nu)))
-    rates = np.array([_key_rate(params, MeasuredStats(*row)) for row in rows])
+    # The whole grid in one array evaluation of the statistics and the bounds.
+    rates = _key_rates(model, params, _transmittance(
+        model.alpha_db_per_km, model.excess_loss_db, model.eta_det, grid))
     positive = np.nan_to_num(rates, nan=-math.inf) > 0
 
     cutoff = None
@@ -417,8 +421,7 @@ def sweep_key_rate(model: LinkModel, params: ProtocolParams,
             lo, hi = float(grid[i]), float(grid[i + 1])
             while hi - lo > 0.1:
                 mid = 0.5 * (lo + hi)
-                r = _rate_at(model, params, mid)
-                if not math.isnan(r) and r > 0:
+                if _key_rates(model, params, np.array([transmittance(model, mid)]))[0] > 0:
                     lo = mid
                 else:
                     hi = mid

@@ -20,8 +20,8 @@ phase difference d (n-major, p = Poisson(n)/4) plus a last tail cell
 for n >= K; one binomial click count per (n, d) cell, in cell order;
 and for the t pulses of the tail cell, t uniforms giving n by inverse
 transform over the Poisson law conditioned on n >= K, t phase
-differences and t click uniforms. pulse_records keeps the
-pulse-by-pulse sampler, which is also the tests' reference.
+differences and t click uniforms. The tests keep a pulse-by-pulse
+sampler as the reference this law is checked against.
 """
 
 from __future__ import annotations
@@ -39,13 +39,11 @@ __all__ = [
     "ClassTally",
     "PhotonBinTally",
     "SimTally",
-    "PulseRecord",
     "SoundnessReport",
     "run_session",
     "measured_stats",
     "session_params",
     "soundness_report",
-    "pulse_records",
     "tally_to_text",
     "tally_from_text",
 ]
@@ -128,19 +126,6 @@ class SimTally:
 
 
 @dataclass(frozen=True)
-class PulseRecord:
-    """One pulse of a session, for inspection at small pulse counts."""
-
-    intensity_class: str
-    alice_phase: float
-    bob_phase: float
-    photon_count: int
-    clicked: bool
-    basis_matched: bool
-    bit_error: bool
-
-
-@dataclass(frozen=True)
 class SoundnessReport:
     """Ground truth of a session against the bounds computed from its stats.
 
@@ -208,25 +193,6 @@ def _draw_class(rng: np.random.Generator, pulses: int, mean: float,
     return [ClassTally(*row) for row in counts.tolist()]
 
 
-def _simulate_arrays(config: SimConfig, n_pulses: int) -> dict[str, np.ndarray]:
-    """Draw n_pulses pulses one by one: pulse_records and the test reference."""
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    is_decoy = rng.random(n_pulses) < config.decoy_fraction
-    photons = rng.poisson(np.where(is_decoy, config.params.nu, config.params.mu))
-    alice = rng.integers(0, 4, n_pulses)
-    bob = rng.integers(0, 4, n_pulses)
-    diff = (alice - bob) % 4
-    p_click = photon_click_probability(
-        transmittance(config.link, config.length_km), config.link.visibility, config.link.y0,
-        photons, np.asarray(PHASE_GRID)[diff] + config.bob_phase_error)
-    clicked = rng.random(n_pulses) < p_click
-    matched = diff % 2 == 0
-    sifted = clicked & matched
-    return {"is_decoy": is_decoy, "photons": photons, "alice": alice, "bob": bob,
-            "clicked": clicked, "matched": matched, "sifted": sifted,
-            "error": sifted & (diff == 2)}
-
-
 def measured_stats(tally: SimTally, length_km: float = 0.0) -> MeasuredStats:
     """Observed per-class rates of a tally in MeasuredStats form."""
     def rate(num: int, den: int) -> float:
@@ -264,24 +230,6 @@ def run_session(config: SimConfig) -> tuple[SimTally, MeasuredStats]:
     tally = SimTally(signal=sum(signal, ClassTally()), decoy=sum(decoy, ClassTally()),
                      signal_photons=tuple(signal))
     return tally, measured_stats(tally, config.length_km)
-
-
-def pulse_records(config: SimConfig, n_pulses: int | None = None) -> list[PulseRecord]:
-    """Materialize individual pulses of the pulse-by-pulse sampler; for small n only."""
-    n = config.n_pulses if n_pulses is None else n_pulses
-    arrays = _simulate_arrays(config, n)
-    records = []
-    for i in range(n):
-        records.append(PulseRecord(
-            intensity_class="decoy" if arrays["is_decoy"][i] else "signal",
-            alice_phase=PHASE_GRID[arrays["alice"][i]],
-            bob_phase=PHASE_GRID[arrays["bob"][i]],
-            photon_count=int(arrays["photons"][i]),
-            clicked=bool(arrays["clicked"][i]),
-            basis_matched=bool(arrays["matched"][i]),
-            bit_error=bool(arrays["error"][i]),
-        ))
-    return records
 
 
 def soundness_report(tally: SimTally, bounds: SecurityBounds,

@@ -9,16 +9,19 @@ aborts carry the cause in the diagnostics column instead of values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from array import array
 from importlib import resources
 from typing import IO, Iterable, Sequence
 
-from .estimator import MeasuredStats, SecurityBounds
+import numpy as np
+
+from .estimator import BoundColumns, MeasuredStats
 
 __all__ = [
     "TableParseError",
-    "BoundsRow",
     "STATS_COLUMNS",
+    "read_stats_columns",
     "read_measured_stats",
     "write_measured_stats",
     "write_bounds_table",
@@ -42,18 +45,20 @@ class TableParseError(ValueError):
         self.lineno = lineno
 
 
-@dataclass(frozen=True)
-class BoundsRow:
-    """One analyzed table row: bounds on success, an error cause otherwise."""
+def read_stats_columns(stream: Iterable[str]) -> np.ndarray:
+    """Parse a measured-statistics table into an (n, 5) float64 array whose
+    columns are STATS_COLUMNS.
 
-    length_km: float
-    bounds: SecurityBounds | None
-    error: str | None = None
-
-
-def read_measured_stats(stream: Iterable[str]) -> list[MeasuredStats]:
-    """Parse a measured-statistics table; raises TableParseError with line numbers."""
-    rows: list[MeasuredStats] = []
+    One pass splits the lines and converts the numbers; the values are
+    then checked against MeasuredStats' domain as whole columns. Raises
+    TableParseError for the first malformed line, with its line number: a
+    wrong header, a wrong column count, a field that is not a number or a
+    value outside the domain.
+    """
+    width = len(STATS_COLUMNS)
+    numbers = array("d")
+    linenos: list[int] = []
+    failure = None  # ends the pass; a domain error on an earlier line still comes first
     header_seen = False
     for lineno, raw in enumerate(stream, start=1):
         line = raw.strip()
@@ -67,21 +72,37 @@ def read_measured_stats(stream: Iterable[str]) -> list[MeasuredStats]:
                 )
             header_seen = True
             continue
-        if len(parts) != len(STATS_COLUMNS):
-            raise TableParseError(
-                lineno, f"expected {len(STATS_COLUMNS)} columns, got {len(parts)}"
-            )
+        if len(parts) != width:
+            failure = TableParseError(lineno, f"expected {width} columns, got {len(parts)}")
+            break
         try:
-            values = [float(p) for p in parts]
+            row = list(map(float, parts))
         except ValueError as exc:
-            raise TableParseError(lineno, str(exc)) from None
-        try:
-            rows.append(MeasuredStats(*values))
-        except ValueError as exc:
-            raise TableParseError(lineno, str(exc)) from None
+            failure = TableParseError(lineno, str(exc))
+            break
+        numbers.extend(row)
+        linenos.append(lineno)
     if not header_seen:
         raise TableParseError(0, "empty input: header row is required")
-    return rows
+    table = np.array(numbers, dtype=float).reshape(-1, width)
+    length, rates = table[:, 0], table[:, 1:]
+    outside = ~((0.0 <= length) & (length < math.inf)
+                & np.all((0.0 <= rates) & (rates <= 1.0), axis=1))
+    if outside.any():
+        # MeasuredStats words the first offending value of the row.
+        row = int(np.argmax(outside))
+        try:
+            MeasuredStats(*table[row].tolist())
+        except ValueError as exc:
+            raise TableParseError(linenos[row], str(exc)) from None
+    if failure is not None:
+        raise failure
+    return table
+
+
+def read_measured_stats(stream: Iterable[str]) -> list[MeasuredStats]:
+    """Parse a measured-statistics table; raises TableParseError with line numbers."""
+    return [MeasuredStats(*row) for row in read_stats_columns(stream).tolist()]
 
 
 def write_measured_stats(rows: Sequence[MeasuredStats], stream: IO[str],
@@ -93,21 +114,21 @@ def write_measured_stats(rows: Sequence[MeasuredStats], stream: IO[str],
         stream.write("\t".join(repr(getattr(row, c)) for c in STATS_COLUMNS) + "\n")
 
 
-def write_bounds_table(rows: Sequence[BoundsRow], stream: IO[str],
+def write_bounds_table(length_km: np.ndarray, bounds: BoundColumns, stream: IO[str],
                        header_comments: Sequence[str] = ()) -> None:
     """Write analyzed rows; floats use repr so re-parsing is lossless."""
     for comment in header_comments:
         stream.write(f"# {comment}\n")
     stream.write("\t".join(BOUNDS_COLUMNS) + "\n")
-    for row in rows:
-        if row.bounds is not None:
-            b = row.bounds
-            fields = [repr(row.length_km), repr(b.s_nu_lower), repr(b.s1_lower),
-                      repr(b.e1_upper), repr(b.r_lower), str(b.secure).lower(), "-"]
+    columns = (c.tolist() for c in (length_km, bounds.s_nu_lower, bounds.s1_lower,
+                                    bounds.e1_upper, bounds.r_lower, bounds.secure))
+    for length, s_nu_l, s1, e1, r, secure, cause in zip(*columns, bounds.causes):
+        if cause is None:
+            secure_text = "true" if secure else "false"
+            stream.write(f"{length!r}\t{s_nu_l!r}\t{s1!r}\t{e1!r}\t{r!r}\t{secure_text}\t-\n")
         else:
-            fields = [repr(row.length_km), "-", "-", "-", "-", "false",
-                      (row.error or "unknown").replace("\t", " ")]
-        stream.write("\t".join(fields) + "\n")
+            cause_text = str(cause).replace("\t", " ")
+            stream.write(f"{length!r}\t-\t-\t-\t-\tfalse\t{cause_text}\n")
 
 
 def read_config(stream: Iterable[str], allowed_keys: Sequence[str]) -> dict[str, float]:

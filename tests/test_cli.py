@@ -2,6 +2,7 @@
 import filecmp
 import hashlib
 import io
+import itertools
 import math
 import os
 import re
@@ -26,6 +27,17 @@ from decoyqkd.tables import (
 from conftest import REFERENCE_BOUNDS, not_converged
 
 REFERENCE_SHA256 = "42dd2ad257a0f2fddab4c954dd0dd1114b924517e93c1fb0970d86cf61d30520"
+# `decoyqkd analyze` stdout on the bundled table, pinned while the bounds were
+# still computed one MeasuredStats row at a time.
+ANALYZE_STDOUT_SHA256 = "5d3c7471cd2446bc6eac75280294f787ae36345dd97d105ad15d8fcfea9bef7f"
+
+
+# A malformed data line of each kind and the message it is reported with.
+MALFORMED_LINES = {
+    "domain": ("60\t1.5\t0.01\t1e-5\t0.02", "s_mu=1.5 must be in [0, 1]"),
+    "number": ("60\t1e-4\tnope\t1e-5\t0.02", "could not convert string to float: 'nope'"),
+    "columns": ("60\t1e-4\t0.01", "expected 5 columns, got 3"),
+}
 
 
 def parse_bounds_output(text):
@@ -120,6 +132,16 @@ class TestTableParsing:
         with pytest.raises(TableParseError):
             read_measured_stats((self.HEADER + "50\t1e-4\t0.01\n").splitlines())
 
+    @pytest.mark.parametrize("first, later", itertools.permutations(MALFORMED_LINES, 2))
+    def test_first_malformed_line_is_reported(self, first, later):
+        # Line 4 is a comment: line numbers count every line of the input.
+        lines = [self.HEADER.strip(), "50\t1e-4\t0.01\t1e-5\t0.02", MALFORMED_LINES[first][0],
+                 "# comment", MALFORMED_LINES[later][0], "70\t1e-4\t0.01\t1e-5\t0.02"]
+        with pytest.raises(TableParseError) as info:
+            read_measured_stats(lines)
+        assert info.value.lineno == 3
+        assert str(info.value) == f"line 3: {MALFORMED_LINES[first][1]}"
+
     def test_config_unknown_key_rejected(self):
         with pytest.raises(TableParseError) as info:
             read_config(["mu=0.5", "bogus=1"], allowed_keys=("mu", "nu"))
@@ -143,6 +165,27 @@ class TestAnalyzeCommand:
             assert r == pytest.approx(r_ref, rel=0.03)
             assert secure and diag == "-"
         assert "6 secure" in capsys.readouterr().err
+
+    def test_stdout_pinned(self, capsys):
+        assert main(["analyze"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_STDOUT_SHA256
+
+    def test_warning_header_text_and_order(self, tmp_path):
+        table = tmp_path / "odd.tsv"
+        table.write_text("length_km\ts_mu\te_mu\ts_nu\te_nu\n"
+                         "50\t1e-5\t0.01\t3e-4\t0.02\n60\t3e-4\t0.01\t1e-4\t0.02\n"
+                         "70\t2e-4\t0.01\t2e-4\t0.02\n80\t1.5e-6\t0.3\t1e-5\t0.2\n")
+        out = tmp_path / "bounds.tsv"
+        assert main(["analyze", "--input", str(table), "--out", str(out)]) == EXIT_OK
+        lines = out.read_text().splitlines()
+        flag = "signal pulses should click more often than weaker decoy pulses"
+        assert lines[8:12] == [
+            f"# warning: 50.0 km: s_mu=1e-05 <= s_nu=0.0003: {flag}",
+            f"# warning: 70.0 km: s_mu=0.0002 <= s_nu=0.0002: {flag}",
+            f"# warning: 80.0 km: s_mu=1.5e-06 <= s_nu=1e-05: {flag}",
+            "length_km\ts_nu_lower\ts1_lower\te1_upper\tr_lower\tsecure\tdiagnostics",
+        ]
 
     def test_effective_params_echoed(self, tmp_path):
         out = tmp_path / "bounds.tsv"

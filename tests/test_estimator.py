@@ -3,6 +3,7 @@ import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from decoyqkd import (
     NoSinglePhotonBoundError,
     ProtocolParams,
     SecurityBounds,
+    analyze_columns,
     analyze_row,
     binary_entropy,
     e1_upper_bound,
@@ -351,3 +353,135 @@ class TestBoundProperties:
         params = ProtocolParams(mu=mu, nu=nu, u_alpha=0.0)
         with pytest.raises(AnalysisError, match="not representable"):
             analyze_row(params, MeasuredStats(0.0, 0.0, 0.0, 1.0, 0.0))
+
+
+# One row per abort cause, in the chain's check order, then rows that yield
+# bounds; each entry is (params, [(s_mu, e_mu, s_nu), ...]).
+ABORT_CASES = [
+    (ProtocolParams(), [(1e-3, 0.01, 0.0),                # s_nu <= 0
+                        (1e-3, 0.01, 1e-8),               # corrected floor <= 0
+                        (1e-3, 0.3, 3e-4),                # yield bound <= 0
+                        (8.6e-4, 0.06, 2.9e-4),           # QBER bound > 1
+                        (8.6e-4, 0.04, 2.9e-4),           # bounds, not secure
+                        (8.6e-4, 0.0103, 2.9e-4)]),       # bounds, secure
+    (ProtocolParams(mu=0.3, nu=0.3), [(1e-3, 0.01, 3e-4)]),          # not 0 < nu < mu
+    (ProtocolParams(mu=710.0, nu=0.2), [(1e-3, 0.01, 3e-4)]),        # e^mu overflows
+    (ProtocolParams(mu=1e-3, nu=5e-310, u_alpha=0.0),                # subnormal nu:
+     [(1e-3, 0.01, 3e-4)]),                                          # mu*nu - nu^2 is 0
+    (ProtocolParams(mu=700.0, nu=0.2, u_alpha=0.0),                  # s1*mu*e^-mu
+     [(0.0, 0.0, 1e-300)]),                                          # underflows
+]
+
+ABORT_MESSAGES = [
+    (InsufficientStatisticsError, "decoy counting rate s_nu="),
+    (InsufficientStatisticsError, "statistics insufficient: "),
+    (AnalysisError, "two-intensity bounds require 0 < nu < mu"),
+    (AnalysisError, "yield bound is not representable"),
+    (NoSinglePhotonBoundError, "no single-photon bound: yield lower bound"),
+    (NoSinglePhotonBoundError, "no single-photon bound: single-photon rate"),
+    (NoSinglePhotonBoundError, "single-photon QBER bound"),
+]
+
+
+# Rows that fail several checks, with the cause of the first one.
+FIRST_CAUSE_CASES = [
+    (ProtocolParams(mu=0.3, nu=0.3), (1e-3, 0.01, 0.0), InsufficientStatisticsError,
+     "decoy counting rate s_nu=0.0 must be > 0"),
+    (ProtocolParams(mu=0.3, nu=0.3), (1e-3, 0.01, 1e-8), InsufficientStatisticsError,
+     "statistics insufficient: 10.0 expected decoy clicks cannot support confidence "
+     "multiplier u_alpha=10.0"),
+    (ProtocolParams(mu=710.0, nu=0.2), (1e-3, 0.01, 1e-8), InsufficientStatisticsError,
+     "statistics insufficient: 10.0 expected decoy clicks cannot support confidence "
+     "multiplier u_alpha=10.0"),
+    (ProtocolParams(mu=0.3, nu=0.0), (1e-3, 0.01, 3e-4), AnalysisError,
+     "two-intensity bounds require 0 < nu < mu, got mu=0.3, nu=0.0"),
+    # s1*mu*e^-mu also underflows, to -0.0
+    (ProtocolParams(mu=700.0, nu=0.2, u_alpha=0.0), (1e-321, 0.0, 1e-300),
+     NoSinglePhotonBoundError,
+     "no single-photon bound: yield lower bound -4.13268e-24 is not positive"),
+]
+
+
+@st.composite
+def chain_params(draw):
+    """ProtocolParams across the chain's domain: mu above 709, subnormal and equal nu."""
+    mu = draw(st.one_of(st.floats(0.0, 2.0), st.floats(700.0, 720.0), st.floats(0.0, 1e300)))
+    nu = draw(st.one_of(st.floats(0.0, mu), st.floats(0.0, min(mu, 2.2e-308)), st.just(mu)))
+    return ProtocolParams(mu=mu, nu=nu, q=draw(st.floats(0.0, 1.0, exclude_min=True)),
+                          f_ec=draw(st.floats(1.0, 3.0)), u_alpha=draw(st.floats(0.0, 20.0)),
+                          n_nu=draw(st.floats(1.0, 1e15)))
+
+
+# Rates spread over decades, with the exact zero and subnormals.
+CHAIN_RATE = st.one_of(st.floats(0.0, 1.0), st.floats(-12.0, 0.0).map(lambda x: 10.0**x),
+                       st.just(0.0), st.floats(0.0, 1e-300))
+
+
+class TestColumnChain:
+    """analyze_columns against analyze_row, row by row."""
+
+    @staticmethod
+    def assert_rows_match(params, rows):
+        s_mu, e_mu, s_nu = np.array(rows, dtype=float).reshape(-1, 3).T
+        columns = analyze_columns(params, s_mu, e_mu, s_nu)
+        assert len(columns.causes) == len(rows)
+        for i, row in enumerate(rows):
+            got = [getattr(columns, f)[i].item()
+                   for f in ("s_nu_lower", "s1_lower", "e1_upper", "r_lower", "secure")]
+            try:
+                expected = analyze_row(params, MeasuredStats(0.0, *row, 0.0))
+            except AnalysisError as exc:
+                cause = columns.causes[i]
+                assert (type(cause), str(cause)) == (type(exc), str(exc))
+                assert all(math.isnan(v) for v in got[:4]) and got[4] is False
+            else:
+                assert columns.causes[i] is None
+                # repr tells -0.0 from 0.0 and prints every bit of a float
+                assert repr(got) == repr([expected.s_nu_lower, expected.s1_lower,
+                                          expected.e1_upper, expected.r_lower,
+                                          expected.secure])
+                assert all(type(v) is float for v in vars(expected).values()
+                           if not isinstance(v, bool))
+
+    def test_cases_hit_every_abort_cause(self):
+        raised = []
+        for params, rows in ABORT_CASES:
+            self.assert_rows_match(params, rows)
+            for row in rows:
+                try:
+                    analyze_row(params, MeasuredStats(0.0, *row, 0.0))
+                except AnalysisError as exc:
+                    raised.append(exc)
+        assert all(any(type(exc) is cls and str(exc).startswith(text) for exc in raised)
+                   for cls, text in ABORT_MESSAGES)
+
+    @pytest.mark.parametrize("params, row, error, message", FIRST_CAUSE_CASES)
+    def test_row_failing_several_checks_reports_the_first(self, params, row, error, message):
+        with pytest.raises(AnalysisError) as info:
+            analyze_row(params, MeasuredStats(0.0, *row, 0.0))
+        assert (type(info.value), str(info.value)) == (error, message)
+        self.assert_rows_match(params, [row])
+
+    def test_bit_identical_on_a_large_random_table(self, default_params):
+        # numpy's SIMD log2 rounds differently from math.log2 on about one
+        # row in a thousand, so a table this size shows an entropy that uses it.
+        rng = np.random.default_rng(7)
+        n = 20_000
+        rows = np.column_stack([10.0 ** rng.uniform(-6, -2, n), rng.uniform(0.0, 0.1, n),
+                                10.0 ** rng.uniform(-7, -2, n)])
+        self.assert_rows_match(default_params, rows.tolist())
+
+    @given(chain_params(), st.lists(st.tuples(CHAIN_RATE, CHAIN_RATE, CHAIN_RATE),
+                                    max_size=40))
+    def test_columns_equal_analyze_row(self, params, rows):
+        self.assert_rows_match(params, rows)
+
+    @given(st.sampled_from(ABORT_CASES),
+           st.lists(st.tuples(CHAIN_RATE, CHAIN_RATE, CHAIN_RATE), max_size=20))
+    def test_abort_rows_mixed_with_generated_rows(self, case, rows):
+        params, abort_rows = case
+        self.assert_rows_match(params, abort_rows + rows)
+
+    def test_empty_columns(self, default_params):
+        columns = analyze_columns(default_params, [], [], [])
+        assert columns.causes == [] and columns.r_lower.shape == (0,)

@@ -8,10 +8,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from decoyqkd import (
+    AnalysisError,
     FitConvergenceError,
     LinkModel,
     ProtocolParams,
     UnidentifiableDataError,
+    analyze_row,
     click_probability,
     expected_gain,
     expected_qber,
@@ -186,6 +188,16 @@ class TestFitLink:
         with pytest.raises(UnidentifiableDataError):
             fit_link([row, row], default_params)
 
+    def test_lengths_spanning_under_a_tenth_km_unidentifiable(self, default_params):
+        # Found by the noise-free recovery property with unrestricted lengths:
+        # this table fitted with "converged" status and alpha at its bound 5.0.
+        truth = LinkModel(alpha_db_per_km=0.25, excess_loss_db=0.0, eta_det=1.0, y0=5e-7,
+                          visibility=0.875)
+        table = [expected_stats(truth, default_params, length)
+                 for length in (0.0, 1.175494351e-38, 5.895544230220976e-246)]
+        with pytest.raises(UnidentifiableDataError, match="spanning >= 0.1 km"):
+            fit_link(table, default_params)
+
     def test_nonpositive_rates_unidentifiable(self, default_params):
         from decoyqkd import MeasuredStats
         rows = [MeasuredStats(L, 1e-4, 0.01, 0.0, 0.0) for L in (10.0, 20.0, 30.0)]
@@ -295,10 +307,16 @@ class TestSweep:
         assert abs(true_sweep.cutoff_km - fit_sweep.cutoff_km) <= 1.0
 
     def test_cutoff_refined_to_tenth_km(self, fitted_model, default_params):
-        from decoyqkd.link import _rate_at
+        def rate_at(length):
+            stats = expected_stats(fitted_model, default_params, length)
+            try:
+                return analyze_row(default_params, stats).r_lower
+            except AnalysisError:
+                return math.nan
+
         sweep = sweep_key_rate(fitted_model, default_params, range(0, 151))
-        assert _rate_at(fitted_model, default_params, sweep.cutoff_km) > 0
-        assert _rate_at(fitted_model, default_params, sweep.cutoff_km + 0.11) <= 0
+        assert rate_at(sweep.cutoff_km) > 0
+        assert rate_at(sweep.cutoff_km + 0.11) <= 0
 
     def test_grid_validation(self, fitted_model, default_params):
         with pytest.raises(ValueError):

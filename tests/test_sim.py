@@ -17,7 +17,6 @@ from decoyqkd import (
     click_probability,
     expected_gain,
     expected_qber,
-    pulse_records,
     run_session,
     soundness_report,
     transmittance,
@@ -33,6 +32,8 @@ from decoyqkd.sim import (
     tally_to_text,
 )
 
+from reference_sampler import pulse_records, simulate_arrays
+
 LUMPED_L0 = LinkModel(alpha_db_per_km=0.0, excess_loss_db=0.0, eta_det=1.0,
                       y0=5e-7, visibility=0.99)
 
@@ -43,7 +44,7 @@ def binomial_sigma(p, n):
 
 def reference_tally(config, n_pulses):
     """Tally of the pulse-by-pulse reference sampler."""
-    arrays = sim._simulate_arrays(config, n_pulses)
+    arrays = simulate_arrays(config, n_pulses)
     flags = (arrays["clicked"], arrays["sifted"], arrays["error"])
 
     def counts(mask):
