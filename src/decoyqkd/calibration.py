@@ -12,7 +12,8 @@ rather than a bare cosine; a first-harmonic projection of the
 log-inverted counts seeds a deterministic local refinement (link's
 bounded Levenberg-Marquardt, the one fit_link uses), and the residuals
 are minimized in the count-fraction domain. Dark counts are negligible
-against the strong-pulse click rates and are not fitted.
+against the strong-pulse click rates and are not fitted. A seed fixes a
+sampled scan: one default_rng(SeedSequence(seed)) draws all its counts.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ __all__ = [
 
 SATURATION_PEAK = 0.999
 TWO_PI = 2.0 * math.pi
+# The amplitude's phase grid: the mean of the periodic click law over it is off
+# by about 2*exp(-depth)*I_1024(depth*V), under 1 ulp for depths up to 1e4.
+_AMPLITUDE_PHASES = np.linspace(0.0, TWO_PI, 1024, endpoint=False)
 
 
 class InsufficientScanRangeError(ValueError):
@@ -119,11 +123,11 @@ def simulate_scan(model: LinkModel, strong_mean_photons: float, offsets: Sequenc
                   length_km: float = 0.0, noiseless: bool = False) -> ScanCurve:
     """Scan the fringe: binomial counts per offset against the click model.
 
-    Each point draws from its own sub-stream SeedSequence((seed, i)),
-    so points may be sampled concurrently without changing the result.
-    noiseless replaces sampling with exact expected counts. A peak
-    click probability at or above the saturation threshold only flags
-    the curve; the counts are still produced.
+    One generator default_rng(SeedSequence(seed)) draws all counts in a
+    single binomial(pulses_per_point, probs) call over the offsets, so a
+    seed fixes the whole curve. noiseless replaces sampling with exact
+    expected counts. A peak click probability at or above the saturation
+    threshold only flags the curve; the counts are still produced.
     """
     grid = np.asarray(list(offsets), dtype=float)
     if grid.size < 2 or grid[-1] - grid[0] < TWO_PI - 1e-9:
@@ -134,11 +138,8 @@ def simulate_scan(model: LinkModel, strong_mean_photons: float, offsets: Sequenc
     if noiseless:
         counts = probs * pulses_per_point
     else:
-        counts = np.array([
-            float(np.random.default_rng(np.random.SeedSequence((seed, i)))
-                  .binomial(pulses_per_point, p))
-            for i, p in enumerate(probs)
-        ])
+        counts = np.random.default_rng(np.random.SeedSequence(seed)).binomial(
+            pulses_per_point, probs)
     return ScanCurve(offsets=grid, counts=counts, pulses_per_point=pulses_per_point,
                      saturated=bool(probs.max() >= SATURATION_PEAK))
 
@@ -152,14 +153,19 @@ def fit_fringe(curve: ScanCurve) -> FringeFit:
     minimizes count-fraction residuals. Deterministic: no random
     starts. The reported residual is the rms count-fraction misfit;
     a flat curve fits with visibility near zero and the residual is
-    the only signal that the phase is unconstrained. Raises
-    FitConvergenceError when the refinement runs out of iterations.
+    the only signal that the phase is unconstrained. The amplitude is
+    the fitted law's mean click probability. Raises ValueError when every
+    count is pulses_per_point, and FitConvergenceError when the
+    refinement fails or runs out of iterations.
     """
     if curve.offsets.size < 8 or curve.span < TWO_PI - 1e-9:
         raise InsufficientScanRangeError(
             f"fringe fit needs >= 8 points spanning >= 2*pi, got {curve.offsets.size} "
             f"points over {curve.span:.3f} rad"
         )
+    if np.all(curve.counts == curve.pulses_per_point):
+        raise ValueError("every scan point is saturated (count = pulses_per_point), so "
+                         "the fringe cannot be fitted; lower the scan peak")
     y = curve.counts / curve.pulses_per_point
     # Log inversion of the click law linearizes the fringe for the
     # first-harmonic projection; clamp away the y=1 pole.
@@ -183,8 +189,8 @@ def fit_fringe(curve: ScanCurve) -> FringeFit:
         raise FitConvergenceError(f"fringe fit did not converge in {iterations} iterations")
     depth, vis, zero = x
     rms = float(np.sqrt(np.mean(residuals(x[:, None]) ** 2)))
-    # Mean click probability over a full fringe period.
-    amplitude = float(1.0 - math.exp(-depth) * np.i0(depth * vis))
+    amplitude = float(np.mean(coherent_click_probability(2.0 * depth, vis, 0.0,
+                                                         _AMPLITUDE_PHASES)))
     return FringeFit(amplitude=amplitude, visibility_est=float(vis),
                      phase_zero=_wrap_phase(float(zero)), residual=rms)
 

@@ -16,8 +16,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 from . import calibration, link, sim, tables
 from .estimator import (AnalysisError, MeasuredStats, ProtocolParams, analyze_columns,
@@ -30,6 +31,8 @@ EXIT_RUNTIME = 5
 
 PARAM_KEYS = ("mu", "nu", "q", "f_ec", "u_alpha", "n_mu", "n_nu")
 LINK_KEYS = ("alpha_db_per_km", "excess_loss_db", "eta_det", "y0", "visibility")
+# Largest sweep grid or calibrate scan; checked before anything is allocated.
+MAX_GRID_POINTS = 10**7
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,15 +142,14 @@ def _link_header(model: link.LinkModel) -> list[str]:
     return [f"link.{key}={getattr(model, key)!r}" for key in LINK_KEYS]
 
 
-def _open_out(args: argparse.Namespace) -> IO[str]:
-    if args.out:
-        return open(args.out, "w", encoding="utf-8")
-    return sys.stdout
-
-
-def _close_out(stream: IO[str]) -> None:
-    if stream is not sys.stdout:
-        stream.close()
+@contextmanager
+def _output(args: argparse.Namespace) -> Iterator[IO[str]]:
+    """The --out file, closed on exit, or stdout."""
+    if not args.out:
+        yield sys.stdout
+        return
+    with open(args.out, "w", encoding="utf-8") as stream:
+        yield stream
 
 
 def _parse_grid(spec: str) -> list[float]:
@@ -158,8 +160,10 @@ def _parse_grid(spec: str) -> list[float]:
     require_finite(start=start, stop=stop, step=step)
     if step <= 0 or stop < start:
         raise ValueError(f"grid {spec!r} must have positive step and stop >= start")
-    count = math.floor((stop + 1e-9 - start) / step) + 1
-    return [round(start + i * step, 9) for i in range(count)]
+    intervals = (stop + 1e-9 - start) / step
+    if not intervals < MAX_GRID_POINTS:  # also catches an overflow to inf
+        raise ValueError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
+    return [round(start + i * step, 9) for i in range(math.floor(intervals) + 1)]
 
 
 def _read_input(args: argparse.Namespace, read):
@@ -179,11 +183,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 for flag in MeasuredStats(*row).warnings()]
     header = ["command=analyze", *_params_header(params)]
     header += [f"warning: {w}" for w in warnings]
-    stream = _open_out(args)
-    try:
+    with _output(args) as stream:
         tables.write_bounds_table(length, bounds, stream, header)
-    finally:
-        _close_out(stream)
     analyzed = bounds.causes.count(None)
     print(f"analyze: {length.size} row(s), {analyzed} analyzable, "
           f"{bounds.secure.sum()} secure", file=sys.stderr)
@@ -220,11 +221,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         body += f"soundness.sound={str(report.sound).lower()}\n"
     except AnalysisError as exc:
         body += f"analysis.error={exc}\n"
-    stream = _open_out(args)
-    try:
+    with _output(args) as stream:
         stream.write("\n".join(lines) + "\n" + body)
-    finally:
-        _close_out(stream)
     return EXIT_OK
 
 
@@ -236,16 +234,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cutoff = "none" if sweep.cutoff_km is None else repr(sweep.cutoff_km)
     header = ["command=sweep", *_params_header(params), *_link_header(model),
               f"cutoff_km={cutoff}"]
-    stream = _open_out(args)
-    try:
+    with _output(args) as stream:
         for comment in header:
             stream.write(f"# {comment}\n")
         stream.write("length_km\tr_lower\n")
         for length, rate in zip(sweep.lengths, sweep.rates):
             rate_text = "nan" if math.isnan(rate) else repr(float(rate))
             stream.write(f"{float(length)!r}\t{rate_text}\n")
-    finally:
-        _close_out(stream)
     print(f"sweep: cutoff_km={cutoff}", file=sys.stderr)
     return EXIT_OK
 
@@ -256,24 +251,21 @@ def cmd_fit(args: argparse.Namespace) -> int:
     fit = link.fit_link_report(rows, params, y0=args.fit_y0)
     model = fit.model
     objective = link.fit_objective(model, rows, params)
-    stream = _open_out(args)
-    try:
+    with _output(args) as stream:
         stream.write("# command=fit\n")
         for comment in _params_header(params):
             stream.write(f"# {comment}\n")
         stream.write(f"# objective={objective!r}\n")
         for key in LINK_KEYS:
             stream.write(f"{key}={getattr(model, key)!r}\n")
-    finally:
-        _close_out(stream)
     print(f"fit: converged in {fit.iterations} iterations, objective={objective!r}",
           file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    if args.points < 2:
-        raise ValueError(f"--points={args.points} must be >= 2")
+    if not 2 <= args.points <= MAX_GRID_POINTS:
+        raise ValueError(f"--points={args.points} must be in [2, {MAX_GRID_POINTS}]")
     params = _resolve_params(args)
     model = _resolve_link(args, params)
     strong = calibration.scan_intensity_for_peak(model, peak=args.peak)
@@ -285,8 +277,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     fit = calibration.fit_fringe(curve)
     points = calibration.working_points(fit)
     overhead = calibration.scan_overhead(curve, args.session_pulses)
-    stream = _open_out(args)
-    try:
+    with _output(args) as stream:
         stream.write("# command=calibrate\n")
         for comment in _params_header(params) + _link_header(model):
             stream.write(f"# {comment}\n")
@@ -301,8 +292,6 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             stream.write(f"working_point_{i}={point!r}\n")
         stream.write(f"overhead_fraction={overhead!r}\n")
         stream.write(f"saturated={str(curve.saturated).lower()}\n")
-    finally:
-        _close_out(stream)
     return EXIT_OK
 
 

@@ -77,7 +77,7 @@ class UnidentifiableDataError(ValueError):
 
 
 class FitConvergenceError(RuntimeError):
-    """A least-squares fit ran out of iterations before meeting its tolerance."""
+    """A least-squares fit failed, or ran out of iterations, before meeting its tolerance."""
 
 
 @dataclass(frozen=True)
@@ -290,6 +290,7 @@ def _least_squares(residuals, x0, lower, upper):
     the cost, or moves the parameters, by no more than _FIT_TOL relative.
 
     Returns (x, iterations, converged); iterations counts trial steps.
+    Raises FitConvergenceError when the damped normal matrix is singular.
     """
     lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
     x = np.clip(np.asarray(x0, dtype=float), lower, upper)
@@ -307,8 +308,11 @@ def _least_squares(residuals, x0, lower, upper):
             gradient, normal = jac.T @ r, jac.T @ jac
             # A column that vanishes (a phase at zero visibility) still gets damped.
             scale = np.maximum(np.diag(normal), np.finfo(float).eps * np.diag(normal).max())
-        trial = np.clip(x + np.linalg.solve(normal + damping * np.diag(scale), -gradient),
-                        lower, upper)
+        try:  # singular when every residual is flat in every parameter
+            step = np.linalg.solve(normal + damping * np.diag(scale), -gradient)
+        except np.linalg.LinAlgError as exc:
+            raise FitConvergenceError(f"step {iteration} failed: {exc}") from exc
+        trial = np.clip(x + step, lower, upper)
         r_trial = residuals(trial[:, None])[0]
         cost_trial = r_trial @ r_trial
         if not cost_trial <= cost:  # also rejects NaN

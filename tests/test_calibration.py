@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.stats import chisquare
+from scipy.stats import chi2, chisquare
 
 from decoyqkd import (
     FitConvergenceError,
@@ -16,6 +16,7 @@ from decoyqkd import (
     ProtocolParams,
     ScanCurve,
     SimConfig,
+    click_probability,
     fit_fringe,
     run_session,
     simulate_scan,
@@ -78,6 +79,37 @@ class TestSimulateScan:
         b = simulate_scan(LUMPED, 1.0, grid(64), 10_000, seed=6)
         assert np.array_equal(a.counts, b.counts)
 
+    @pytest.mark.parametrize("seed, points, zero, length", [(0, 64, 0.0, 0.0),
+                                                            (6, 17, 2.5, 40.0),
+                                                            (2**40, 129, 5.9, 0.0)])
+    def test_counts_are_one_binomial_call_per_scan(self, seed, points, zero, length):
+        model = LinkModel(alpha_db_per_km=0.2, excess_loss_db=1.0, visibility=0.97)
+        offsets = grid(points)
+        curve = simulate_scan(model, 3.0, offsets, 50_000, seed=seed,
+                              true_phase_zero=zero, length_km=length)
+        probs = click_probability(model, 3.0, offsets - zero, length)
+        expected = np.random.default_rng(np.random.SeedSequence(seed)).binomial(50_000, probs)
+        assert np.array_equal(curve.counts, expected)
+
+    def test_counts_follow_independent_binomials(self):
+        # Over 500 seeded scans: each point's total count (mean), each point's
+        # spread and each scan's total (independence between points) against
+        # Binomial(n, p); each statistic is chi-square under the binomial law.
+        n, seeds, offsets = 1000, 500, grid(16)
+        strong = scan_intensity_for_peak(LUMPED, peak=0.5)
+        p = click_probability(LUMPED, strong, offsets)
+        counts = np.array([simulate_scan(LUMPED, strong, offsets, n, seed=s).counts
+                           for s in range(seeds)])
+        variance = n * p * (1.0 - p)
+        z_totals = (counts.sum(axis=0) - seeds * n * p) / np.sqrt(seeds * variance)
+        statistics = [(np.sum(z_totals ** 2), offsets.size)]
+        statistics += [(np.sum((counts[:, i] - n * p[i]) ** 2) / variance[i], seeds)
+                       for i in range(offsets.size)]
+        scan_totals = counts.sum(axis=1)
+        statistics.append((np.sum((scan_totals - n * p.sum()) ** 2) / variance.sum(), seeds))
+        for value, dof in statistics:
+            assert 1e-4 < chi2.cdf(value, dof) < 1.0 - 1e-4, (value, dof)
+
     def test_intensity_helper_hits_requested_peak(self):
         strong = scan_intensity_for_peak(LUMPED, peak=0.5)
         curve = simulate_scan(LUMPED, strong, grid(129), 1000, seed=7, noiseless=True)
@@ -116,6 +148,53 @@ class TestFitFringe:
         # circular mean: drop the duplicated 2*pi endpoint
         circular_mean = float(np.mean(curve.counts[:-1] / 100))
         assert fit.amplitude == pytest.approx(circular_mean, rel=1e-6)
+
+    def test_weak_scan_amplitude_keeps_full_precision(self):
+        # At peak 1e-12 the amplitude is ~5e-13; 1 - exp(-d)*I0(d*V) would keep
+        # only ~4 significant digits of it.
+        model = LinkModel(excess_loss_db=0.0, y0=0.0, visibility=0.9)
+        strong = scan_intensity_for_peak(model, peak=1e-12)
+        curve = simulate_scan(model, strong, grid(257), 100, seed=0, noiseless=True)
+        circular_mean = float(np.mean(curve.counts[:-1] / 100))
+        assert fit_fringe(curve).amplitude == pytest.approx(circular_mean, rel=1e-12, abs=0.0)
+
+    @given(st.floats(1e-15, 100.0), st.floats(0.0, 1.0))
+    def test_amplitude_matches_bessel_series(self, depth, visibility):
+        # 1 - exp(-d)*I0(d*V) = exp(-d) * sum_j d^j/j! * w_j, with w_j = 1 for odd
+        # j and 1 - C(2k, k)*(V/2)^(2k) for j = 2k: every term is positive and
+        # rounded once from its exact value (d = a/b and V = c/e are dyadic).
+        a, b = depth.as_integer_ratio()
+        c, e = visibility.as_integer_ratio()
+        num, den, terms, j = 1, 1, [], 0
+        while j <= depth or terms[-1] >= 1e-20 * max(terms):
+            j += 1
+            num, den = num * a, den * b * j
+            if j % 2:
+                terms.append(num / den)
+            else:
+                scale = (2 * e) ** j
+                terms.append(num * (scale - math.comb(j, j // 2) * c ** j) / (den * scale))
+        expected = math.exp(-depth) * math.fsum(terms)
+        fitted = (np.array([depth, visibility, 0.0]), 1, True)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(calibration, "_least_squares", lambda *args: fitted)
+            curve = simulate_scan(LUMPED, 0.1, grid(16), 100, noiseless=True)
+            amplitude = fit_fringe(curve).amplitude
+        assert abs(amplitude - expected) <= 4 * math.ulp(expected)
+
+    def test_scan_saturated_but_at_the_dip_has_a_finite_amplitude(self):
+        # The fit walks to a depth of about 6e3, where exp(-d)*I0(d*V) is 0*inf.
+        counts = np.full(65, 1000.0)
+        counts[32] = 0.0
+        fit = fit_fringe(ScanCurve(offsets=grid(65), counts=counts, pulses_per_point=1000))
+        assert fit.visibility_est == 1.0 and phase_gap(fit.phase_zero, 0.0) < 1e-9
+        # 1 - exp(-d)*I0(d) = 1 - 1/sqrt(2*pi*d) to first order at large d
+        assert 0.99 < fit.amplitude < 1.0
+
+    def test_fully_saturated_scan_rejected(self):
+        curve = ScanCurve(offsets=grid(64), counts=np.full(64, 1000.0), pulses_per_point=1000)
+        with pytest.raises(ValueError, match="every scan point is saturated"):
+            fit_fringe(curve)
 
     def test_flat_curve_fits_near_zero_visibility(self):
         model = LinkModel(excess_loss_db=0.0, y0=5e-7, visibility=0.0)

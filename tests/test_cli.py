@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from decoyqkd import MeasuredStats, calibration, link
+from decoyqkd import MeasuredStats, calibration, cli, link
 from decoyqkd.cli import EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_VALIDATION, main
 from decoyqkd.tables import (
     TableParseError,
@@ -322,6 +322,11 @@ def link_file(tmp_path_factory):
     return str(path)
 
 
+def refuse_allocation(*args, **kwargs):
+    """Stand-in for a call that would start building an oversized grid."""
+    raise AssertionError("the grid size was not checked before building the grid")
+
+
 class TestSweepCommand:
     def test_cutoff_in_reference_band(self, tmp_path, link_file):
         out = tmp_path / "sweep.tsv"
@@ -358,6 +363,22 @@ class TestSweepCommand:
     def test_bad_grid_spec(self, link_file):
         assert main(["sweep", "--link", link_file, "--grid", "abc"]) == EXIT_VALIDATION
         assert main(["sweep", "--link", link_file, "--grid", "0:1:nan"]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("grid", ["0:150:1e-10", "0:1e308:5e-324", "-1e308:1e308:1"])
+    def test_oversized_grid_rejected_before_allocation(self, link_file, capsys, monkeypatch,
+                                                       grid):
+        # 1.5e12 points, and two grids whose point count overflows to inf. Building
+        # the first grid point would fail the command instead of allocating.
+        monkeypatch.setattr(cli, "round", refuse_allocation, raising=False)
+        assert main(["sweep", "--link", link_file, f"--grid={grid}"]) == EXIT_VALIDATION
+        assert "has more than 10000000 points" in capsys.readouterr().err
+
+    def test_grid_size_limit_is_inclusive(self, tmp_path, link_file, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 3)
+        out = tmp_path / "three.tsv"
+        assert main(["sweep", "--link", link_file, "--grid", "0:2:1",
+                     "--out", str(out)]) == EXIT_OK
+        assert main(["sweep", "--link", link_file, "--grid", "0:3:1"]) == EXIT_VALIDATION
 
     @pytest.mark.parametrize("key, value", [("alpha_db_per_km", "nan"),
                                             ("excess_loss_db", "-inf")])
@@ -465,6 +486,22 @@ class TestCalibrateCommand:
 
     def test_degenerate_point_count_rejected(self, link_file):
         assert main(["calibrate", "--link", link_file, "--points", "1"]) == EXIT_VALIDATION
+
+    def test_oversized_point_count_rejected_before_allocation(self, link_file, capsys,
+                                                              monkeypatch):
+        # The scan intensity is computed just before the offsets are built.
+        monkeypatch.setattr(calibration, "scan_intensity_for_peak", refuse_allocation)
+        assert main(["calibrate", "--link", link_file,
+                     "--points", str(10**12)]) == EXIT_VALIDATION
+        assert "must be in [2, 10000000]" in capsys.readouterr().err
+
+    def test_saturated_scan_is_a_validation_error(self, tmp_path, capsys):
+        config = tmp_path / "flat.cfg"
+        config.write_text("visibility=0\nalpha_db_per_km=0\nexcess_loss_db=0\neta_det=1\n")
+        assert main(["calibrate", "--link", str(config), "--peak", "0.999999",
+                     "--pulses-per-point", "1000", "--seed", "1"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "every scan point is saturated" in err and "Singular" not in err
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_session_pulses_rejected(self, link_file, capsys, value):

@@ -267,6 +267,12 @@ class TestFitLink:
         with pytest.raises(FitConvergenceError, match="did not converge in 100 iterations"):
             fit_link(reference_table, default_params)
 
+    def test_singular_step_raises_convergence_error(self):
+        # Residuals flat in every parameter: the damped normal matrix is all zeros.
+        with pytest.raises(FitConvergenceError, match="step 1 failed: Singular matrix"):
+            link._least_squares(lambda points: np.ones((points.shape[1], 3)),
+                                [1.0, 2.0], [0.0, 0.0], [5.0, 5.0])
+
 
 class TestSweep:
     def test_reference_cutoff_band(self, fitted_model, default_params):
