@@ -26,10 +26,6 @@ from .estimator import (
     analyze_columns,
     analyze_row,
     binary_entropy,
-    e1_upper_bound,
-    key_rate,
-    s1_lower_bound,
-    s_nu_lower,
 )
 from .link import (
     FitConvergenceError,
@@ -76,16 +72,12 @@ __all__ = [
     "analyze_row",
     "binary_entropy",
     "click_probability",
-    "e1_upper_bound",
     "expected_gain",
     "expected_qber",
     "expected_stats",
     "fit_fringe",
     "fit_link",
-    "key_rate",
     "run_session",
-    "s1_lower_bound",
-    "s_nu_lower",
     "simulate_scan",
     "soundness_report",
     "sweep_key_rate",

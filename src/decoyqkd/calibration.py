@@ -24,7 +24,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .estimator import require_finite
+from .estimator import require_count, require_finite
 from .link import (PHASE_GRID, FitConvergenceError, LinkModel, _least_squares,
                    click_probability, coherent_click_probability, mean_photons_for_click)
 
@@ -83,8 +83,7 @@ class ScanCurve:
             raise ValueError("offsets and counts must be 1-d arrays of equal length")
         if offsets.size > 1 and not np.all(np.diff(offsets) > 0):
             raise ValueError("scan offsets must be strictly increasing")
-        if self.pulses_per_point < 1:
-            raise ValueError(f"pulses_per_point={self.pulses_per_point} must be >= 1")
+        require_count(pulses_per_point=self.pulses_per_point)
         # Written so that NaN, for which every comparison is false, fails it.
         if not np.all((counts >= 0) & (counts <= self.pulses_per_point)):
             raise ValueError("counts must be finite and lie in [0, pulses_per_point]")
@@ -134,6 +133,8 @@ def simulate_scan(model: LinkModel, strong_mean_photons: float, offsets: Sequenc
         raise InsufficientScanRangeError(
             f"scan must span >= 2*pi, got {grid[-1] - grid[0] if grid.size else 0.0:.3f} rad"
         )
+    require_finite(true_phase_zero=true_phase_zero)
+    require_count(pulses_per_point=pulses_per_point)  # before binomial overflows on it
     probs = click_probability(model, strong_mean_photons, grid - true_phase_zero, length_km)
     if noiseless:
         counts = probs * pulses_per_point
@@ -189,8 +190,10 @@ def fit_fringe(curve: ScanCurve) -> FringeFit:
         raise FitConvergenceError(f"fringe fit did not converge in {iterations} iterations")
     depth, vis, zero = x
     rms = float(np.sqrt(np.mean(residuals(x[:, None]) ** 2)))
-    amplitude = float(np.mean(coherent_click_probability(2.0 * depth, vis, 0.0,
-                                                         _AMPLITUDE_PHASES)))
+    # fsum: at V = 0 the 1,024 values are equal, and np.mean's pairwise sum of
+    # them rounds about 4 ulp away from the value itself.
+    clicks = coherent_click_probability(2.0 * depth, vis, 0.0, _AMPLITUDE_PHASES)
+    amplitude = math.fsum(clicks.tolist()) / _AMPLITUDE_PHASES.size
     return FringeFit(amplitude=amplitude, visibility_est=float(vis),
                      phase_zero=_wrap_phase(float(zero)), residual=rms)
 

@@ -12,14 +12,13 @@ single-photon yield bound is per emitted single-photon pulse, so its
 contribution to the key rate carries the Poisson weight mu*exp(-mu).
 
 The bound chain (decoy-rate floor, yield bound, QBER bound, key rate,
-secure flag) is written once, in _chain, and runs two ways:
-analyze_row evaluates it on one row of Python floats and raises the
-row's abort cause; analyze_columns evaluates it over float64 columns
-and returns every row's bounds with its abort cause, an exception of
-the class and message analyze_row raises for that row, or None. Both
-perform the same IEEE operations in the same order, and the entropy
-goes through math.log2 in both, so a row's bounds are bit-identical
-either way. A row aborts at the first check it fails, in this order:
+secure flag) is written once, in _chain, as numpy expressions that take
+one row of floats or float64 columns alike. analyze_row raises the
+row's abort cause; analyze_columns returns every row's bounds with its
+abort cause, an exception of the class and message analyze_row raises
+for that row, or None. The operations and the per-value math.log2
+entropy are the same either way, so a row's bounds are bit-identical.
+A row aborts at the first check it fails, in this order:
 
     s_nu <= 0                              InsufficientStatisticsError
     corrected decoy rate <= 0              InsufficientStatisticsError
@@ -46,13 +45,10 @@ __all__ = [
     "SecurityBounds",
     "BoundColumns",
     "binary_entropy",
-    "s_nu_lower",
-    "s1_lower_bound",
-    "e1_upper_bound",
-    "key_rate",
     "analyze_row",
     "analyze_columns",
     "require_finite",
+    "require_count",
 ]
 
 # Abort-cause messages, in the order the chain checks them; str.format
@@ -72,6 +68,14 @@ def require_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise ValueError(f"{name}={value} must be finite")
+
+
+def require_count(**values: int) -> None:
+    """Raise ValueError naming the first of the keyword values that is not a
+    count numpy's samplers take: 1 to 2**63 - 1, which NaN fails too."""
+    for name, value in values.items():
+        if not 1 <= value <= 2**63 - 1:
+            raise ValueError(f"{name}={value} must be in [1, 2**63 - 1]")
 
 
 class AnalysisError(ValueError):
@@ -208,61 +212,14 @@ def binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
-class _Row:
-    """The chain on one row of Python floats: a failed check raises its cause."""
-
-    sqrt = staticmethod(math.sqrt)
-    entropy = staticmethod(binary_entropy)
-
-    @staticmethod
-    def nonfinite(value: float) -> bool:
-        return not math.isfinite(value)
-
-    @staticmethod
-    def check(failed: bool, error: type[AnalysisError], message: str, *values) -> None:
-        if failed:
-            raise error(message.format(*values))
-
-
-class _Columns:
-    """The chain over float64 columns: every row runs to the end and keeps
-    the first check it fails as its abort cause."""
-
-    sqrt = staticmethod(np.sqrt)
-
-    def __init__(self, size: int):
-        self.ok = np.ones(size, dtype=bool)
-        self.causes: list[AnalysisError | None] = [None] * size
-
-    @staticmethod
-    def nonfinite(values: np.ndarray) -> np.ndarray:
-        return ~np.isfinite(values)
-
-    def check(self, failed, error: type[AnalysisError], message: str, *values) -> None:
-        rows = np.flatnonzero(self.ok & failed)
-        if rows.size == 0:
-            return
-        self.ok[rows] = False
-        # tolist gives Python floats, so the messages format as analyze_row's do.
-        columns = (np.broadcast_to(v, self.ok.shape)[rows].tolist() for v in values)
-        for i, *row_values in zip(rows.tolist(), *columns):
-            self.causes[i] = error(message.format(*row_values))
-
-    def entropy(self, p: np.ndarray) -> np.ndarray:
-        """binary_entropy of the rows still without an abort cause, NaN elsewhere."""
-        # math.log2 per value rather than np.log2, whose SIMD loop can round
-        # differently and would move r_lower by an ulp against analyze_row.
-        out = np.full(p.shape, math.nan)
-        out[self.ok] = [binary_entropy(x) for x in p[self.ok].tolist()]
-        return out
-
-
-def _decoy_floor(s_nu, n_nu: float, u_alpha: float, rows):
-    rows.check(s_nu <= 0, InsufficientStatisticsError, _NO_DECOY_RATE, s_nu)
-    corrected = s_nu * (1.0 - u_alpha / rows.sqrt(n_nu * s_nu))
-    rows.check(corrected <= 0, InsufficientStatisticsError, _FEW_DECOY_CLICKS,
-               n_nu * s_nu, u_alpha)
-    return corrected
+def _entropy(p) -> np.ndarray:
+    """binary_entropy of each value of p, NaN for a value outside [0, 1]."""
+    # math.log2 per value rather than np.log2, whose SIMD loop rounds
+    # differently on about one value in a thousand and would move such a
+    # row's r_lower by an ulp against earlier versions of analyze.
+    p = np.asarray(p)
+    return np.array([binary_entropy(x) if 0.0 <= x <= 1.0 else math.nan
+                     for x in p.ravel().tolist()]).reshape(p.shape)
 
 
 def _yield_factors(mu: float, nu: float) -> tuple[float, ...]:
@@ -279,122 +236,70 @@ def _yield_factors(mu: float, nu: float) -> tuple[float, ...]:
     return factors
 
 
-def _require_two_intensity(params: ProtocolParams, rows) -> None:
-    mu, nu = params.mu, params.nu
-    rows.check(not 0 < nu < mu, AnalysisError, _NOT_TWO_INTENSITY, mu, nu)
+def _chain(params: ProtocolParams, s_mu, e_mu, s_nu):
+    """The bounds (s_nu_lower, s1_lower, e1_upper, r_lower, secure) of one row
+    of floats or of float64 columns, and the checks in the order of the module
+    docstring, each (failed, error class, message, message values). Every row
+    runs the whole chain, so one that fails a check may divide by zero or
+    overflow further on; its values past that check mean nothing.
 
-
-def _yield_bound(params: ProtocolParams, s_mu, e_mu, s_nu_l, rows):
-    mu, nu = params.mu, params.nu
-    scale, exp_nu, exp_mu, nu2, mu2, mu2_minus_nu2, half_mu2 = _yield_factors(mu, nu)
-    bound = scale * (s_nu_l * exp_nu - s_mu * exp_mu * nu2 / mu2
-                     - e_mu * s_mu * exp_mu * mu2_minus_nu2 / half_mu2)
-    rows.check(rows.nonfinite(bound), AnalysisError, _NOT_REPRESENTABLE, mu, nu)
-    return bound
-
-
-def _qber_bound(params: ProtocolParams, s_mu, e_mu, s1_l, rows):
-    rows.check(s1_l <= 0, NoSinglePhotonBoundError, _NO_YIELD, s1_l)
-    single_photon_rate = s1_l * params.mu * math.exp(-params.mu)
-    rows.check(single_photon_rate == 0.0, NoSinglePhotonBoundError, _UNDERFLOW, s1_l)
-    return e_mu * s_mu / single_photon_rate
-
-
-def _key_rate(params: ProtocolParams, s_mu, e_mu, s1_l, e1_u, rows):
-    ec_cost = s_mu * params.f_ec * rows.entropy(e_mu)
-    single = s1_l * params.mu * math.exp(-params.mu) * (1.0 - rows.entropy(e1_u))
-    return params.q * (-ec_cost + single)
-
-
-def _chain(params: ProtocolParams, s_mu, e_mu, s_nu, rows):
-    """(s_nu_lower, s1_lower, e1_upper, r_lower, secure) of rows, in the
-    check order of the module docstring; rows is _Row or _Columns."""
-    s_nu_l = _decoy_floor(s_nu, params.n_nu, params.u_alpha, rows)
-    _require_two_intensity(params, rows)
-    s1_l = _yield_bound(params, s_mu, e_mu, s_nu_l, rows)
-    e1_u = _qber_bound(params, s_mu, e_mu, s1_l, rows)
-    # A QBER bound above 1 leaves the key-rate entropy term undefined.
-    rows.check(e1_u > 1.0, NoSinglePhotonBoundError, _QBER_ABOVE_ONE, e1_u)
-    r_l = _key_rate(params, s_mu, e_mu, s1_l, e1_u, rows)
-    return s_nu_l, s1_l, e1_u, r_l, (r_l > 0) & (e1_u < 0.5) & (s1_l > 0)
-
-
-def s_nu_lower(s_nu: float, n_nu: float, u_alpha: float) -> float:
-    """One-sided finite-size floor of the decoy counting rate.
-
-    Returns s_nu * (1 - u_alpha / sqrt(n_nu * s_nu)). The fluctuation
-    term shrinks with the number of observed decoy clicks n_nu * s_nu.
-
-    Raises InsufficientStatisticsError when the corrected rate is not
-    positive, i.e. fewer decoy detections than the requested confidence
-    multiplier can support.
-    """
-    if u_alpha < 0:
-        raise ValueError(f"u_alpha={u_alpha} must be >= 0")
-    if n_nu < 1:
-        raise ValueError(f"n_nu={n_nu} must be >= 1")
-    return _decoy_floor(s_nu, n_nu, u_alpha, _Row)
-
-
-def s1_lower_bound(params: ProtocolParams, stats: MeasuredStats) -> float:
-    """Lower bound on the single-photon yield from the two-intensity pair.
-
-    Evaluates
+    The single-photon yield bound is
         (mu/(mu*nu - nu^2)) * (S_nu_L*e^nu - S_mu*e^mu*nu^2/mu^2
                                - E_mu*S_mu*e^mu*(mu^2 - nu^2)/(mu^2/2))
-    with S_nu_L the finite-size-corrected decoy rate. The error term
-    removes the worst-case vacuum contribution (background clicks carry
-    QBER 1/2). A negative result is returned as-is; interpreting it is
-    left to the caller. Raises AnalysisError unless 0 < nu < mu, and
-    when the bound is not a finite float: e^mu overflows past mu ~ 709,
-    and mu*nu - nu^2 underflows to zero for subnormal intensities.
+    with S_nu_L the decoy-rate floor; its error term removes the worst-case
+    vacuum contribution (background clicks carry QBER 1/2). It is not a
+    finite float when e^mu overflows (mu past ~709) or mu*nu - nu^2
+    underflows to zero (subnormal intensities). The QBER bound charges every
+    signal error to the single-photon clicks, and the key rate subtracts the
+    error-correction cost over all sifted signal bits.
     """
-    _require_two_intensity(params, _Row)
-    s_nu_l = s_nu_lower(stats.s_nu, params.n_nu, params.u_alpha)
-    return _yield_bound(params, stats.s_mu, stats.e_mu, s_nu_l, _Row)
-
-
-def e1_upper_bound(params: ProtocolParams, stats: MeasuredStats, s1_l: float) -> float:
-    """Upper bound on the single-photon QBER given a positive yield bound.
-
-    All observed signal errors are conservatively attributed to the
-    single-photon fraction: E_mu*S_mu / (S1_L * mu * e^-mu).
-    """
-    return _qber_bound(params, stats.s_mu, stats.e_mu, s1_l, _Row)
-
-
-def key_rate(params: ProtocolParams, stats: MeasuredStats, s1_l: float, e1_u: float) -> float:
-    """Secure key rate lower bound in bits per emitted signal pulse.
-
-    q * (-S_mu * f_ec * H2(E_mu) + S1_L * mu * e^-mu * (1 - H2(e1_U))).
-    The first term is the error-correction cost over all sifted signal
-    bits, the second the privacy-amplified single-photon contribution.
-    May be negative; the caller decides what negative rates mean.
-    """
-    if not 0.0 <= e1_u <= 1.0:
-        raise ValueError(f"e1_u={e1_u} must be in [0, 1]")
-    return _key_rate(params, stats.s_mu, stats.e_mu, s1_l, e1_u, _Row)
+    mu, nu, n_nu, u_alpha = params.mu, params.nu, params.n_nu, params.u_alpha
+    with np.errstate(all="ignore"):
+        s_nu_l = s_nu * (1.0 - u_alpha / np.sqrt(n_nu * s_nu))
+        scale, exp_nu, exp_mu, nu2, mu2, mu2_minus_nu2, half_mu2 = _yield_factors(mu, nu)
+        s1_l = scale * (s_nu_l * exp_nu - s_mu * exp_mu * nu2 / mu2
+                        - e_mu * s_mu * exp_mu * mu2_minus_nu2 / half_mu2)
+        single_photon_rate = s1_l * mu * math.exp(-mu)
+        e1_u = e_mu * s_mu / single_photon_rate
+        ec_cost = s_mu * params.f_ec * _entropy(e_mu)
+        r_l = params.q * (-ec_cost + single_photon_rate * (1.0 - _entropy(e1_u)))
+        checks = [
+            (s_nu <= 0, InsufficientStatisticsError, _NO_DECOY_RATE, (s_nu,)),
+            (s_nu_l <= 0, InsufficientStatisticsError, _FEW_DECOY_CLICKS, (n_nu * s_nu, u_alpha)),
+            (not 0 < nu < mu, AnalysisError, _NOT_TWO_INTENSITY, (mu, nu)),
+            (~np.isfinite(s1_l), AnalysisError, _NOT_REPRESENTABLE, (mu, nu)),
+            (s1_l <= 0, NoSinglePhotonBoundError, _NO_YIELD, (s1_l,)),
+            (single_photon_rate == 0.0, NoSinglePhotonBoundError, _UNDERFLOW, (s1_l,)),
+            # A QBER bound above 1 leaves the key-rate entropy term undefined.
+            (e1_u > 1.0, NoSinglePhotonBoundError, _QBER_ABOVE_ONE, (e1_u,)),
+        ]
+        return (s_nu_l, s1_l, e1_u, r_l, (r_l > 0) & (e1_u < 0.5) & (s1_l > 0)), checks
 
 
 def analyze_row(params: ProtocolParams, stats: MeasuredStats) -> SecurityBounds:
-    """Full bound chain for one measured row.
-
-    Composes the decoy-rate floor, yield bound, QBER bound and key rate
-    and sets the secure flag, on Python floats. Raises the row's abort
-    cause, an AnalysisError subclass, at the first failed check (module
-    docstring).
-    """
-    return SecurityBounds(*_chain(params, stats.s_mu, stats.e_mu, stats.s_nu, _Row))
+    """The bound chain for one measured row. Raises the row's abort cause, an
+    AnalysisError subclass, for the first check it fails (module docstring)."""
+    values, checks = _chain(params, float(stats.s_mu), float(stats.e_mu), float(stats.s_nu))
+    for failed, error, message, args in checks:
+        if failed:
+            raise error(message.format(*args))
+    *bounds, secure = values
+    return SecurityBounds(*map(float, bounds), secure=bool(secure))
 
 
 def analyze_columns(params: ProtocolParams, s_mu, e_mu, s_nu) -> BoundColumns:
-    """The bound chain over 1-d columns of rows; row i of the result holds what
-    analyze_row gives for row i, bit for bit, or the cause it raises."""
+    """The bound chain over 1-d columns of rows; row i of the result holds
+    what analyze_row gives for row i, or NaN values and the cause it raises."""
     s_mu, e_mu, s_nu = (np.asarray(c, dtype=float) for c in (s_mu, e_mu, s_nu))
-    rows = _Columns(s_nu.size)
-    # Rows that abort still run the arithmetic, which may divide by zero or
-    # overflow; their values are replaced by NaN.
-    with np.errstate(all="ignore"):
-        *values, secure = _chain(params, s_mu, e_mu, s_nu, rows)
-    return BoundColumns(*(np.where(rows.ok, v, math.nan) for v in values),
-                        secure=secure & rows.ok, causes=rows.causes)
+    (*values, secure), checks = _chain(params, s_mu, e_mu, s_nu)
+    ok = np.ones(s_nu.size, dtype=bool)
+    causes: list[AnalysisError | None] = [None] * s_nu.size
+    for failed, error, message, args in checks:
+        rows = (ok & failed).nonzero()[0]
+        ok[rows] = False
+        # tolist gives Python floats, so the messages read as analyze_row's do.
+        columns = (np.broadcast_to(v, ok.shape)[rows].tolist() for v in args)
+        for i, *row_values in zip(rows.tolist(), *columns):
+            causes[i] = error(message.format(*row_values))
+    return BoundColumns(*(np.where(ok, v, math.nan) for v in values),
+                        secure=secure & ok, causes=causes)

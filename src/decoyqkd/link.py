@@ -353,6 +353,8 @@ def fit_link(table: Sequence[MeasuredStats], params: ProtocolParams,
 def fit_link_report(table: Sequence[MeasuredStats], params: ProtocolParams,
                     y0: float = 5e-7) -> LinkFit:
     """fit_link, also reporting how many trial steps the refinement took."""
+    if not 0.0 <= y0 <= 1.0:  # also rejects NaN, before the fit runs on it
+        raise ValueError(f"y0={y0} must be in [0, 1]")
     lengths = {row.length_km for row in table}
     if len(lengths) < 3:
         raise UnidentifiableDataError(

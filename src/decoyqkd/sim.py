@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import MeasuredStats, ProtocolParams, SecurityBounds, require_finite
+from .estimator import (MeasuredStats, ProtocolParams, SecurityBounds, require_count,
+                        require_finite)
 from .link import PHASE_GRID, LinkModel, photon_click_probability, transmittance
 
 __all__ = [
@@ -70,8 +71,7 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         require_finite(length_km=self.length_km, bob_phase_error=self.bob_phase_error)
-        if self.n_pulses < 1:
-            raise ValueError(f"n_pulses={self.n_pulses} must be >= 1")
+        require_count(n_pulses=self.n_pulses)
         if not 0.0 < self.decoy_fraction < 1.0:
             raise ValueError(f"decoy_fraction={self.decoy_fraction} must be in (0, 1)")
 

@@ -7,7 +7,8 @@ from decoyqkd.tables import bundled_reference_table
 
 # Property tests run fits and Monte Carlo sessions whose first call can take
 # longer than hypothesis' default deadline; example counts stay the defaults.
-settings.register_profile("decoyqkd", deadline=None)
+# A failure prints its @reproduce_failure blob, so a CI log can replay it.
+settings.register_profile("decoyqkd", deadline=None, print_blob=True)
 settings.load_profile("decoyqkd")
 
 # Reference per-length bounds the bundled dataset must reproduce:

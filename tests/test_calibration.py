@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.stats import chi2, chisquare
 
@@ -159,6 +159,8 @@ class TestFitFringe:
         assert fit_fringe(curve).amplitude == pytest.approx(circular_mean, rel=1e-12, abs=0.0)
 
     @given(st.floats(1e-15, 100.0), st.floats(0.0, 1.0))
+    @example(depth=4.0, visibility=0.0)
+    @example(depth=8.171818130115518, visibility=0.0)
     def test_amplitude_matches_bessel_series(self, depth, visibility):
         # 1 - exp(-d)*I0(d*V) = exp(-d) * sum_j d^j/j! * w_j, with w_j = 1 for odd
         # j and 1 - C(2k, k)*(V/2)^(2k) for j = 2k: every term is positive and
@@ -335,6 +337,14 @@ class TestScanCurveIO:
     def test_invalid_counts_rejected(self):
         with pytest.raises(ValueError):
             ScanCurve(offsets=grid(16), counts=np.full(16, 11.0), pulses_per_point=10)
+
+    def test_pulses_per_point_above_int64_rejected(self):
+        # simulate_scan checks before numpy's binomial overflows on the count
+        message = r"pulses_per_point=9223372036854775808 must be in \[1, 2\*\*63 - 1\]"
+        with pytest.raises(ValueError, match=message):
+            ScanCurve(offsets=grid(16), counts=np.zeros(16), pulses_per_point=2**63)
+        with pytest.raises(ValueError, match=message):
+            simulate_scan(LUMPED, 0.5, grid(16), 2**63, seed=1)
 
     def test_nan_count_rejected_on_read(self):
         text = "offset\tcount\tpulses_per_point\n0.0\tnan\t10\n1.0\t5.0\t10\n"

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given
@@ -313,6 +314,22 @@ class TestFitCommand:
         assert main(["fit", "--input", str(table)]) == EXIT_VALIDATION
         assert "distinct" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "2", "-1e-9"])
+    def test_y0_outside_unit_interval_rejected_before_fitting(self, monkeypatch, capsys,
+                                                              value):
+        monkeypatch.setattr(link, "_least_squares", refuse_fit)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["fit", f"--fit-y0={value}"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"y0={float(value)} must be in [0, 1]" in err and "Warning" not in err
+        assert [str(w.message) for w in caught] == []
+
+
+def refuse_fit(*args, **kwargs):
+    """Stand-in for a fit that should not start."""
+    raise AssertionError("the fit ran before its inputs were checked")
+
 
 @pytest.fixture(scope="module")
 def link_file(tmp_path_factory):
@@ -420,6 +437,12 @@ class TestSimulateCommand:
         assert main(["simulate", "--link", link_file, "--pulses", "inf"]) == EXIT_VALIDATION
         assert "pulses=inf must be finite" in capsys.readouterr().err
 
+    def test_pulse_count_above_int64_rejected(self, link_file, capsys):
+        # numpy's samplers raise OverflowError, a runtime failure, on it
+        assert main(["simulate", "--link", link_file, "--pulses", "1e19"]) == EXIT_VALIDATION
+        assert ("n_pulses=10000000000000000000 must be in [1, 2**63 - 1]"
+                in capsys.readouterr().err)
+
 
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is a test dependency only; its import would dominate a command's time
@@ -508,3 +531,19 @@ class TestCalibrateCommand:
         assert main(["calibrate", "--link", link_file,
                      "--session-pulses", value]) == EXIT_VALIDATION
         assert f"session_pulses={value} must be finite" in capsys.readouterr().err
+
+    def test_pulses_per_point_above_int64_rejected(self, link_file, capsys):
+        assert main(["calibrate", "--link", link_file,
+                     "--pulses-per-point", str(10**19)]) == EXIT_VALIDATION
+        assert ("pulses_per_point=10000000000000000000 must be in [1, 2**63 - 1]"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_true_zero_rejected_without_warnings(self, link_file, capsys, value):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["calibrate", "--link", link_file,
+                         "--true-zero", value]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"true_phase_zero={value} must be finite" in err and "Warning" not in err
+        assert [str(w.message) for w in caught] == []

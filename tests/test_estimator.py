@@ -18,10 +18,6 @@ from decoyqkd import (
     analyze_columns,
     analyze_row,
     binary_entropy,
-    e1_upper_bound,
-    key_rate,
-    s1_lower_bound,
-    s_nu_lower,
 )
 
 from conftest import REFERENCE_BOUNDS
@@ -29,6 +25,13 @@ from conftest import REFERENCE_BOUNDS
 
 def row_123(reference_table):
     return next(r for r in reference_table if r.length_km == 123.6)
+
+
+def decoy_floor(s_nu, n_nu, u_alpha):
+    """analyze_row's s_nu_lower on a row whose chain runs to the end unless the
+    floor aborts: signal rate mu/nu times the decoy rate, no observed error."""
+    params = ProtocolParams(u_alpha=u_alpha, n_nu=n_nu)
+    return analyze_row(params, MeasuredStats(0.0, 3.0 * s_nu, 0.0, s_nu, 0.0)).s_nu_lower
 
 
 class TestBinaryEntropy:
@@ -62,22 +65,23 @@ class TestBinaryEntropy:
 
 
 class TestDecoyRateFloor:
-    def test_reference_row_correction(self):
-        # 1.36e-5 * (1 - 10/sqrt(1e9 * 1.36e-5)), frozen
-        assert s_nu_lower(1.36e-5, 1e9, 10.0) == pytest.approx(1.2434e-5, abs=1e-9)
-        assert s_nu_lower(1.36e-5, 1e9, 10.0) == pytest.approx(1.243380962103094e-05, rel=1e-12)
+    def test_reference_row_correction(self, reference_table, default_params):
+        # the 123.6 km row: 1.36e-5 * (1 - 10/sqrt(1e9 * 1.36e-5)), frozen
+        floor = analyze_row(default_params, row_123(reference_table)).s_nu_lower
+        assert floor == pytest.approx(1.2434e-5, abs=1e-9)
+        assert floor == pytest.approx(1.243380962103094e-05, rel=1e-12)
 
     def test_zero_confidence_is_identity(self):
-        assert s_nu_lower(3.3e-4, 1e6, 0.0) == 3.3e-4
+        assert decoy_floor(3.3e-4, 1e6, 0.0) == 3.3e-4
 
     def test_insufficient_statistics(self):
         # one expected decoy click cannot support u_alpha = 10
         with pytest.raises(InsufficientStatisticsError):
-            s_nu_lower(1e-6, 1e6, 10.0)
+            decoy_floor(1e-6, 1e6, 10.0)
 
     def test_zero_rate_rejected(self):
         with pytest.raises(InsufficientStatisticsError):
-            s_nu_lower(0.0, 1e9, 10.0)
+            decoy_floor(0.0, 1e9, 10.0)
 
     def test_never_exceeds_input_rate(self):
         rng = random.Random(1)
@@ -85,7 +89,7 @@ class TestDecoyRateFloor:
             s = 10 ** rng.uniform(-6, -2)
             u = rng.uniform(0, 5)
             try:
-                assert s_nu_lower(s, 1e9, u) <= s
+                assert decoy_floor(s, 1e9, u) <= s
             except InsufficientStatisticsError:
                 pass
 
@@ -94,60 +98,41 @@ class TestYieldBound:
     @pytest.mark.parametrize("length,expected", [(123.6, 3.78e-5), (108.0, 8.09e-5)])
     def test_reference_rows(self, reference_table, default_params, length, expected):
         stats = next(r for r in reference_table if r.length_km == length)
-        assert s1_lower_bound(default_params, stats) == pytest.approx(expected, rel=0.02)
+        assert analyze_row(default_params, stats).s1_lower == pytest.approx(expected, rel=0.02)
 
     def test_corrected_cell(self, reference_table, default_params):
         # the reference table's printed 1.69e-5 is inconsistent with the row's own QBER
         # bound; direct recomputation gives 1.69e-4
         stats = next(r for r in reference_table if r.length_km == 83.7)
-        assert s1_lower_bound(default_params, stats) == pytest.approx(1.69e-4, rel=0.02)
+        assert analyze_row(default_params, stats).s1_lower == pytest.approx(1.69e-4, rel=0.02)
 
     def test_degenerate_intensities_rejected(self, reference_table):
         params = ProtocolParams(mu=0.6, nu=0.6)
         with pytest.raises(ValueError):
-            s1_lower_bound(params, row_123(reference_table))
+            analyze_row(params, row_123(reference_table))
 
 
 class TestQberBound:
     def test_longest_row(self, reference_table, default_params):
-        stats = row_123(reference_table)
-        s1 = s1_lower_bound(default_params, stats)
-        assert e1_upper_bound(default_params, stats, s1) == pytest.approx(0.0607, rel=0.02)
+        bounds = analyze_row(default_params, row_123(reference_table))
+        assert bounds.e1_upper == pytest.approx(0.0607, rel=0.02)
 
     def test_shortest_row(self, reference_table, default_params):
         stats = next(r for r in reference_table if r.length_km == 49.2)
-        s1 = s1_lower_bound(default_params, stats)
-        assert s1 == pytest.approx(1.09e-3, rel=0.02)
-        assert e1_upper_bound(default_params, stats, s1) == pytest.approx(0.0247, rel=0.02)
+        bounds = analyze_row(default_params, stats)
+        assert bounds.s1_lower == pytest.approx(1.09e-3, rel=0.02)
+        assert bounds.e1_upper == pytest.approx(0.0247, rel=0.02)
 
     def test_zero_observed_error(self, default_params):
         stats = MeasuredStats(10.0, 1e-3, 0.0, 3.4e-4, 0.0)
-        s1 = s1_lower_bound(default_params, stats)
-        assert e1_upper_bound(default_params, stats, s1) == 0.0
-
-    def test_nonpositive_yield_rejected(self, reference_table, default_params):
-        with pytest.raises(NoSinglePhotonBoundError):
-            e1_upper_bound(default_params, row_123(reference_table), 0.0)
-        with pytest.raises(NoSinglePhotonBoundError):
-            e1_upper_bound(default_params, row_123(reference_table), -1e-6)
+        assert analyze_row(default_params, stats).e1_upper == 0.0
 
 
 class TestKeyRate:
     @pytest.mark.parametrize("length,expected", [(123.6, 9.59e-7), (49.2, 1.06e-4)])
     def test_reference_rows(self, reference_table, default_params, length, expected):
         stats = next(r for r in reference_table if r.length_km == length)
-        s1 = s1_lower_bound(default_params, stats)
-        e1 = e1_upper_bound(default_params, stats, s1)
-        assert key_rate(default_params, stats, s1, e1) == pytest.approx(expected, rel=0.03)
-
-    def test_error_correction_cost_only(self, reference_table, default_params):
-        # zero yield leaves only the negative error-correction term
-        stats = row_123(reference_table)
-        assert key_rate(default_params, stats, 0.0, 0.0) < 0
-
-    def test_qber_bound_domain(self, reference_table, default_params):
-        with pytest.raises(ValueError):
-            key_rate(default_params, row_123(reference_table), 1e-4, 1.2)
+        assert analyze_row(default_params, stats).r_lower == pytest.approx(expected, rel=0.03)
 
 
 class TestAnalyzeRow:
@@ -321,7 +306,7 @@ MEASURED_STATS = st.builds(MeasuredStats, st.floats(0.0, 1e300), RATES, RATES, R
 
 def s1_or_none(params, stats):
     try:
-        return s1_lower_bound(params, stats)
+        return analyze_row(params, stats).s1_lower
     except AnalysisError:
         return None
 
@@ -417,8 +402,15 @@ CHAIN_RATE = st.one_of(st.floats(0.0, 1.0), st.floats(-12.0, 0.0).map(lambda x: 
                        st.just(0.0), st.floats(0.0, 1e-300))
 
 
+def random_table(n=20_000):
+    """(s_mu, e_mu, s_nu) rows over the decades the bundled table spans."""
+    rng = np.random.default_rng(7)
+    return np.column_stack([10.0 ** rng.uniform(-6, -2, n), rng.uniform(0.0, 0.1, n),
+                            10.0 ** rng.uniform(-7, -2, n)])
+
+
 class TestColumnChain:
-    """analyze_columns against analyze_row, row by row."""
+    """analyze_columns on a table against analyze_row on each of its rows."""
 
     @staticmethod
     def assert_rows_match(params, rows):
@@ -465,11 +457,26 @@ class TestColumnChain:
     def test_bit_identical_on_a_large_random_table(self, default_params):
         # numpy's SIMD log2 rounds differently from math.log2 on about one
         # row in a thousand, so a table this size shows an entropy that uses it.
-        rng = np.random.default_rng(7)
-        n = 20_000
-        rows = np.column_stack([10.0 ** rng.uniform(-6, -2, n), rng.uniform(0.0, 0.1, n),
-                                10.0 ** rng.uniform(-7, -2, n)])
-        self.assert_rows_match(default_params, rows.tolist())
+        self.assert_rows_match(default_params, random_table().tolist())
+
+    def test_bit_identical_to_a_straight_line_transcription(self, default_params):
+        # The oracle rounds every operation as the chain does, in Python floats
+        # and math.log2, so a change that moves a bound by an ulp (np.log2 for
+        # the entropy, a reordered product) shows on some row of the table.
+        p = default_params
+        rows = random_table()
+        columns = analyze_columns(p, *rows.T)
+        checked = 0
+        for i, row in enumerate(rows.tolist()):
+            expected = TestOracleEquivalence.straight_line_bounds(
+                p.mu, p.nu, p.q, p.f_ec, p.u_alpha, p.n_nu, *row)
+            if expected[3] is None:
+                continue
+            got = [getattr(columns, f)[i].item()
+                   for f in ("s_nu_lower", "s1_lower", "e1_upper", "r_lower")]
+            assert repr(got) == repr(list(expected))
+            checked += 1
+        assert checked > 9_000
 
     @given(chain_params(), st.lists(st.tuples(CHAIN_RATE, CHAIN_RATE, CHAIN_RATE),
                                     max_size=40))

@@ -263,6 +263,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(n_pulses=0, link=LUMPED_L0, params=default_params)
 
+    def test_pulse_count_above_int64(self, default_params):
+        assert SimConfig(n_pulses=2**63 - 1, link=LUMPED_L0,
+                         params=default_params).n_pulses == 2**63 - 1
+        with pytest.raises(ValueError, match=r"n_pulses=9223372036854775808 must be in"):
+            SimConfig(n_pulses=2**63, link=LUMPED_L0, params=default_params)
+
     def test_decoy_fraction_domain(self, default_params):
         with pytest.raises(ValueError):
             SimConfig(n_pulses=10, link=LUMPED_L0, params=default_params,
