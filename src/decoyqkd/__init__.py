@@ -33,8 +33,6 @@ from .link import (
     LinkModel,
     UnidentifiableDataError,
     click_probability,
-    expected_gain,
-    expected_qber,
     expected_stats,
     fit_link,
     sweep_key_rate,
@@ -72,8 +70,6 @@ __all__ = [
     "analyze_row",
     "binary_entropy",
     "click_probability",
-    "expected_gain",
-    "expected_qber",
     "expected_stats",
     "fit_fringe",
     "fit_link",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,8 +37,6 @@ __all__ = [
     "fit_fringe",
     "working_points",
     "scan_overhead",
-    "write_scan_curve",
-    "read_scan_curve",
 ]
 
 SATURATION_PEAK = 0.999
@@ -209,29 +207,3 @@ def scan_overhead(curve: ScanCurve, session_pulses: float) -> float:
     if session_pulses <= 0:
         raise ValueError(f"session_pulses={session_pulses} must be > 0")
     return curve.offsets.size * curve.pulses_per_point / session_pulses
-
-
-def write_scan_curve(curve: ScanCurve, stream: IO[str]) -> None:
-    """Write a curve as 'offset count pulses_per_point' lines."""
-    stream.write("offset\tcount\tpulses_per_point\n")
-    for offset, count in zip(curve.offsets, curve.counts):
-        stream.write(f"{float(offset)!r}\t{float(count)!r}\t{curve.pulses_per_point}\n")
-
-
-def read_scan_curve(stream: IO[str]) -> ScanCurve:
-    """Parse the delimited format written by write_scan_curve."""
-    offsets, counts, pulses = [], [], set()
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith("offset"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"line {lineno}: expected 3 columns, got {len(parts)}")
-        offsets.append(float(parts[0]))
-        counts.append(float(parts[1]))
-        pulses.add(int(parts[2]))
-    if len(pulses) != 1:
-        raise ValueError(f"scan curve must carry one pulses_per_point value, got {sorted(pulses)}")
-    return ScanCurve(offsets=np.array(offsets), counts=np.array(counts),
-                     pulses_per_point=pulses.pop())

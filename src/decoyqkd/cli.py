@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import fields
 from typing import IO, Iterator, Sequence
 
@@ -48,7 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="key=value file with protocol parameters "
                             f"({', '.join(PARAM_KEYS)})")
         p.add_argument("--out", metavar="FILE", help="output path (default: stdout)")
-        p.add_argument("--seed", type=int, default=0, help="pseudo-random seed")
         for key in PARAM_KEYS:
             p.add_argument(f"--{key.replace('_', '-')}", type=float, default=None,
                            dest=f"param_{key}", help=argparse.SUPPRESS)
@@ -70,6 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_simulate.add_argument("--pulses", type=float, default=1e6, help="emitted pulses")
     p_simulate.add_argument("--length-km", type=float, default=50.0, help="fiber length")
     p_simulate.add_argument("--decoy-fraction", type=float, default=0.5)
+    p_simulate.add_argument("--seed", type=int, default=0, help="pseudo-random seed")
     # Accepted and ignored: a session is one cheap count-level draw.
     p_simulate.add_argument("--workers", type=int, help=argparse.SUPPRESS)
     add_common(p_simulate)
@@ -97,6 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="use exact expected counts instead of sampling")
     p_cal.add_argument("--session-pulses", type=float, default=2e9,
                        help="session length used for the overhead figure")
+    p_cal.add_argument("--seed", type=int, default=0, help="pseudo-random seed")
     add_common(p_cal)
 
     return parser
@@ -143,12 +144,12 @@ def _link_header(model: link.LinkModel) -> list[str]:
 
 
 @contextmanager
-def _output(args: argparse.Namespace) -> Iterator[IO[str]]:
-    """The --out file, closed on exit, or stdout."""
-    if not args.out:
-        yield sys.stdout
-        return
-    with open(args.out, "w", encoding="utf-8") as stream:
+def _output(args: argparse.Namespace, header: Sequence[str]) -> Iterator[IO[str]]:
+    """The --out file, closed on exit, or stdout, with the provenance header
+    written as one '# ' line per entry."""
+    with (open(args.out, "w", encoding="utf-8") if args.out
+          else nullcontext(sys.stdout)) as stream:
+        stream.writelines(f"# {line}\n" for line in header)
         yield stream
 
 
@@ -183,8 +184,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 for flag in MeasuredStats(*row).warnings()]
     header = ["command=analyze", *_params_header(params)]
     header += [f"warning: {w}" for w in warnings]
-    with _output(args) as stream:
-        tables.write_bounds_table(length, bounds, stream, header)
+    with _output(args, header) as stream:
+        tables.write_bounds_table(length, bounds, stream)
     analyzed = bounds.causes.count(None)
     print(f"analyze: {length.size} row(s), {analyzed} analyzable, "
           f"{bounds.secure.sum()} secure", file=sys.stderr)
@@ -200,10 +201,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         decoy_fraction=args.decoy_fraction, seed=args.seed, length_km=args.length_km,
     )
     tally, stats = sim.run_session(config)
-    lines = ["# command=simulate",
-             f"# seed={args.seed} n_pulses={config.n_pulses} "
-             f"length_km={args.length_km!r} decoy_fraction={args.decoy_fraction!r}"]
-    lines += [f"# {h}" for h in _params_header(params) + _link_header(model)]
+    header = ["command=simulate",
+              f"seed={args.seed} n_pulses={config.n_pulses} "
+              f"length_km={args.length_km!r} decoy_fraction={args.decoy_fraction!r}",
+              *_params_header(params), *_link_header(model)]
     body = sim.tally_to_text(tally)
     for name in ("s_mu", "e_mu", "s_nu", "e_nu"):
         body += f"stats.{name}={getattr(stats, name)!r}\n"
@@ -221,8 +222,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         body += f"soundness.sound={str(report.sound).lower()}\n"
     except AnalysisError as exc:
         body += f"analysis.error={exc}\n"
-    with _output(args) as stream:
-        stream.write("\n".join(lines) + "\n" + body)
+    with _output(args, header) as stream:
+        stream.write(body)
     return EXIT_OK
 
 
@@ -234,9 +235,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cutoff = "none" if sweep.cutoff_km is None else repr(sweep.cutoff_km)
     header = ["command=sweep", *_params_header(params), *_link_header(model),
               f"cutoff_km={cutoff}"]
-    with _output(args) as stream:
-        for comment in header:
-            stream.write(f"# {comment}\n")
+    with _output(args, header) as stream:
         stream.write("length_km\tr_lower\n")
         for length, rate in zip(sweep.lengths, sweep.rates):
             rate_text = "nan" if math.isnan(rate) else repr(float(rate))
@@ -251,11 +250,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     fit = link.fit_link_report(rows, params, y0=args.fit_y0)
     model = fit.model
     objective = link.fit_objective(model, rows, params)
-    with _output(args) as stream:
-        stream.write("# command=fit\n")
-        for comment in _params_header(params):
-            stream.write(f"# {comment}\n")
-        stream.write(f"# objective={objective!r}\n")
+    header = ["command=fit", *_params_header(params), f"objective={objective!r}"]
+    with _output(args, header) as stream:
         for key in LINK_KEYS:
             stream.write(f"{key}={getattr(model, key)!r}\n")
     print(f"fit: converged in {fit.iterations} iterations, objective={objective!r}",
@@ -277,13 +273,11 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     fit = calibration.fit_fringe(curve)
     points = calibration.working_points(fit)
     overhead = calibration.scan_overhead(curve, args.session_pulses)
-    with _output(args) as stream:
-        stream.write("# command=calibrate\n")
-        for comment in _params_header(params) + _link_header(model):
-            stream.write(f"# {comment}\n")
-        stream.write(f"# points={args.points} pulses_per_point={args.pulses_per_point} "
-                     f"strong_mean_photons={strong!r} seed={args.seed} "
-                     f"noiseless={str(args.noiseless).lower()}\n")
+    header = ["command=calibrate", *_params_header(params), *_link_header(model),
+              f"points={args.points} pulses_per_point={args.pulses_per_point} "
+              f"strong_mean_photons={strong!r} seed={args.seed} "
+              f"noiseless={str(args.noiseless).lower()}"]
+    with _output(args, header) as stream:
         stream.write(f"visibility_est={fit.visibility_est!r}\n")
         stream.write(f"phase_zero={fit.phase_zero!r}\n")
         stream.write(f"amplitude={fit.amplitude!r}\n")

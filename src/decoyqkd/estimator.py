@@ -32,7 +32,7 @@ A row aborts at the first check it fails, in this order:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,9 +127,6 @@ class ProtocolParams:
             raise ValueError(f"u_alpha={self.u_alpha} must be >= 0")
         if self.n_mu < 1 or self.n_nu < 1:
             raise ValueError(f"pulse budgets must be >= 1, got n_mu={self.n_mu}, n_nu={self.n_nu}")
-
-    def with_budgets(self, n_mu: float, n_nu: float) -> "ProtocolParams":
-        return replace(self, n_mu=n_mu, n_nu=n_nu)
 
 
 @dataclass(frozen=True)

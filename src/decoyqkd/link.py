@@ -47,8 +47,6 @@ __all__ = [
     "photon_click_probability",
     "click_probability",
     "mean_photons_for_click",
-    "expected_gain",
-    "expected_qber",
     "expected_stats",
     "fit_objective",
     "fit_link",
@@ -226,27 +224,11 @@ def _gain_qber(eta, visibility, y0, mean_photons):
     return gain, qber
 
 
-def _model_gain_qber(model: LinkModel, mean_photons: float, length_km: float):
-    if mean_photons < 0:
-        raise ValueError(f"mean_photons={mean_photons} must be >= 0")
-    return _gain_qber(transmittance(model, length_km), model.visibility, model.y0,
-                      mean_photons)
-
-
-def expected_gain(model: LinkModel, mean_photons: float, length_km: float = 0.0) -> float:
-    """Click rate per emitted pulse, averaged over the four phase differences."""
-    return float(_model_gain_qber(model, mean_photons, length_km)[0])
-
-
-def expected_qber(model: LinkModel, mean_photons: float, length_km: float = 0.0) -> float:
-    """Error fraction among matched-basis clicks; 0 when there are no clicks."""
-    return float(_model_gain_qber(model, mean_photons, length_km)[1])
-
-
 def expected_stats(model: LinkModel, params: ProtocolParams, length_km: float) -> MeasuredStats:
     """Modelled MeasuredStats row for both intensity classes at one length."""
-    s_mu, e_mu = _model_gain_qber(model, params.mu, length_km)
-    s_nu, e_nu = _model_gain_qber(model, params.nu, length_km)
+    eta = transmittance(model, length_km)
+    s_mu, e_mu = _gain_qber(eta, model.visibility, model.y0, params.mu)
+    s_nu, e_nu = _gain_qber(eta, model.visibility, model.y0, params.nu)
     return MeasuredStats(length_km, float(s_mu), float(e_mu), float(s_nu), float(e_nu))
 
 
@@ -344,8 +326,9 @@ def fit_link(table: Sequence[MeasuredStats], params: ProtocolParams,
     shortest length.
 
     Raises UnidentifiableDataError unless the table holds at least
-    three distinct lengths spanning at least 0.1 km, and
-    FitConvergenceError when the refinement runs out of iterations.
+    three distinct lengths spanning at least 0.1 km and every counting
+    rate exceeds y0, and FitConvergenceError when the refinement runs
+    out of iterations.
     """
     return fit_link_report(table, params, y0).model
 
@@ -370,6 +353,13 @@ def fit_link_report(table: Sequence[MeasuredStats], params: ProtocolParams,
         if row.s_mu <= 0 or row.s_nu <= 0:
             raise UnidentifiableDataError(
                 f"non-positive counting rate at {row.length_km} km cannot be log-fitted"
+            )
+    for row in table:
+        # The modelled rate y0 + (1 - y0)*(signal click) exceeds y0 on every link.
+        if min(row.s_mu, row.s_nu) <= y0:
+            raise UnidentifiableDataError(
+                f"counting rate at {row.length_km} km does not exceed the dark-count "
+                f"probability y0={y0!r}, so no link model reproduces it"
             )
 
     rows = _table_array(table)

@@ -27,7 +27,7 @@ sampler as the reference this law is checked against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .link import PHASE_GRID, LinkModel, photon_click_probability, transmittance
 __all__ = [
     "SimConfig",
     "ClassTally",
-    "PhotonBinTally",
     "SimTally",
     "SoundnessReport",
     "run_session",
@@ -46,7 +45,6 @@ __all__ = [
     "session_params",
     "soundness_report",
     "tally_to_text",
-    "tally_from_text",
 ]
 
 
@@ -92,13 +90,6 @@ class ClassTally:
                 f"{self.errors} / {self.sifted} / {self.clicked}"
             )
 
-    def __add__(self, other: "ClassTally") -> "ClassTally":
-        return ClassTally(self.emitted + other.emitted, self.clicked + other.clicked,
-                          self.sifted + other.sifted, self.errors + other.errors)
-
-
-# Ground-truth bookkeeping reuses the same count structure per photon bin.
-PhotonBinTally = ClassTally
 
 _PHOTON_BIN_NAMES = ("photons0", "photons1", "photons2", "photons3plus")
 
@@ -165,10 +156,11 @@ def _poisson_pmf(mean: float, photons: np.ndarray) -> np.ndarray:
 
 
 def _draw_class(rng: np.random.Generator, pulses: int, mean: float,
-                click_law) -> list[ClassTally]:
-    """Counts of one intensity class in photon bins n = 0, 1, 2, >= 3, drawn as
-    the module docstring fixes; click_law(photons, diffs) is the click
-    probability at a photon number and a phase-difference index."""
+                click_law) -> np.ndarray:
+    """Counts (emitted, clicked, sifted, errors) of one intensity class, one row
+    per photon bin n = 0, 1, 2, >= 3, drawn as the module docstring fixes;
+    click_law(photons, diffs) is the click probability at a photon number
+    and a phase-difference index."""
     cutoff = _photon_cutoff(mean)
     # The tail weights are summed upward from the cutoff, not taken as one
     # minus the rest; beyond n = mean + 24*sqrt(mean) + 48 they are below
@@ -188,9 +180,8 @@ def _draw_class(rng: np.random.Generator, pulses: int, mean: float,
         hit = rng.random(n_tail) < click_law(cutoff + np.minimum(index, tail.size - 1), diffs)
         emitted[3] += np.bincount(diffs, minlength=4)
         clicks[3] += np.bincount(diffs[hit], minlength=4)
-    counts = np.column_stack([emitted.sum(axis=1), clicks.sum(axis=1),
-                              clicks[:, 0] + clicks[:, 2], clicks[:, 2]])
-    return [ClassTally(*row) for row in counts.tolist()]
+    return np.column_stack([emitted.sum(axis=1), clicks.sum(axis=1),
+                            clicks[:, 0] + clicks[:, 2], clicks[:, 2]])
 
 
 def measured_stats(tally: SimTally, length_km: float = 0.0) -> MeasuredStats:
@@ -209,8 +200,8 @@ def measured_stats(tally: SimTally, length_km: float = 0.0) -> MeasuredStats:
 
 def session_params(params: ProtocolParams, tally: SimTally) -> ProtocolParams:
     """Protocol params with pulse budgets replaced by the tally's emitted counts."""
-    return params.with_budgets(n_mu=max(1, tally.signal.emitted),
-                               n_nu=max(1, tally.decoy.emitted))
+    return replace(params, n_mu=max(1, tally.signal.emitted),
+                   n_nu=max(1, tally.decoy.emitted))
 
 
 def run_session(config: SimConfig) -> tuple[SimTally, MeasuredStats]:
@@ -227,8 +218,9 @@ def run_session(config: SimConfig) -> tuple[SimTally, MeasuredStats]:
 
     signal = _draw_class(rng, config.n_pulses - n_decoy, config.params.mu, click_law)
     decoy = _draw_class(rng, n_decoy, config.params.nu, click_law)
-    tally = SimTally(signal=sum(signal, ClassTally()), decoy=sum(decoy, ClassTally()),
-                     signal_photons=tuple(signal))
+    tally = SimTally(signal=ClassTally(*signal.sum(axis=0).tolist()),
+                     decoy=ClassTally(*decoy.sum(axis=0).tolist()),
+                     signal_photons=tuple(ClassTally(*row) for row in signal.tolist()))
     return tally, measured_stats(tally, config.length_km)
 
 
@@ -273,29 +265,3 @@ def tally_to_text(tally: SimTally) -> str:
         for field in ("emitted", "clicked", "sifted", "errors"):
             lines.append(f"{name}.{field}={getattr(counts, field)}")
     return "\n".join(lines) + "\n"
-
-
-def tally_from_text(text: str) -> SimTally:
-    """Parse the key=value tally format written by tally_to_text."""
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-
-    def counts(prefix: str) -> ClassTally:
-        try:
-            return ClassTally(**{f: int(values[f"{prefix}.{f}"])
-                                 for f in ("emitted", "clicked", "sifted", "errors")})
-        except KeyError as missing:
-            raise ValueError(f"tally text is missing key {missing}") from None
-
-    return SimTally(
-        signal=counts("signal"),
-        decoy=counts("decoy"),
-        signal_photons=tuple(counts(name) for name in _PHOTON_BIN_NAMES),
-    )

@@ -23,7 +23,6 @@ __all__ = [
     "STATS_COLUMNS",
     "read_stats_columns",
     "read_measured_stats",
-    "write_measured_stats",
     "write_bounds_table",
     "read_config",
     "bundled_reference_table",
@@ -105,20 +104,8 @@ def read_measured_stats(stream: Iterable[str]) -> list[MeasuredStats]:
     return [MeasuredStats(*row) for row in read_stats_columns(stream).tolist()]
 
 
-def write_measured_stats(rows: Sequence[MeasuredStats], stream: IO[str],
-                         header_comments: Sequence[str] = ()) -> None:
-    for comment in header_comments:
-        stream.write(f"# {comment}\n")
-    stream.write("\t".join(STATS_COLUMNS) + "\n")
-    for row in rows:
-        stream.write("\t".join(repr(getattr(row, c)) for c in STATS_COLUMNS) + "\n")
-
-
-def write_bounds_table(length_km: np.ndarray, bounds: BoundColumns, stream: IO[str],
-                       header_comments: Sequence[str] = ()) -> None:
+def write_bounds_table(length_km: np.ndarray, bounds: BoundColumns, stream: IO[str]) -> None:
     """Write analyzed rows; floats use repr so re-parsing is lossless."""
-    for comment in header_comments:
-        stream.write(f"# {comment}\n")
     stream.write("\t".join(BOUNDS_COLUMNS) + "\n")
     columns = (c.tolist() for c in (length_km, bounds.s_nu_lower, bounds.s1_lower,
                                     bounds.e1_upper, bounds.r_lower, bounds.secure))

@@ -18,8 +18,7 @@ from decoyqkd import (
     MeasuredStats,
     ProtocolParams,
     analyze_row,
-    expected_gain,
-    expected_qber,
+    expected_stats,
     fit_fringe,
     run_session,
     simulate_scan,
@@ -162,11 +161,8 @@ def test_monte_carlo_consistency_and_soundness(fitted_model, default_params):
     n_seeds = 100
     summary = []
     for length in lengths:
-        expect = {
-            "s_mu": expected_gain(fitted_model, default_params.mu, length),
-            "s_nu": expected_gain(fitted_model, default_params.nu, length),
-            "e_mu": expected_qber(fitted_model, default_params.mu, length),
-        }
+        model_row = expected_stats(fitted_model, default_params, length)
+        expect = {name: getattr(model_row, name) for name in ("s_mu", "s_nu", "e_mu")}
         z_scores = {name: [] for name in expect}
         produced = violations = 0
         for seed in range(n_seeds):

@@ -1,7 +1,6 @@
 """Table I/O, bundled dataset and CLI subcommands."""
 import filecmp
 import hashlib
-import io
 import itertools
 import math
 import os
@@ -22,7 +21,6 @@ from decoyqkd.tables import (
     bundled_reference_text,
     read_config,
     read_measured_stats,
-    write_measured_stats,
 )
 
 from conftest import REFERENCE_BOUNDS, not_converged
@@ -86,18 +84,19 @@ class TestBundledDataset:
 class TestTableParsing:
     HEADER = "length_km\ts_mu\te_mu\ts_nu\te_nu\n"
 
+    def table_text(self, rows):
+        """A measured table of the rows, each float written by repr."""
+        return self.HEADER + "".join(
+            f"{r.length_km!r}\t{r.s_mu!r}\t{r.e_mu!r}\t{r.s_nu!r}\t{r.e_nu!r}\n" for r in rows)
+
     def test_round_trip_is_lossless(self):
         rows = bundled_reference_table()
-        buffer = io.StringIO()
-        write_measured_stats(rows, buffer)
-        assert read_measured_stats(buffer.getvalue().splitlines()) == rows
+        assert read_measured_stats(self.table_text(rows).splitlines()) == rows
 
     @given(st.lists(st.builds(MeasuredStats, st.floats(0.0, 1e300),
                               *[st.floats(0.0, 1.0)] * 4), max_size=20))
     def test_round_trip_is_exact_on_generated_tables(self, rows):
-        buffer = io.StringIO()
-        write_measured_stats(rows, buffer)
-        loaded = read_measured_stats(buffer.getvalue().splitlines())
+        loaded = read_measured_stats(self.table_text(rows).splitlines())
         assert [repr(row) for row in loaded] == [repr(row) for row in rows]
 
     def test_scientific_notation_and_comments(self):
@@ -325,6 +324,15 @@ class TestFitCommand:
         assert f"y0={float(value)} must be in [0, 1]" in err and "Warning" not in err
         assert [str(w.message) for w in caught] == []
 
+    @pytest.mark.parametrize("value", ["1", "1e-3", "1e-4"])
+    def test_y0_at_or_above_a_measured_rate_rejected_before_fitting(self, monkeypatch,
+                                                                    capsys, value):
+        # The bundled table's smallest rate is s_nu = 1.36e-5 at 123.6 km.
+        monkeypatch.setattr(link, "_least_squares", refuse_fit)
+        assert main(["fit", f"--fit-y0={value}"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "counting rate at 123.6 km" in err and f"y0={float(value)!r}" in err
+
 
 def refuse_fit(*args, **kwargs):
     """Stand-in for a fit that should not start."""
@@ -442,6 +450,15 @@ class TestSimulateCommand:
         assert main(["simulate", "--link", link_file, "--pulses", "1e19"]) == EXIT_VALIDATION
         assert ("n_pulses=10000000000000000000 must be in [1, 2**63 - 1]"
                 in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["analyze", "fit", "sweep"])
+def test_seed_is_an_option_only_of_the_sampling_commands(command, capsys):
+    # Only simulate and calibrate draw random numbers.
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--seed", "1"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -15,8 +15,6 @@ from decoyqkd import (
     UnidentifiableDataError,
     analyze_row,
     click_probability,
-    expected_gain,
-    expected_qber,
     expected_stats,
     fit_link,
     sweep_key_rate,
@@ -103,42 +101,50 @@ class TestClickProbability:
             assert click_probability(model, 0.5, phase) <= peak
 
 
+def one_intensity(mean_photons):
+    return ProtocolParams(mu=mean_photons, nu=mean_photons)
+
+
 class TestExpectedGain:
     def test_zero_intensity_zero_darks(self):
-        assert expected_gain(LinkModel(y0=0.0), 0.0) == 0.0
+        assert expected_stats(LinkModel(y0=0.0), one_intensity(0.0), 0.0).s_mu == 0.0
 
     def test_no_interference_term_at_zero_visibility(self):
         model = LinkModel(excess_loss_db=7.0, y0=1e-6, visibility=0.0)
         eta = transmittance(model, 0.0)
         expected = 1.0 - (1.0 - model.y0) * math.exp(-eta * 0.6 / 2.0)
-        assert expected_gain(model, 0.6) == pytest.approx(expected, rel=1e-12)
+        assert expected_stats(model, one_intensity(0.6), 0.0).s_mu == pytest.approx(
+            expected, rel=1e-12)
 
-    def test_signal_exceeds_decoy(self, fitted_model):
+    def test_signal_exceeds_decoy(self, fitted_model, default_params):
         for length in (0.0, 50.0, 120.0):
-            assert expected_gain(fitted_model, 0.6, length) > expected_gain(
-                fitted_model, 0.2, length)
+            row = expected_stats(fitted_model, default_params, length)
+            assert row.s_mu > row.s_nu
 
-    def test_fitted_model_matches_longest_row(self, fitted_model):
-        assert expected_gain(fitted_model, 0.6, 123.6) == pytest.approx(3.8e-5, rel=0.15)
+    def test_fitted_model_matches_longest_row(self, fitted_model, default_params):
+        assert expected_stats(fitted_model, default_params, 123.6).s_mu == pytest.approx(
+            3.8e-5, rel=0.15)
 
 
 class TestExpectedQber:
     def test_perfect_visibility_no_darks(self):
         model = LinkModel(excess_loss_db=0.0, y0=0.0, visibility=1.0)
-        assert expected_qber(model, 0.5) == 0.0
+        assert expected_stats(model, one_intensity(0.5), 0.0).e_mu == 0.0
 
     def test_dark_counts_are_random(self):
         model = LinkModel(y0=1e-5)
-        assert expected_qber(model, 0.0) == 0.5
+        assert expected_stats(model, one_intensity(0.0), 0.0).e_mu == 0.5
 
     def test_small_signal_visibility_floor(self):
         model = LinkModel(alpha_db_per_km=0.0, excess_loss_db=20.0, eta_det=1.0,
                           y0=5e-7, visibility=0.99)
-        assert expected_qber(model, 1.0) == pytest.approx(0.005, rel=0.10)
+        assert expected_stats(model, one_intensity(1.0), 0.0).e_mu == pytest.approx(
+            0.005, rel=0.10)
 
     def test_dark_dominated_limit(self):
         model = LinkModel(y0=1e-6, excess_loss_db=0.0)
-        qbers = [expected_qber(model, m) for m in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)]
+        qbers = [expected_stats(model, one_intensity(m), 0.0).e_mu
+                 for m in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)]
         assert all(b >= a - 1e-12 for a, b in zip(qbers, qbers[1:]))
         assert qbers[-1] == pytest.approx(0.5, abs=1e-3)
 
@@ -148,10 +154,11 @@ class TestExpectedQber:
                           y0=1e-7, visibility=0.99)
         eta_mu = transmittance(model, 0.0) * 0.6
         assert eta_mu / model.y0 > 1e4
-        assert expected_qber(model, 0.6) == pytest.approx((1 - 0.99) / 2, rel=0.01)
+        assert expected_stats(model, one_intensity(0.6), 0.0).e_mu == pytest.approx(
+            (1 - 0.99) / 2, rel=0.01)
 
     def test_no_clicks_at_all(self):
-        assert expected_qber(LinkModel(y0=0.0), 0.0) == 0.0
+        assert expected_stats(LinkModel(y0=0.0), one_intensity(0.0), 0.0).e_mu == 0.0
 
 
 class TestFitLink:
@@ -201,8 +208,14 @@ class TestFitLink:
     def test_nonpositive_rates_unidentifiable(self, default_params):
         from decoyqkd import MeasuredStats
         rows = [MeasuredStats(L, 1e-4, 0.01, 0.0, 0.0) for L in (10.0, 20.0, 30.0)]
-        with pytest.raises(UnidentifiableDataError):
+        with pytest.raises(UnidentifiableDataError, match="non-positive counting rate"):
             fit_link(rows, default_params)
+
+    def test_rates_not_above_y0_unidentifiable(self, reference_table, default_params):
+        # A modelled rate y0 + (1 - y0)*(signal click) exceeds y0 on every link;
+        # the bundled table's smallest rate is s_nu = 1.36e-5 at 123.6 km.
+        with pytest.raises(UnidentifiableDataError, match=r"123\.6 km .* y0=0\.0001"):
+            fit_link(reference_table, default_params, y0=1e-4)
 
     def test_objective_no_worse_than_scipy(self, reference_table, default_params,
                                            solver_calls):
