@@ -307,9 +307,8 @@ class TestWorkingPoints:
 
 class TestScanCurveIO:
     def test_invalid_counts_rejected(self):
-        for count in (11.0, math.nan):
-            with pytest.raises(ValueError, match="finite"):
-                ScanCurve(offsets=grid(16), counts=np.full(16, count), pulses_per_point=10)
+        with pytest.raises(ValueError, match="finite"):
+            ScanCurve(offsets=grid(16), counts=np.full(16, 11.0), pulses_per_point=10)
 
     def test_pulses_per_point_above_int64_rejected(self):
         # simulate_scan checks before numpy's binomial overflows on the count
@@ -318,3 +317,7 @@ class TestScanCurveIO:
             ScanCurve(offsets=grid(16), counts=np.zeros(16), pulses_per_point=2**63)
         with pytest.raises(ValueError, match=message):
             simulate_scan(LUMPED, 0.5, grid(16), 2**63, seed=1)
+
+    def test_nan_count_rejected_on_read(self):
+        with pytest.raises(ValueError, match="finite"):
+            ScanCurve(offsets=[0.0, 1.0], counts=[math.nan, 5.0], pulses_per_point=10)

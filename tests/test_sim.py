@@ -158,6 +158,18 @@ class TestDeterminismAndMerging:
         assert stats_a == stats_b
         assert tally_to_text(tally_a) == tally_to_text(tally_b)
 
+    def test_serialization_round_trip(self, fitted_model, default_params):
+        config = SimConfig(n_pulses=50_000, link=fitted_model, params=default_params,
+                           seed=47, length_km=49.2)
+        tally, _ = run_session(config)
+        values = dict(line.split("=") for line in tally_to_text(tally).splitlines())
+        sections = {"signal": tally.signal, "decoy": tally.decoy,
+                    **dict(zip(("photons0", "photons1", "photons2", "photons3plus"),
+                               tally.signal_photons))}
+        assert values == {f"{name}.{field}": str(getattr(counts, field))
+                          for name, counts in sections.items()
+                          for field in ("emitted", "clicked", "sifted", "errors")}
+
 
 class TestPulseRecords:
     def test_records_respect_basis_and_bit_rules(self, default_params):
@@ -359,7 +371,7 @@ class TestSessionProperties:
             assert 0 <= c.errors <= c.sifted <= c.clicked <= c.emitted
 
     @given(sim_configs())
-    def test_text_carries_every_count(self, config):
+    def test_text_round_trip_is_exact(self, config):
         tally, _ = run_session(config)
         sections = {"signal": tally.signal, "decoy": tally.decoy,
                     **dict(zip(("photons0", "photons1", "photons2", "photons3plus"),
