@@ -22,10 +22,21 @@ and for the t pulses of the tail cell, t uniforms giving n by inverse
 transform over the Poisson law conditioned on n >= K, t phase
 differences and t click uniforms. The tests keep a pulse-by-pulse
 sampler as the reference this law is checked against.
+
+The parts of that law that do not depend on the seed are built once per
+state and kept in two bounded caches of read-only arrays: _cell_law, on
+(class mean, K), holds the multinomial cell probabilities and the
+cumulative tail weights; _click_table, on (transmittance, visibility,
+y0, bob_phase_error, rows), holds the click probability per photon
+number and phase difference. A session builds one click table with
+rows = the larger K of its two classes and draws each class from its
+first K rows. K is computed outside both caches. The caches change no
+draw, so a seed gives the same tally as without them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -141,6 +152,21 @@ class SoundnessReport:
     def sound(self) -> bool:
         return self.s1_ok and (self.e1_ok is not False)
 
+    @property
+    def s1_slack(self) -> float:
+        """(true_s1 - s1_lower)/true_s1: the share of the true yield the bound
+        leaves below it, negative when the bound overclaims; -inf for a
+        positive bound when no single-photon pulse clicked."""
+        if self.true_s1 == 0.0:
+            return -math.inf if self.s1_lower > 0.0 else 0.0
+        return (self.true_s1 - self.s1_lower) / self.true_s1
+
+    @property
+    def e1_slack(self) -> float | None:
+        """e1_upper - true_e1, negative when the bound overclaims; None when
+        true_e1 is."""
+        return None if self.true_e1 is None else self.e1_upper - self.true_e1
+
 
 def _photon_cutoff(mean: float) -> int:
     """K of the count-level draw: P(n >= K) is below 1e-25 for any class mean."""
@@ -155,29 +181,54 @@ def _poisson_pmf(mean: float, photons: np.ndarray) -> np.ndarray:
     return np.exp(photons * math.log(mean) - mean - log_factorial)
 
 
-def _draw_class(rng: np.random.Generator, pulses: int, mean: float,
-                click_law) -> np.ndarray:
-    """Counts (emitted, clicked, sifted, errors) of one intensity class, one row
-    per photon bin n = 0, 1, 2, >= 3, drawn as the module docstring fixes;
-    click_law(photons, diffs) is the click probability at a photon number
-    and a phase-difference index."""
-    cutoff = _photon_cutoff(mean)
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@functools.lru_cache(maxsize=64)
+def _cell_law(mean: float, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """The multinomial cell probabilities of a class of the given mean (4*cutoff
+    photon-number/phase-difference cells, n-major, then the tail cell) and the
+    cumulative Poisson weights of the tail's photon numbers from the cutoff up."""
     # The tail weights are summed upward from the cutoff, not taken as one
     # minus the rest; beyond n = mean + 24*sqrt(mean) + 48 they are below
     # 1e-70 of the first.
     pmf = _poisson_pmf(mean, np.arange(math.ceil(mean + 24.0 * math.sqrt(mean)) + 48))
     tail = pmf[cutoff:]
-    cells = rng.multinomial(pulses, np.append(np.repeat(pmf[:cutoff] / 4.0, 4), tail.sum()))
+    return (_read_only(np.append(np.repeat(pmf[:cutoff] / 4.0, 4), tail.sum())),
+            _read_only(np.cumsum(tail)))
+
+
+@functools.lru_cache(maxsize=64)
+def _click_table(eta: float, visibility: float, y0: float, bob_phase_error: float,
+                 rows: int) -> np.ndarray:
+    """Click probability of each photon number n < rows (row) at each
+    phase difference of PHASE_GRID offset by bob_phase_error (column)."""
+    return _read_only(photon_click_probability(eta, visibility, y0, np.arange(rows)[:, None],
+                                               np.asarray(PHASE_GRID) + bob_phase_error))
+
+
+def _draw_class(rng: np.random.Generator, pulses: int, mean: float, cutoff: int,
+                click_table: np.ndarray, tail_click_law) -> np.ndarray:
+    """Counts (emitted, clicked, sifted, errors) of one intensity class, one row
+    per photon bin n = 0, 1, 2, >= 3, drawn as the module docstring fixes;
+    click_table holds the click probabilities of the n < cutoff cells and
+    tail_click_law(photons, diffs) gives them at a photon number >= cutoff
+    and a phase-difference index."""
+    cell_law, tail_cumulative = _cell_law(mean, cutoff)
+    cells = rng.multinomial(pulses, cell_law)
     emitted = cells[:-1].reshape(cutoff, 4)
-    clicks = rng.binomial(emitted, click_law(np.arange(cutoff)[:, None], np.arange(4)))
+    clicks = rng.binomial(emitted, click_table)
     # Rows 0, 1, 2 are photon bins 0, 1, 2; every n >= 3, tail included, is bin 3.
     emitted, clicks = (np.add.reduceat(a, [0, 1, 2, 3]) for a in (emitted, clicks))
     n_tail = cells[-1]
     if n_tail:
-        cumulative = np.cumsum(tail)
-        index = np.searchsorted(cumulative, rng.random(n_tail) * cumulative[-1], side="right")
+        index = np.searchsorted(tail_cumulative, rng.random(n_tail) * tail_cumulative[-1],
+                                side="right")
         diffs = rng.integers(0, 4, n_tail)
-        hit = rng.random(n_tail) < click_law(cutoff + np.minimum(index, tail.size - 1), diffs)
+        hit = rng.random(n_tail) < tail_click_law(
+            cutoff + np.minimum(index, tail_cumulative.size - 1), diffs)
         emitted[3] += np.bincount(diffs, minlength=4)
         clicks[3] += np.bincount(diffs[hit], minlength=4)
     return np.column_stack([emitted.sum(axis=1), clicks.sum(axis=1),
@@ -209,15 +260,20 @@ def run_session(config: SimConfig) -> tuple[SimTally, MeasuredStats]:
     its observed statistics."""
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     n_decoy = int(rng.binomial(config.n_pulses, config.decoy_fraction))
-    eta = transmittance(config.link, config.length_km)
+    link, mu, nu = config.link, config.params.mu, config.params.nu
+    eta = transmittance(link, config.length_km)
+    mu_cutoff, nu_cutoff = _photon_cutoff(mu), _photon_cutoff(nu)
+    clicks = _click_table(eta, link.visibility, link.y0, config.bob_phase_error,
+                          max(mu_cutoff, nu_cutoff))
     phase_diffs = np.asarray(PHASE_GRID) + config.bob_phase_error
 
-    def click_law(photons: np.ndarray, diffs: np.ndarray) -> np.ndarray:
-        return photon_click_probability(eta, config.link.visibility, config.link.y0,
-                                        photons, phase_diffs[diffs])
+    def tail_click_law(photons: np.ndarray, diffs: np.ndarray) -> np.ndarray:
+        return photon_click_probability(eta, link.visibility, link.y0, photons,
+                                        phase_diffs[diffs])
 
-    signal = _draw_class(rng, config.n_pulses - n_decoy, config.params.mu, click_law)
-    decoy = _draw_class(rng, n_decoy, config.params.nu, click_law)
+    signal = _draw_class(rng, config.n_pulses - n_decoy, mu, mu_cutoff, clicks[:mu_cutoff],
+                         tail_click_law)
+    decoy = _draw_class(rng, n_decoy, nu, nu_cutoff, clicks[:nu_cutoff], tail_click_law)
     tally = SimTally(signal=ClassTally(*signal.sum(axis=0).tolist()),
                      decoy=ClassTally(*decoy.sum(axis=0).tolist()),
                      signal_photons=tuple(ClassTally(*row) for row in signal.tolist()))

@@ -165,6 +165,7 @@ def test_monte_carlo_consistency_and_soundness(fitted_model, default_params):
         expect = {name: getattr(model_row, name) for name in ("s_mu", "s_nu", "e_mu")}
         z_scores = {name: [] for name in expect}
         produced = violations = 0
+        s1_slacks, e1_slacks = [], []
         for seed in range(n_seeds):
             config = SimConfig(n_pulses=10_000_000, link=fitted_model,
                                params=default_params, seed=seed, length_km=length)
@@ -182,7 +183,11 @@ def test_monte_carlo_consistency_and_soundness(fitted_model, default_params):
             except AnalysisError:
                 continue
             produced += 1
-            if not soundness_report(tally, bounds, default_params).sound:
+            report = soundness_report(tally, bounds, default_params)
+            s1_slacks.append(report.s1_slack)
+            if report.e1_slack is not None:
+                e1_slacks.append(report.e1_slack)
+            if not report.sound:
                 violations += 1
         for name, zs in z_scores.items():
             mean_z = sum(zs) / len(zs)
@@ -190,8 +195,11 @@ def test_monte_carlo_consistency_and_soundness(fitted_model, default_params):
             assert abs(mean_z) <= 0.5, f"{name} biased at {length} km: mean z={mean_z:.2f}"
             assert inside >= 97, f"{name} at {length} km: only {inside}/100 within 3 sigma"
         assert violations <= 1, f"{violations} bound violations at {length} km"
+        s1_min, e1_min = (f"{min(slacks):.3g}" if slacks else "none"
+                          for slacks in (s1_slacks, e1_slacks))
         summary.append(f"{length}km: bounds in {produced}/100 seeds, "
-                       f"{violations} violations")
+                       f"{violations} violations, min s1 slack {s1_min}, "
+                       f"min e1 slack {e1_min}")
     elapsed = time.perf_counter() - started
     print("\nACCEPTANCE PASS: Monte Carlo consistency and soundness "
           f"({elapsed:.1f}s)")

@@ -29,6 +29,9 @@ REFERENCE_SHA256 = "42dd2ad257a0f2fddab4c954dd0dd1114b924517e93c1fb0970d86cf61d3
 # `decoyqkd analyze` stdout on the bundled table, pinned while the bounds were
 # still computed one MeasuredStats row at a time.
 ANALYZE_STDOUT_SHA256 = "5d3c7471cd2446bc6eac75280294f787ae36345dd97d105ad15d8fcfea9bef7f"
+# `decoyqkd simulate --seed 5` stdout, pinned while every session still
+# recomputed its Poisson and click-probability tables.
+SIMULATE_STDOUT_SHA256 = "93eb61d3d2ef0c018fedae6de2bf75c3b399ff5d30275f148e603452b78efe00"
 
 
 # A malformed data line of each kind and the message it is reported with.
@@ -415,6 +418,11 @@ class TestSweepCommand:
 
 
 class TestSimulateCommand:
+    def test_stdout_pinned(self, capsys):
+        assert main(["simulate", "--seed", "5"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_STDOUT_SHA256
+
     def test_fixed_seed_is_byte_identical(self, tmp_path, link_file):
         args = ["simulate", "--link", link_file, "--pulses", "200000",
                 "--length-km", "49.2", "--seed", "5"]

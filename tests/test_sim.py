@@ -245,7 +245,21 @@ class TestSoundness:
         report = soundness_report(tally, bounds, ProtocolParams())
         assert report.true_e1 is None
         assert report.e1_ok is None
+        assert report.e1_slack is None
         assert report.sound == report.s1_ok
+
+    def test_slack_without_single_photon_clicks(self):
+        tally = SimTally(
+            signal=ClassTally(emitted=100, clicked=2, sifted=1, errors=0),
+            decoy=ClassTally(emitted=100, clicked=3, sifted=1, errors=0),
+            signal_photons=(ClassTally(emitted=55, clicked=2, sifted=1, errors=0),
+                            ClassTally(emitted=33),
+                            ClassTally(emitted=10), ClassTally(emitted=2)),
+        )
+        bounds = SecurityBounds(1e-3, 1e-3, 0.1, 1e-5, True)
+        report = soundness_report(tally, bounds, ProtocolParams())
+        assert report.true_s1 == 0.0 and not report.s1_ok
+        assert report.s1_slack == -math.inf
 
     def test_report_scaling_convention(self, fitted_session, default_params):
         # true_s1 is per single-photon pulse: per-emitted rate divided by
@@ -256,6 +270,10 @@ class TestSoundness:
         weight = default_params.mu * math.exp(-default_params.mu)
         per_emitted = tally.signal_photons[1].clicked / tally.signal.emitted
         assert report.true_s1 == pytest.approx(per_emitted / weight, rel=1e-12)
+        # the slacks are the margins of the bounds to that truth
+        assert report.s1_slack == (report.true_s1 - bounds.s1_lower) / report.true_s1
+        assert report.e1_slack == bounds.e1_upper - report.true_e1
+        assert report.s1_slack > 0 and report.e1_slack > 0
 
 
 class TestConfigValidation:
@@ -311,6 +329,17 @@ def outcome_counts(tally):
     return counts
 
 
+class CountingCutoff:
+    """Stand-in for sim._photon_cutoff: a fixed cutoff, and how often it was asked."""
+
+    def __init__(self, cutoff):
+        self.cutoff, self.calls = cutoff, 0
+
+    def __call__(self, mean):
+        self.calls += 1
+        return self.cutoff
+
+
 class TestSamplerAgreement:
     """The count-level run_session against the pulse-by-pulse reference sampler."""
 
@@ -321,14 +350,35 @@ class TestSamplerAgreement:
         (5.0, 1.0, 0.1, 4),
     ])
     def test_outcome_counts_agree(self, monkeypatch, mu, nu, phase_error, cutoff):
-        if cutoff is not None:
-            monkeypatch.setattr(sim, "_photon_cutoff", lambda mean: cutoff)
+        stand_in = None if cutoff is None else CountingCutoff(cutoff)
+        tail_pulses = []
+        if stand_in is not None:
+            monkeypatch.setattr(sim, "_photon_cutoff", stand_in)
+            click_law = sim.photon_click_probability
+
+            def counting_click_law(eta, visibility, y0, photons, phase_diff):
+                # Only the tail cell asks for photon numbers at or above the cutoff.
+                if np.min(photons) >= cutoff:
+                    tail_pulses[-1] += np.size(photons)
+                return click_law(eta, visibility, y0, photons, phase_diff)
+
+            monkeypatch.setattr(sim, "photon_click_probability", counting_click_law)
+
+        def session_counts(config):
+            consulted = 0 if stand_in is None else stand_in.calls
+            tail_pulses.append(0)
+            tally = run_session(config)[0]
+            if stand_in is not None:
+                assert stand_in.calls > consulted, "the patched cutoff was not consulted"
+                assert tail_pulses[-1] > 0, "no pulse was drawn through the tail cell"
+            return outcome_counts(tally)
+
         n_pulses, seeds = 100_000, range(40)
         configs = [SimConfig(n_pulses=n_pulses, link=AGREEMENT_LINK,
                              params=ProtocolParams(mu=mu, nu=nu), seed=seed,
                              bob_phase_error=phase_error) for seed in seeds]
         counts = np.array([
-            [outcome_counts(run_session(config)[0]) for config in configs],
+            [session_counts(config) for config in configs],
             [outcome_counts(reference_tally(config, n_pulses)) for config in configs],
         ])
         # Same outcome law: 2 x 20 homogeneity test on the pooled counts.
@@ -340,6 +390,97 @@ class TestSamplerAgreement:
         for sampler in counts:
             dispersion = float(((sampler - expected) ** 2 / expected).sum())
             assert 1e-4 < chi2.cdf(dispersion, dof) < 1 - 1e-4
+
+
+def tally_counts(tally):
+    """The 24 counts of a tally in tally_to_text order."""
+    return [getattr(c, field) for c in (tally.signal, tally.decoy, *tally.signal_photons)
+            for field in ("emitted", "clicked", "sifted", "errors")]
+
+
+# The bundled table's fitted link when the counts below were recorded, written
+# out so that a change to the fit cannot move them.
+GOLDEN_LINK = LinkModel(alpha_db_per_km=0.16656173496628343,
+                        excess_loss_db=18.308558025295838, eta_det=1.0, y0=5e-07,
+                        visibility=0.9759208411378878)
+
+# 1e7-pulse sessions at the bundled lengths, seeds 100 to 105.
+GOLDEN_LENGTH_COUNTS = {
+    123.6: [5000744, 221, 114, 2, 4999256, 85, 46, 1, 2747491, 1, 0, 0,
+            1645461, 115, 61, 1, 492583, 69, 30, 1, 115209, 36, 23, 0],
+    108.0: [5001849, 333, 174, 1, 4998151, 121, 67, 1, 2746527, 0, 0, 0,
+            1646679, 182, 87, 0, 493131, 117, 65, 1, 115512, 34, 22, 0],
+    97.0: [5001298, 529, 276, 4, 4998702, 192, 108, 3, 2745056, 0, 0, 0,
+           1647425, 289, 162, 3, 493515, 171, 78, 0, 115302, 69, 36, 1],
+    83.7: [4999342, 862, 447, 8, 5000658, 287, 142, 3, 2743313, 2, 1, 1,
+           1646936, 495, 259, 3, 493585, 263, 137, 3, 115508, 102, 50, 1],
+    62.1: [5000621, 2089, 1041, 10, 4999379, 677, 350, 6, 2745023, 0, 0, 0,
+           1646567, 1175, 587, 5, 493568, 661, 324, 3, 115463, 253, 130, 2],
+    49.2: [5000509, 3335, 1672, 31, 4999491, 1159, 558, 4, 2745499, 1, 1, 1,
+           1645814, 1836, 937, 11, 493522, 1092, 541, 14, 115674, 406, 193, 5],
+}
+
+# (config, photon cutoff stand-in or None, tally counts), recorded while every
+# session still recomputed its Poisson and click-probability tables.
+GOLDEN_SESSIONS = [
+    *(pytest.param(SimConfig(n_pulses=10_000_000, link=GOLDEN_LINK, params=ProtocolParams(),
+                             seed=100 + i, length_km=length), None, counts, id=f"{length}km")
+      for i, (length, counts) in enumerate(GOLDEN_LENGTH_COUNTS.items())),
+    pytest.param(SimConfig(n_pulses=2_000_000_000, link=GOLDEN_LINK, params=ProtocolParams(),
+                           seed=7, length_km=123.6), None,
+                 [1000003427, 39082, 19482, 360, 999996573, 13445, 6745, 186,
+                  548795385, 262, 125, 74, 329313837, 21269, 10520, 168,
+                  98776549, 12829, 6483, 86, 23117656, 4722, 2354, 32],
+                 id="2e9 pulses at 123.6km"),
+    # Most signal pulses (mean 5) go through the tail cell.
+    pytest.param(SimConfig(n_pulses=100_000, link=AGREEMENT_LINK,
+                           params=ProtocolParams(mu=5.0, nu=1.0), seed=3,
+                           bob_phase_error=0.1), 4,
+                 [50042, 21673, 9735, 1018, 49958, 6616, 3237, 399, 356, 7, 4, 3,
+                  1640, 241, 120, 13, 4185, 990, 464, 52, 43861, 20435, 9147, 950],
+                 id="tail cell"),
+    pytest.param(SimConfig(n_pulses=10_000_000, link=GOLDEN_LINK,
+                           params=ProtocolParams(mu=0.6, nu=0.0), seed=9, length_km=49.2),
+                 None,
+                 [4999535, 3379, 1635, 19, 5000465, 1, 0, 0, 2744266, 1, 0, 0,
+                  1645574, 1864, 929, 10, 493990, 1107, 518, 8, 115705, 407, 188, 1],
+                 id="nu=0"),
+]
+
+
+class TestGoldenTallies:
+    """Seeded sessions keep their exact counts: the determinism contract of sim."""
+
+    @pytest.mark.parametrize("config, cutoff, counts", GOLDEN_SESSIONS)
+    def test_counts_are_pinned(self, monkeypatch, config, cutoff, counts):
+        if cutoff is not None:
+            monkeypatch.setattr(sim, "_photon_cutoff", CountingCutoff(cutoff))
+        assert tally_counts(run_session(config)[0]) == counts
+
+
+link_states = {"eta": st.floats(0.0, 1.0), "visibility": st.floats(0.0, 1.0),
+               "y0": st.floats(0.0, 1.0), "bob_phase_error": st.floats(-10.0, 10.0)}
+
+
+class TestSharedTables:
+    """The per-mean and per-link tables every session of that state shares."""
+
+    @given(**link_states, rows=st.integers(1, 400), data=st.data())
+    def test_click_table_prefix_is_the_smaller_table(self, eta, visibility, y0,
+                                                     bob_phase_error, rows, data):
+        # run_session builds one table for both classes and slices it per class.
+        prefix = data.draw(st.integers(1, rows))
+        shared = sim._click_table(eta, visibility, y0, bob_phase_error, rows)
+        own = sim._click_table(eta, visibility, y0, bob_phase_error, prefix)
+        assert shared[:prefix].tobytes() == own.tobytes()
+
+    @given(**link_states, mean=st.floats(0.0, 200.0), cutoff=st.integers(1, 500))
+    def test_cached_arrays_are_read_only(self, eta, visibility, y0, bob_phase_error,
+                                         mean, cutoff):
+        for array in (*sim._cell_law(mean, cutoff),
+                      sim._click_table(eta, visibility, y0, bob_phase_error, cutoff)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
 
 
 @st.composite
