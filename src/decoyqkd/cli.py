@@ -21,8 +21,8 @@ from dataclasses import fields
 from typing import IO, Iterator, Sequence
 
 from . import calibration, link, sim, tables
-from .estimator import (AnalysisError, MeasuredStats, ProtocolParams, analyze_columns,
-                        analyze_row, require_finite)
+from .estimator import (AnalysisError, ProtocolParams, analyze_columns, analyze_row,
+                        require_finite)
 
 EXIT_OK = 0
 EXIT_PARSE = 3
@@ -167,23 +167,23 @@ def _parse_grid(spec: str) -> list[float]:
     return [round(start + i * step, 9) for i in range(math.floor(intervals) + 1)]
 
 
-def _read_input(args: argparse.Namespace, read):
-    """The --input table, or the bundled reference table, through the reader `read`."""
+def _read_input(args: argparse.Namespace):
+    """The --input table, or the bundled reference table, as an (n, 5) array."""
     if args.input is None:
-        return read(tables.bundled_reference_text().splitlines())
+        return tables.bundled_reference_table()
     with open(args.input, encoding="utf-8") as handle:
-        return read(handle)
+        return tables.read_stats_columns(handle)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    table = _read_input(args, tables.read_stats_columns)
+    table = _read_input(args)
     params = _resolve_params(args)
     length, s_mu, e_mu, s_nu, _ = table.T
     bounds = analyze_columns(params, s_mu, e_mu, s_nu)
-    warnings = [f"{row[0]} km: {flag}" for row in table[s_mu <= s_nu].tolist()
-                for flag in MeasuredStats(*row).warnings()]
     header = ["command=analyze", *_params_header(params)]
-    header += [f"warning: {w}" for w in warnings]
+    header += [f"warning: {km} km: s_mu={signal:g} <= s_nu={decoy:g}: signal pulses should "
+               "click more often than weaker decoy pulses"
+               for km, signal, _, decoy, _ in table[s_mu <= s_nu].tolist()]
     with _output(args, header) as stream:
         tables.write_bounds_table(length, bounds, stream)
     analyzed = bounds.causes.count(None)
@@ -194,6 +194,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     require_finite(pulses=args.pulses)
+    if not args.pulses.is_integer():
+        raise ValueError(f"pulses={args.pulses!r} must be a whole number")
     params = _resolve_params(args)
     model = _resolve_link(args, params)
     config = sim.SimConfig(
@@ -245,11 +247,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    rows = _read_input(args, tables.read_measured_stats)
+    table = _read_input(args)
     params = _resolve_params(args)
-    fit = link.fit_link_report(rows, params, y0=args.fit_y0)
+    fit = link.fit_link_report(table, params, y0=args.fit_y0)
     model = fit.model
-    objective = link.fit_objective(model, rows, params)
+    objective = link.fit_objective(model, table, params)
     header = ["command=fit", *_params_header(params), f"objective={objective!r}"]
     with _output(args, header) as stream:
         for key in LINK_KEYS:

@@ -32,6 +32,7 @@ A row aborts at the first check it fails, in this order:
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,40 +130,26 @@ class ProtocolParams:
             raise ValueError(f"pulse budgets must be >= 1, got n_mu={self.n_mu}, n_nu={self.n_nu}")
 
 
-@dataclass(frozen=True)
-class MeasuredStats:
+class MeasuredStats(namedtuple("MeasuredStats", "length_km s_mu e_mu s_nu e_nu")):
     """One observed row: fiber length plus per-intensity rates and QBERs.
 
+    The tuple of one row of a measured table's columns, in their order.
     s_mu, s_nu are detector clicks per emitted pulse of the class
     (raw counting rates, before sifting); e_mu, e_nu are the QBERs of
     the sifted key of the class.
     """
 
-    length_km: float
-    s_mu: float
-    e_mu: float
-    s_nu: float
-    e_nu: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        # One comparison rejects negative, infinite and NaN lengths; a call
-        # to require_finite here would add to the cost of every table row.
-        if not 0.0 <= self.length_km < math.inf:
-            raise ValueError(f"length_km={self.length_km} must be finite and >= 0")
-        for name in ("s_mu", "e_mu", "s_nu", "e_nu"):
-            value = getattr(self, name)
+    def __new__(cls, length_km: float, s_mu: float, e_mu: float, s_nu: float,
+                e_nu: float) -> MeasuredStats:
+        # One comparison rejects negative, infinite and NaN lengths.
+        if not 0.0 <= length_km < math.inf:
+            raise ValueError(f"length_km={length_km} must be finite and >= 0")
+        for name, value in (("s_mu", s_mu), ("e_mu", e_mu), ("s_nu", s_nu), ("e_nu", e_nu)):
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name}={value} must be in [0, 1]")
-
-    def warnings(self) -> list[str]:
-        """Non-fatal physicality flags (data is kept, caller decides)."""
-        flags = []
-        if self.s_mu <= self.s_nu:
-            flags.append(
-                f"s_mu={self.s_mu:g} <= s_nu={self.s_nu:g}: signal pulses should "
-                "click more often than weaker decoy pulses"
-            )
-        return flags
+        return super().__new__(cls, length_km, s_mu, e_mu, s_nu, e_nu)
 
 
 @dataclass(frozen=True)

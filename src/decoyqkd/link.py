@@ -14,12 +14,13 @@ precision however few photons arrive. Expected gains average over the
 uniform phase differences of PHASE_GRID; the QBER is the fraction of
 matched-basis clicks at the destructive phase.
 
-The laws broadcast over numpy arrays. fit_link inverts a table of
-measured rates into (attenuation, lumped excess loss, visibility) with
-the dark rate held fixed: a straight line through the log gains and the
-QBER at the shortest length give the start, and _least_squares, a
-bounded Levenberg-Marquardt refinement in numpy that calibration's
-fringe fit shares, finishes it. sweep_key_rate feeds the modelled rates
+The laws broadcast over numpy arrays. fit_link inverts a measured table,
+the (n, 5) STATS_COLUMNS array tables.read_stats_columns reads, into
+(attenuation, lumped excess loss, visibility) with the dark rate held
+fixed: a straight line through the log gains and the QBER at the
+shortest length give the start, and _least_squares, a bounded
+Levenberg-Marquardt refinement in numpy that calibration's fringe fit
+shares, finishes it. sweep_key_rate feeds the modelled rates
 of its whole grid, and of each bisection step, through the column bound
 chain (estimator.analyze_columns) to locate the largest fiber length
 with a positive secure rate.
@@ -232,12 +233,6 @@ def expected_stats(model: LinkModel, params: ProtocolParams, length_km: float) -
     return MeasuredStats(length_km, float(s_mu), float(e_mu), float(s_nu), float(e_nu))
 
 
-def _table_array(table: Sequence[MeasuredStats]) -> np.ndarray:
-    """Rows (length_km, s_mu, e_mu, s_nu, e_nu) of a table as an (n, 5) array."""
-    return np.array([(r.length_km, r.s_mu, r.e_mu, r.s_nu, r.e_nu) for r in table],
-                    dtype=float).reshape(-1, 5)
-
-
 def _fit_residuals(alpha, lumped_db, visibility, y0: float, rows: np.ndarray,
                    params: ProtocolParams) -> np.ndarray:
     """Residuals (..., 3) per row of `rows` (..., 5); the arguments broadcast.
@@ -252,12 +247,13 @@ def _fit_residuals(alpha, lumped_db, visibility, y0: float, rows: np.ndarray,
                      qber_mu - e_mu], axis=-1)
 
 
-def fit_objective(model: LinkModel, table: Sequence[MeasuredStats],
+def fit_objective(model: LinkModel, table: np.ndarray | Sequence[MeasuredStats],
                   params: ProtocolParams) -> float:
-    """Sum of squared fit residuals of a model against a measured table."""
+    """Sum of squared fit residuals of a model against a measured table, an
+    (n, 5) STATS_COLUMNS array or a sequence of MeasuredStats rows."""
     lumped = model.excess_loss_db - 10.0 * math.log10(model.eta_det)
     r = _fit_residuals(model.alpha_db_per_km, lumped, model.visibility, model.y0,
-                       _table_array(table), params)
+                       np.asarray(table, dtype=float).reshape(-1, 5), params)
     return float(np.square(r).sum())
 
 
@@ -312,10 +308,11 @@ def _least_squares(residuals, x0, lower, upper):
     return x, _MAX_ITERATIONS, False
 
 
-def fit_link(table: Sequence[MeasuredStats], params: ProtocolParams,
+def fit_link(table: np.ndarray | Sequence[MeasuredStats], params: ProtocolParams,
              y0: float = 5e-7) -> LinkModel:
     """Least-squares link model from a table of measured rates.
 
+    table: an (n, 5) STATS_COLUMNS array or a sequence of MeasuredStats rows.
     Fits (alpha_db_per_km, lumped excess loss, visibility) with y0 held
     fixed. Detector efficiency and excess loss only enter through their
     product, so they are fitted as one lumped dB value reported in
@@ -333,37 +330,41 @@ def fit_link(table: Sequence[MeasuredStats], params: ProtocolParams,
     return fit_link_report(table, params, y0).model
 
 
-def fit_link_report(table: Sequence[MeasuredStats], params: ProtocolParams,
+def fit_link_report(table: np.ndarray | Sequence[MeasuredStats], params: ProtocolParams,
                     y0: float = 5e-7) -> LinkFit:
-    """fit_link, also reporting how many trial steps the refinement took."""
+    """fit_link, also reporting how many trial steps the refinement took.
+
+    table: an (n, 5) STATS_COLUMNS array or a sequence of MeasuredStats rows."""
     if not 0.0 <= y0 <= 1.0:  # also rejects NaN, before the fit runs on it
         raise ValueError(f"y0={y0} must be in [0, 1]")
-    lengths = {row.length_km for row in table}
-    if len(lengths) < 3:
+    rows = np.asarray(table, dtype=float).reshape(-1, 5)
+    length, s_mu, e_mu, s_nu, _ = rows.T
+    distinct = np.unique(length).size
+    if distinct < 3:
         raise UnidentifiableDataError(
-            f"link fit needs >= 3 distinct fiber lengths, got {len(table)} row(s) "
-            f"spanning {len(lengths)}"
+            f"link fit needs >= 3 distinct fiber lengths, got {len(rows)} row(s) "
+            f"spanning {distinct}"
         )
-    if max(lengths) - min(lengths) < _MIN_LENGTH_SPAN_KM:
+    span = (length.max() - length.min()).item()
+    if span < _MIN_LENGTH_SPAN_KM:
         raise UnidentifiableDataError(
             f"link fit needs lengths spanning >= {_MIN_LENGTH_SPAN_KM} km to identify "
-            f"the attenuation, got {max(lengths) - min(lengths)!r} km"
+            f"the attenuation, got {span!r} km"
         )
-    for row in table:
-        if row.s_mu <= 0 or row.s_nu <= 0:
-            raise UnidentifiableDataError(
-                f"non-positive counting rate at {row.length_km} km cannot be log-fitted"
-            )
-    for row in table:
-        # The modelled rate y0 + (1 - y0)*(signal click) exceeds y0 on every link.
-        if min(row.s_mu, row.s_nu) <= y0:
-            raise UnidentifiableDataError(
-                f"counting rate at {row.length_km} km does not exceed the dark-count "
-                f"probability y0={y0!r}, so no link model reproduces it"
-            )
+    non_positive = (s_mu <= 0) | (s_nu <= 0)
+    if non_positive.any():
+        raise UnidentifiableDataError(
+            f"non-positive counting rate at {length[non_positive][0].item()} km "
+            "cannot be log-fitted"
+        )
+    # The modelled rate y0 + (1 - y0)*(signal click) exceeds y0 on every link.
+    at_dark_rate = (s_mu <= y0) | (s_nu <= y0)
+    if at_dark_rate.any():
+        raise UnidentifiableDataError(
+            f"counting rate at {length[at_dark_rate][0].item()} km does not exceed the "
+            f"dark-count probability y0={y0!r}, so no link model reproduces it"
+        )
 
-    rows = _table_array(table)
-    length, s_mu, e_mu = rows[:, 0], rows[:, 1], rows[:, 2]
     slope, intercept = np.polyfit(length, np.log10(s_mu / params.mu), 1)
     start = [-10.0 * slope, -10.0 * intercept, 1.0 - 2.0 * e_mu[np.argmin(length)]]
 

@@ -2,9 +2,11 @@
 
 Measured-statistics tables are whitespace-delimited text with a header
 row naming the columns length_km, s_mu, e_mu, s_nu, e_nu; scientific
-notation is accepted and '#' lines are comments. Bounds tables carry
-one output row per input row in input order; rows whose analysis
-aborts carry the cause in the diagnostics column instead of values.
+notation is accepted and '#' lines are comments. read_stats_columns
+reads one into the (n, 5) array that analyze and the link fit take; a
+MeasuredStats is the tuple of one of its rows. Bounds tables carry one
+output row per input row in input order; rows whose analysis aborts
+carry the cause in the diagnostics column instead of values.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ __all__ = [
     "bundled_reference_text",
 ]
 
-STATS_COLUMNS = ("length_km", "s_mu", "e_mu", "s_nu", "e_nu")
+STATS_COLUMNS = MeasuredStats._fields
 BOUNDS_COLUMNS = ("length_km", "s_nu_lower", "s1_lower", "e1_upper", "r_lower",
                   "secure", "diagnostics")
 
@@ -100,7 +102,7 @@ def read_stats_columns(stream: Iterable[str]) -> np.ndarray:
 
 
 def read_measured_stats(stream: Iterable[str]) -> list[MeasuredStats]:
-    """Parse a measured-statistics table; raises TableParseError with line numbers."""
+    """read_stats_columns' rows as MeasuredStats; kept as a trace target of bench/run.py."""
     return [MeasuredStats(*row) for row in read_stats_columns(stream).tolist()]
 
 
@@ -119,7 +121,7 @@ def write_bounds_table(length_km: np.ndarray, bounds: BoundColumns, stream: IO[s
 
 
 def read_config(stream: Iterable[str], allowed_keys: Sequence[str]) -> dict[str, float]:
-    """Parse a flat key=value config file; unknown keys are rejected."""
+    """Parse a flat key=value config file; unknown and repeated keys are rejected."""
     values: dict[str, float] = {}
     for lineno, raw in enumerate(stream, start=1):
         line = raw.strip()
@@ -133,6 +135,8 @@ def read_config(stream: Iterable[str], allowed_keys: Sequence[str]) -> dict[str,
             raise TableParseError(
                 lineno, f"unknown key {key!r}; allowed: {', '.join(allowed_keys)}"
             )
+        if key in values:
+            raise TableParseError(lineno, f"key {key!r} is given more than once")
         try:
             values[key] = float(value.strip())
         except ValueError:
@@ -145,5 +149,6 @@ def bundled_reference_text() -> str:
     return resources.files("decoyqkd.data").joinpath(_REFERENCE_RESOURCE).read_text()
 
 
-def bundled_reference_table() -> list[MeasuredStats]:
-    return read_measured_stats(bundled_reference_text().splitlines())
+def bundled_reference_table() -> np.ndarray:
+    """The bundled reference dataset as read_stats_columns reads it."""
+    return read_stats_columns(bundled_reference_text().splitlines())

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 
 from decoyqkd import ProtocolParams, fit_link
-from decoyqkd.tables import bundled_reference_table
+from decoyqkd.tables import bundled_reference_text, read_measured_stats
 
 # Property tests run fits and Monte Carlo sessions whose first call can take
 # longer than hypothesis' default deadline; example counts stay the defaults.
@@ -27,7 +27,7 @@ REFERENCE_BOUNDS = [
 
 @pytest.fixture(scope="session")
 def reference_table():
-    return bundled_reference_table()
+    return read_measured_stats(bundled_reference_text().splitlines())
 
 
 @pytest.fixture(scope="session")

@@ -27,7 +27,7 @@ from decoyqkd import (
 from decoyqkd.calibration import scan_intensity_for_peak
 from decoyqkd.cli import EXIT_OK, main
 from decoyqkd.sim import SimConfig, session_params
-from decoyqkd.tables import bundled_reference_table
+from decoyqkd.tables import bundled_reference_text, read_measured_stats
 
 from conftest import REFERENCE_BOUNDS
 from test_cli import parse_bounds_output
@@ -37,7 +37,8 @@ RATE_RTOL = 0.03
 
 
 def reference_rows():
-    return {row.length_km: row for row in bundled_reference_table()}
+    return {row.length_km: row
+            for row in read_measured_stats(bundled_reference_text().splitlines())}
 
 
 def test_reference_table_reproduction(tmp_path):
@@ -69,7 +70,7 @@ def test_spot_values_longest_row():
 def test_confidence_multiplier_recovery():
     """Brute-force scan over u_alpha recovers the default of 10."""
     started = time.perf_counter()
-    table = bundled_reference_table()
+    table = reference_rows().values()
     reference = {length: (s1, e1, r) for length, s1, e1, r in REFERENCE_BOUNDS}
 
     def total_relative_error(u_alpha: float) -> float:
@@ -157,7 +158,7 @@ def test_monte_carlo_consistency_and_soundness(fitted_model, default_params):
     Sessions whose finite statistics cannot support the confidence
     multiplier abort conservatively and therefore never overclaim."""
     started = time.perf_counter()
-    lengths = [row.length_km for row in bundled_reference_table()]
+    lengths = list(reference_rows())
     n_seeds = 100
     summary = []
     for length in lengths:

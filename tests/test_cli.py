@@ -17,7 +17,6 @@ from decoyqkd import MeasuredStats, calibration, cli, link
 from decoyqkd.cli import EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_VALIDATION, main
 from decoyqkd.tables import (
     TableParseError,
-    bundled_reference_table,
     bundled_reference_text,
     read_config,
     read_measured_stats,
@@ -32,6 +31,13 @@ ANALYZE_STDOUT_SHA256 = "5d3c7471cd2446bc6eac75280294f787ae36345dd97d105ad15d8fc
 # `decoyqkd simulate --seed 5` stdout, pinned while every session still
 # recomputed its Poisson and click-probability tables.
 SIMULATE_STDOUT_SHA256 = "93eb61d3d2ef0c018fedae6de2bf75c3b399ff5d30275f148e603452b78efe00"
+# `decoyqkd fit` stdout and stderr, pinned while fit still read the table as a
+# list of MeasuredStats rows.
+FIT_STDOUT_SHA256 = "719905dd1c3a140f43557cb68246c829d356602c7cd820ebf2bc5ff4b1f438d3"
+FIT_STDERR = "fit: converged in 12 iterations, objective=0.3943113292565052\n"
+# `decoyqkd sweep` stdout, with the link fitted to the bundled table, pinned
+# at the same point.
+SWEEP_STDOUT_SHA256 = "0958f9ce716b2603925856a1095d07fd2b4a289397c1bec19f0612d22a6d2d58"
 
 
 # A malformed data line of each kind and the message it is reported with.
@@ -74,7 +80,7 @@ class TestBundledDataset:
         assert digest == REFERENCE_SHA256
 
     def test_exact_reference_values(self):
-        rows = bundled_reference_table()
+        rows = read_measured_stats(bundled_reference_text().splitlines())
         assert [r.length_km for r in rows] == [123.6, 108.0, 97.0, 83.7, 62.1, 49.2]
         first = rows[0]
         assert (first.s_mu, first.e_mu, first.s_nu, first.e_nu) == (
@@ -93,7 +99,7 @@ class TestTableParsing:
             f"{r.length_km!r}\t{r.s_mu!r}\t{r.e_mu!r}\t{r.s_nu!r}\t{r.e_nu!r}\n" for r in rows)
 
     def test_round_trip_is_lossless(self):
-        rows = bundled_reference_table()
+        rows = read_measured_stats(bundled_reference_text().splitlines())
         assert read_measured_stats(self.table_text(rows).splitlines()) == rows
 
     @given(st.lists(st.builds(MeasuredStats, st.floats(0.0, 1e300),
@@ -202,7 +208,8 @@ class TestAnalyzeCommand:
         main(["analyze", "--out", str(out)])
         reparsed = parse_bounds_output(out.read_text())
         from decoyqkd import ProtocolParams, analyze_row
-        expected = analyze_row(ProtocolParams(), bundled_reference_table()[0])
+        rows = read_measured_stats(bundled_reference_text().splitlines())
+        expected = analyze_row(ProtocolParams(), rows[0])
         assert reparsed[123.6][0] == expected.s1_lower  # repr round-trip, exact
 
     def test_empty_table_gives_empty_output(self, tmp_path):
@@ -269,6 +276,12 @@ class TestAnalyzeCommand:
 
 
 class TestFitCommand:
+    def test_stdout_pinned(self, capsys):
+        assert main(["fit"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == FIT_STDOUT_SHA256
+        assert captured.err == FIT_STDERR
+
     def test_bundled_fit_values(self, tmp_path):
         out = tmp_path / "model.cfg"
         assert main(["fit", "--out", str(out)]) == EXIT_OK
@@ -356,6 +369,11 @@ def refuse_allocation(*args, **kwargs):
 
 
 class TestSweepCommand:
+    def test_stdout_pinned(self, capsys):
+        assert main(["sweep"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_STDOUT_SHA256
+
     def test_cutoff_in_reference_band(self, tmp_path, link_file):
         out = tmp_path / "sweep.tsv"
         assert main(["sweep", "--link", link_file, "--out", str(out)]) == EXIT_OK
@@ -416,6 +434,18 @@ class TestSweepCommand:
         assert main(["sweep", "--link", str(config)]) == EXIT_VALIDATION
         assert f"{key}={value} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, text, key", [
+        ("--params", "mu=0.6\nmu=0.5\n", "mu"),
+        ("--link", "y0=5e-7\nvisibility=0.98\n# visibility=0.9\ny0=1e-6\n", "y0"),
+    ], ids=["params", "link"])
+    def test_repeated_config_key_is_parse_error(self, tmp_path, capsys, option, text, key):
+        config = tmp_path / "repeat.cfg"
+        config.write_text(text)
+        assert main(["sweep", option, str(config)]) == EXIT_PARSE
+        line = len(text.splitlines())
+        assert (f"parse error: line {line}: key {key!r} is given more than once"
+                in capsys.readouterr().err)
+
 
 class TestSimulateCommand:
     def test_stdout_pinned(self, capsys):
@@ -448,6 +478,17 @@ class TestSimulateCommand:
 
     def test_zero_pulses_rejected(self, link_file):
         assert main(["simulate", "--link", link_file, "--pulses", "0"]) == EXIT_VALIDATION
+
+    def test_non_integral_pulses_rejected(self, link_file, capsys):
+        assert main(["simulate", "--link", link_file, "--pulses", "2.7",
+                     "--seed", "1"]) == EXIT_VALIDATION
+        assert "pulses=2.7 must be a whole number" in capsys.readouterr().err
+
+    def test_pulses_in_scientific_notation_accepted(self, tmp_path, link_file):
+        out = tmp_path / "session.txt"
+        assert main(["simulate", "--link", link_file, "--pulses", "1e7", "--seed", "1",
+                     "--out", str(out)]) == EXIT_OK
+        assert " n_pulses=10000000 " in out.read_text()
 
     def test_infinite_pulses_rejected(self, link_file, capsys):
         assert main(["simulate", "--link", link_file, "--pulses", "inf"]) == EXIT_VALIDATION

@@ -19,6 +19,7 @@ from decoyqkd import (
     analyze_row,
     binary_entropy,
 )
+from decoyqkd.cli import EXIT_OK, main
 
 from conftest import REFERENCE_BOUNDS
 
@@ -227,10 +228,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             MeasuredStats(10.0, 1e-4, -0.01, 1e-5, 0.01)
 
-    def test_inverted_rates_flagged_not_rejected(self):
-        stats = MeasuredStats(10.0, 1e-5, 0.01, 3e-5, 0.01)
-        assert stats.warnings()
-        assert not MeasuredStats(10.0, 3e-5, 0.01, 1e-5, 0.01).warnings()
+    def test_inverted_rates_flagged_not_rejected(self, tmp_path):
+        table, out = tmp_path / "rows.tsv", tmp_path / "bounds.tsv"
+        table.write_text("length_km\ts_mu\te_mu\ts_nu\te_nu\n"
+                         "10.0\t1e-5\t0.01\t3e-5\t0.01\n10.0\t3e-5\t0.01\t1e-5\t0.01\n")
+        assert main(["analyze", "--input", str(table), "--out", str(out)]) == EXIT_OK
+        lines = out.read_text().splitlines()
+        assert [line for line in lines if line.startswith("# warning:")] == [
+            "# warning: 10.0 km: s_mu=1e-05 <= s_nu=3e-05: signal pulses should click "
+            "more often than weaker decoy pulses"]
+        assert [line.split("\t")[0] for line in lines if not line.startswith("#")] == [
+            "length_km", "10.0", "10.0"]
 
     def test_security_flag_invariants(self):
         bounds = SecurityBounds(1e-5, -1e-6, 0.0, -1e-7, secure=False)
