@@ -32,7 +32,6 @@ from .link import (
     LengthSweep,
     LinkModel,
     UnidentifiableDataError,
-    click_probability,
     expected_stats,
     fit_link,
     sweep_key_rate,
@@ -69,7 +68,6 @@ __all__ = [
     "analyze_columns",
     "analyze_row",
     "binary_entropy",
-    "click_probability",
     "expected_stats",
     "fit_fringe",
     "fit_link",

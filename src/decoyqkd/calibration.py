@@ -6,14 +6,16 @@ out an interference fringe. Fitting that fringe yields the fringe zero
 (the constructive-interference phase) and the visibility; the four
 working points are the fringe zero plus multiples of pi/2.
 
-At scan intensities the click probability saturates, so the fit model
-is link's coherent-state click law (link.coherent_click_probability)
-rather than a bare cosine; a first-harmonic projection of the
-log-inverted counts seeds a deterministic local refinement (link's
-bounded Levenberg-Marquardt, the one fit_link uses), and the residuals
-are minimized in the count-fraction domain. Dark counts are negligible
-against the strong-pulse click rates and are not fitted. A seed fixes a
-sampled scan: one default_rng(SeedSequence(seed)) draws all its counts.
+The scan draws its counts from link's coherent-state click law
+(link.coherent_click_probability) at the zero-length transmittance
+times the strong intensity. That law saturates at scan intensities, so
+it is also the fit model, rather than a bare cosine; a first-harmonic
+projection of the log-inverted counts seeds a deterministic local
+refinement (link's bounded Levenberg-Marquardt, the one fit_link uses),
+and the residuals are minimized in the count-fraction domain. Dark
+counts are negligible against the strong-pulse click rates and are not
+fitted. A seed fixes a sampled scan: one default_rng(SeedSequence(seed))
+draws all its counts.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from .estimator import require_count, require_finite
-from .link import (PHASE_GRID, FitConvergenceError, LinkModel, _least_squares,
-                   click_probability, coherent_click_probability, mean_photons_for_click)
+from .link import (PHASE_GRID, FitConvergenceError, LinkModel, _fringe, _least_squares,
+                   coherent_click_probability, transmittance)
 
 __all__ = [
     "ScanCurve",
@@ -107,17 +109,23 @@ class FringeFit:
             raise ValueError(f"phase_zero={self.phase_zero} must be normalized to [0, 2*pi)")
 
 
-def scan_intensity_for_peak(model: LinkModel, peak: float = 0.5,
-                            length_km: float = 0.0) -> float:
-    """Reference-pulse mean photon number giving the requested peak click probability."""
+def scan_intensity_for_peak(model: LinkModel, peak: float = 0.5) -> float:
+    """Reference-pulse mean photon number at which the click probability at
+    phase difference 0 (constructive interference) reaches `peak`."""
     if not 0.0 < peak < 1.0:
         raise ValueError(f"peak={peak} must be in (0, 1)")
-    return mean_photons_for_click(model, peak, length_km)
+    eta = transmittance(model, 0.0)
+    if eta <= 0:
+        raise ValueError("link transmittance is zero; no mean photon number exists")
+    signal_click = (peak - model.y0) / (1.0 - model.y0)
+    if signal_click <= 0.0:
+        raise ValueError(f"dark counts alone exceed the requested click probability {peak}")
+    return -math.log1p(-signal_click) / float(_fringe(eta, model.visibility, 0.0))
 
 
 def simulate_scan(model: LinkModel, strong_mean_photons: float, offsets: Sequence[float],
                   pulses_per_point: int, seed: int = 0, true_phase_zero: float = 0.0,
-                  length_km: float = 0.0, noiseless: bool = False) -> ScanCurve:
+                  noiseless: bool = False) -> ScanCurve:
     """Scan the fringe: binomial counts per offset against the click model.
 
     One generator default_rng(SeedSequence(seed)) draws all counts in a
@@ -133,7 +141,10 @@ def simulate_scan(model: LinkModel, strong_mean_photons: float, offsets: Sequenc
         )
     require_finite(true_phase_zero=true_phase_zero)
     require_count(pulses_per_point=pulses_per_point)  # before binomial overflows on it
-    probs = click_probability(model, strong_mean_photons, grid - true_phase_zero, length_km)
+    if strong_mean_photons < 0:
+        raise ValueError(f"strong_mean_photons={strong_mean_photons} must be >= 0")
+    probs = coherent_click_probability(transmittance(model, 0.0) * strong_mean_photons,
+                                       model.visibility, model.y0, grid - true_phase_zero)
     if noiseless:
         counts = probs * pulses_per_point
     else:

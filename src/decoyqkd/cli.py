@@ -125,12 +125,13 @@ def _resolve_params(args: argparse.Namespace) -> ProtocolParams:
     return ProtocolParams(**_effective(defaults, file_values, flags))
 
 
-def _resolve_link(args: argparse.Namespace, params: ProtocolParams) -> link.LinkModel:
-    """Explicit link inputs win; otherwise fit the bundled reference table."""
+def _resolve_link(args: argparse.Namespace) -> link.LinkModel:
+    """Explicit link inputs win; otherwise fit the bundled table at its own intensities."""
     file_values = _load_config(getattr(args, "link", None), LINK_KEYS)
     flags = {key: getattr(args, f"link_{key}") for key in LINK_KEYS}
     if not file_values and all(v is None for v in flags.values()):
-        return link.fit_link(tables.bundled_reference_table(), params)
+        return link.fit_link(tables.bundled_reference_table(),
+                             tables.BUNDLED_REFERENCE_PARAMS)
     defaults = {f.name: f.default for f in fields(link.LinkModel)}
     return link.LinkModel(**_effective(defaults, file_values, flags))
 
@@ -197,7 +198,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if not args.pulses.is_integer():
         raise ValueError(f"pulses={args.pulses!r} must be a whole number")
     params = _resolve_params(args)
-    model = _resolve_link(args, params)
+    model = _resolve_link(args)
     config = sim.SimConfig(
         n_pulses=int(args.pulses), link=model, params=params,
         decoy_fraction=args.decoy_fraction, seed=args.seed, length_km=args.length_km,
@@ -231,7 +232,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
-    model = _resolve_link(args, params)
+    model = _resolve_link(args)
     grid = _parse_grid(args.grid)
     sweep = link.sweep_key_rate(model, params, grid)
     cutoff = "none" if sweep.cutoff_km is None else repr(sweep.cutoff_km)
@@ -265,7 +266,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     if not 2 <= args.points <= MAX_GRID_POINTS:
         raise ValueError(f"--points={args.points} must be in [2, {MAX_GRID_POINTS}]")
     params = _resolve_params(args)
-    model = _resolve_link(args, params)
+    model = _resolve_link(args)
     strong = calibration.scan_intensity_for_peak(model, peak=args.peak)
     offsets = [i * 2.0 * math.pi / (args.points - 1) for i in range(args.points)]
     curve = calibration.simulate_scan(

@@ -12,7 +12,10 @@ number m (coherent_click_probability) is 1 - exp(-eta*m*(1 + V*cos(d))/2).
 Both are evaluated through expm1 and log1p, so they keep full relative
 precision however few photons arrive. Expected gains average over the
 uniform phase differences of PHASE_GRID; the QBER is the fraction of
-matched-basis clicks at the destructive phase.
+matched-basis clicks at the destructive phase. _modelled_rates gives a
+modelled row's (s_mu, e_mu, s_nu, e_nu) for expected_stats, the fit and
+the sweep; sim and calibration call the click laws and transmittance
+directly.
 
 The laws broadcast over numpy arrays. fit_link inverts a measured table,
 the (n, 5) STATS_COLUMNS array tables.read_stats_columns reads, into
@@ -46,8 +49,6 @@ __all__ = [
     "transmittance",
     "coherent_click_probability",
     "photon_click_probability",
-    "click_probability",
-    "mean_photons_for_click",
     "expected_stats",
     "fit_objective",
     "fit_link",
@@ -181,34 +182,9 @@ def photon_click_probability(eta, visibility, y0, photons, phase_diff):
     return _float_if_scalar(_with_darks(y0, np.where(photons == 0, 0.0, signal_click)))
 
 
-def click_probability(model: LinkModel, mean_photons: float, phase_diff,
-                      length_km: float = 0.0):
-    """Click probability for one pulse at the given phase difference.
-
-    phase_diff may be an array; a scalar phase gives a float.
-    """
-    if mean_photons < 0:
-        raise ValueError(f"mean_photons={mean_photons} must be >= 0")
-    return coherent_click_probability(transmittance(model, length_km) * mean_photons,
-                                      model.visibility, model.y0, phase_diff)
-
-
-def mean_photons_for_click(model: LinkModel, probability: float,
-                           length_km: float = 0.0) -> float:
-    """Mean photon number at which the click probability at phase difference 0
-    (constructive interference) reaches `probability`."""
-    eta = transmittance(model, length_km)
-    if eta <= 0:
-        raise ValueError("link transmittance is zero; no mean photon number exists")
-    signal_click = (probability - model.y0) / (1.0 - model.y0)
-    if signal_click <= 0.0:
-        raise ValueError(f"dark counts alone exceed the requested click probability "
-                         f"{probability}")
-    return -math.log1p(-signal_click) / float(_fringe(eta, model.visibility, 0.0))
-
-
-def _gain_qber(eta, visibility, y0, mean_photons):
-    """Expected gain and QBER; eta, visibility and mean_photons broadcast.
+def _modelled_rates(eta, visibility, y0, params: ProtocolParams):
+    """Expected (s_mu, e_mu, s_nu, e_nu) of a modelled row; eta and visibility
+    broadcast.
 
     Matched slots split equally between constructive (phase 0) and
     destructive (phase pi) interference; clicks at the destructive
@@ -216,21 +192,22 @@ def _gain_qber(eta, visibility, y0, mean_photons):
     probabilities and push the QBER toward 1/2. The QBER is 0 where
     there are no clicks at all.
     """
-    arriving = eta * mean_photons
-    clicks = [coherent_click_probability(arriving, visibility, y0, d) for d in PHASE_GRID]
-    gain = sum(clicks) / 4.0
-    good, bad = clicks[0], clicks[2]
-    total = good + bad
-    qber = np.divide(bad, total, out=np.zeros_like(total), where=total > 0)
-    return gain, qber
+    rates = []
+    for mean_photons in (params.mu, params.nu):
+        arriving = eta * mean_photons
+        clicks = [coherent_click_probability(arriving, visibility, y0, d) for d in PHASE_GRID]
+        good, bad = clicks[0], clicks[2]
+        total = good + bad
+        rates += [sum(clicks) / 4.0,
+                  np.divide(bad, total, out=np.zeros_like(total), where=total > 0)]
+    return tuple(rates)
 
 
 def expected_stats(model: LinkModel, params: ProtocolParams, length_km: float) -> MeasuredStats:
     """Modelled MeasuredStats row for both intensity classes at one length."""
     eta = transmittance(model, length_km)
-    s_mu, e_mu = _gain_qber(eta, model.visibility, model.y0, params.mu)
-    s_nu, e_nu = _gain_qber(eta, model.visibility, model.y0, params.nu)
-    return MeasuredStats(length_km, float(s_mu), float(e_mu), float(s_nu), float(e_nu))
+    rates = _modelled_rates(eta, model.visibility, model.y0, params)
+    return MeasuredStats(length_km, *map(float, rates))
 
 
 def _fit_residuals(alpha, lumped_db, visibility, y0: float, rows: np.ndarray,
@@ -241,8 +218,7 @@ def _fit_residuals(alpha, lumped_db, visibility, y0: float, rows: np.ndarray,
     """
     length, s_mu, e_mu, s_nu, _ = np.moveaxis(rows, -1, 0)
     eta = _transmittance(alpha, lumped_db, 1.0, length)
-    gain_mu, qber_mu = _gain_qber(eta, visibility, y0, params.mu)
-    gain_nu, _ = _gain_qber(eta, visibility, y0, params.nu)
+    gain_mu, qber_mu, gain_nu, _ = _modelled_rates(eta, visibility, y0, params)
     return np.stack([np.log(gain_mu) - np.log(s_mu), np.log(gain_nu) - np.log(s_nu),
                      qber_mu - e_mu], axis=-1)
 
@@ -322,10 +298,10 @@ def fit_link(table: np.ndarray | Sequence[MeasuredStats], params: ProtocolParams
     loss (its intercept); the visibility starts at 1 - 2*e_mu of the
     shortest length.
 
-    Raises UnidentifiableDataError unless the table holds at least
-    three distinct lengths spanning at least 0.1 km and every counting
-    rate exceeds y0, and FitConvergenceError when the refinement runs
-    out of iterations.
+    Raises UnidentifiableDataError unless mu and nu are positive, the
+    table holds at least three distinct lengths spanning at least 0.1 km
+    and every counting rate exceeds y0, and FitConvergenceError when the
+    refinement runs out of iterations.
     """
     return fit_link_report(table, params, y0).model
 
@@ -337,6 +313,11 @@ def fit_link_report(table: np.ndarray | Sequence[MeasuredStats], params: Protoco
     table: an (n, 5) STATS_COLUMNS array or a sequence of MeasuredStats rows."""
     if not 0.0 <= y0 <= 1.0:  # also rejects NaN, before the fit runs on it
         raise ValueError(f"y0={y0} must be in [0, 1]")
+    for name, mean_photons in (("mu", params.mu), ("nu", params.nu)):
+        if mean_photons <= 0:
+            raise UnidentifiableDataError(
+                f"{name}={mean_photons!r}: a pulse of mean 0 clicks at y0 on every link, "
+                "so no link model reproduces a rate measured at it")
     rows = np.asarray(table, dtype=float).reshape(-1, 5)
     length, s_mu, e_mu, s_nu, _ = rows.T
     distinct = np.unique(length).size
@@ -384,8 +365,7 @@ def fit_link_report(table: np.ndarray | Sequence[MeasuredStats], params: Protoco
 def _key_rates(model: LinkModel, params: ProtocolParams, eta: np.ndarray) -> np.ndarray:
     """Key-rate bounds of the modelled rows at transmittances eta; NaN where
     the bounds abort."""
-    s_mu, e_mu = _gain_qber(eta, model.visibility, model.y0, params.mu)
-    s_nu, _ = _gain_qber(eta, model.visibility, model.y0, params.nu)
+    s_mu, e_mu, s_nu, _ = _modelled_rates(eta, model.visibility, model.y0, params)
     return analyze_columns(params, s_mu, e_mu, s_nu).r_lower
 
 

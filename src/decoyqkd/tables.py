@@ -18,7 +18,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .estimator import BoundColumns, MeasuredStats
+from .estimator import BoundColumns, MeasuredStats, ProtocolParams
 
 __all__ = [
     "TableParseError",
@@ -29,6 +29,7 @@ __all__ = [
     "read_config",
     "bundled_reference_table",
     "bundled_reference_text",
+    "BUNDLED_REFERENCE_PARAMS",
 ]
 
 STATS_COLUMNS = MeasuredStats._fields
@@ -147,6 +148,11 @@ def read_config(stream: Iterable[str], allowed_keys: Sequence[str]) -> dict[str,
 def bundled_reference_text() -> str:
     """Raw text of the bundled reference dataset (six measured fiber lengths)."""
     return resources.files("decoyqkd.data").joinpath(_REFERENCE_RESOURCE).read_text()
+
+
+# The intensities the bundled dataset was measured at. A link fit reads only mu
+# and nu, so a fit of the bundled table takes these, whatever protocol it serves.
+BUNDLED_REFERENCE_PARAMS = ProtocolParams(mu=0.6, nu=0.2)
 
 
 def bundled_reference_table() -> np.ndarray:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from decoyqkd import ProtocolParams, fit_link
+from decoyqkd import ProtocolParams, fit_link, transmittance
+from decoyqkd.link import coherent_click_probability
 from decoyqkd.tables import bundled_reference_text, read_measured_stats
 
 # Property tests run fits and Monte Carlo sessions whose first call can take
@@ -69,3 +70,9 @@ def scipy_refinement(call, **tolerances):
 def not_converged(residuals, x0, lower, upper):
     """Stand-in refinement that runs out of iterations at its start."""
     return np.asarray(x0, dtype=float), 100, False
+
+
+def model_click(model, mean_photons, phase, length_km=0.0):
+    """Click law of a pulse of mean `mean_photons` sent through `model` over `length_km`."""
+    return coherent_click_probability(transmittance(model, length_km) * mean_photons,
+                                      model.visibility, model.y0, phase)

@@ -4,13 +4,16 @@ Each test prints a single PASS line (visible with `pytest -s` or in the
 captured-output section of `pytest -rA`) after its assertions hold.
 The Monte Carlo criterion runs 100 seeded 1e7-pulse sessions at each
 bundled fiber length; each session is one count-level draw, so the 600
-sessions take well under a second.
+sessions take well under a second. Beside it, and not part of it, the
+s1 soundness test draws 300 sessions of 2e9 pulses at each length.
 """
 import filecmp
 import math
 import time
+from dataclasses import replace
 
 import pytest
+from scipy.stats import beta
 
 from decoyqkd import (
     AnalysisError,
@@ -204,6 +207,47 @@ def test_monte_carlo_consistency_and_soundness(fitted_model, default_params):
     elapsed = time.perf_counter() - started
     print("\nACCEPTANCE PASS: Monte Carlo consistency and soundness "
           f"({elapsed:.1f}s)")
+    for line in summary:
+        print("  " + line)
+
+
+def test_soundness_at_paper_session_size(fitted_model, default_params):
+    """At the paper's session size (2e9 pulses, the default pulse budgets)
+    the s1 bound is violated no more often than its nominal level: per
+    bundled length and u_alpha in {1, 2}, over 300 seeds, the one-sided
+    95% Clopper-Pearson upper limit of the s1 violation rate among
+    sessions with bounds is below Phi(-u_alpha), the one-sided tail of
+    the decoy-rate floor. Each tally is bounded with its own budgets."""
+    started = time.perf_counter()
+    n_seeds, u_alphas, lengths = 300, (1.0, 2.0), list(reference_rows())
+    cells = {(length, u): [] for length in lengths for u in u_alphas}
+    for length in lengths:
+        for seed in range(n_seeds):
+            config = SimConfig(n_pulses=2_000_000_000, link=fitted_model,
+                               params=default_params, seed=seed, length_km=length)
+            tally, stats = run_session(config)
+            for u in u_alphas:
+                params = session_params(replace(default_params, u_alpha=u), tally)
+                try:
+                    bounds = analyze_row(params, stats)
+                except AnalysisError:
+                    continue
+                cells[length, u].append(soundness_report(tally, bounds, params))
+    summary = []
+    for (length, u), reports in cells.items():
+        produced = len(reports)
+        violations = sum(not report.s1_ok for report in reports)
+        upper = (1.0 if violations == produced
+                 else float(beta.ppf(0.95, violations + 1, produced - violations)))
+        nominal = 0.5 * math.erfc(u / math.sqrt(2.0))
+        assert upper < nominal, (f"{length} km, u_alpha={u}: {violations}/{produced} "
+                                 f"s1 violations, upper limit {upper:.4f} >= {nominal:.4f}")
+        summary.append(f"{length}km u_alpha={u:g}: bounds in {produced}/{n_seeds} seeds, "
+                       f"{violations} s1 violations, upper limit {upper:.4f} < "
+                       f"{nominal:.4f}, min s1 slack "
+                       f"{min(report.s1_slack for report in reports):.3g}")
+    elapsed = time.perf_counter() - started
+    print(f"\nPASS: s1 soundness at 2e9 pulses per session ({elapsed:.1f}s)")
     for line in summary:
         print("  " + line)
 

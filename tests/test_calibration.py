@@ -1,5 +1,6 @@
 """Phase-scan simulation, fringe fitting and working points."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from decoyqkd import (
     ProtocolParams,
     ScanCurve,
     SimConfig,
-    click_probability,
     fit_fringe,
     run_session,
     simulate_scan,
@@ -27,7 +27,7 @@ from decoyqkd.calibration import (
     scan_overhead,
 )
 
-from conftest import not_converged, scipy_refinement
+from conftest import model_click, not_converged, scipy_refinement
 
 TWO_PI = 2.0 * math.pi
 
@@ -81,10 +81,13 @@ class TestSimulateScan:
                                                             (2**40, 129, 5.9, 0.0)])
     def test_counts_are_one_binomial_call_per_scan(self, seed, points, zero, length):
         model = LinkModel(alpha_db_per_km=0.2, excess_loss_db=1.0, visibility=0.97)
+        # The scan sees the fiber's loss as excess loss of the scanned link.
+        scanned = replace(model, excess_loss_db=model.excess_loss_db
+                          + model.alpha_db_per_km * length)
         offsets = grid(points)
-        curve = simulate_scan(model, 3.0, offsets, 50_000, seed=seed,
-                              true_phase_zero=zero, length_km=length)
-        probs = click_probability(model, 3.0, offsets - zero, length)
+        curve = simulate_scan(scanned, 3.0, offsets, 50_000, seed=seed,
+                              true_phase_zero=zero)
+        probs = model_click(model, 3.0, offsets - zero, length)
         expected = np.random.default_rng(np.random.SeedSequence(seed)).binomial(50_000, probs)
         assert np.array_equal(curve.counts, expected)
 
@@ -94,7 +97,7 @@ class TestSimulateScan:
         # Binomial(n, p); each statistic is chi-square under the binomial law.
         n, seeds, offsets = 1000, 500, grid(16)
         strong = scan_intensity_for_peak(LUMPED, peak=0.5)
-        p = click_probability(LUMPED, strong, offsets)
+        p = model_click(LUMPED, strong, offsets)
         counts = np.array([simulate_scan(LUMPED, strong, offsets, n, seed=s).counts
                            for s in range(seeds)])
         variance = n * p * (1.0 - p)
@@ -282,9 +285,11 @@ class TestWorkingPoints:
     def test_calibrated_session_matches_drift_free(self, fitted_model, default_params):
         # fit a simulated scan, then run a session whose phase error is the
         # calibration residual; its QBER stays within 20% of the aligned run
-        strong = scan_intensity_for_peak(fitted_model, peak=0.5, length_km=25.0)
-        curve = simulate_scan(fitted_model, strong, grid(64), 100_000, seed=21,
-                              true_phase_zero=0.7, length_km=25.0)
+        scanned = replace(fitted_model, excess_loss_db=fitted_model.excess_loss_db
+                          + fitted_model.alpha_db_per_km * 25.0)
+        strong = scan_intensity_for_peak(scanned, peak=0.5)
+        curve = simulate_scan(scanned, strong, grid(64), 100_000, seed=21,
+                              true_phase_zero=0.7)
         fit = fit_fringe(curve)
         epsilon = (fit.phase_zero - 0.7 + math.pi) % TWO_PI - math.pi
         assert abs(epsilon) < 0.05

@@ -38,6 +38,13 @@ FIT_STDERR = "fit: converged in 12 iterations, objective=0.3943113292565052\n"
 # `decoyqkd sweep` stdout, with the link fitted to the bundled table, pinned
 # at the same point.
 SWEEP_STDOUT_SHA256 = "0958f9ce716b2603925856a1095d07fd2b4a289397c1bec19f0612d22a6d2d58"
+# `decoyqkd calibrate` stdout, pinned while the scan still reached the click
+# law through link.click_probability and link.mean_photons_for_click.
+CALIBRATE_STDOUT_SHA256 = {
+    ("--seed", "3"): "231417d43b80194a5db4b125b631399bd0892700ab9745311060e951a214541f",
+    ("--noiseless", "--peak", "0.9", "--visibility", "0.5"):
+        "d1e4327a8a2d684dd643e2515959e05b555a3fa8258783b0e3b6a00c17b79acd",
+}
 
 
 # A malformed data line of each kind and the message it is reported with.
@@ -349,6 +356,19 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert "counting rate at 123.6 km" in err and f"y0={float(value)!r}" in err
 
+    @pytest.mark.parametrize("flags, name", [(["--nu", "0"], "nu"),
+                                             (["--mu", "0", "--nu", "0"], "mu")])
+    def test_zero_intensity_rejected_before_fitting(self, monkeypatch, capsys, flags, name):
+        # A pulse of mean 0 clicks at y0 on every link, so no model reproduces the table.
+        monkeypatch.setattr(link, "_least_squares", refuse_fit)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["fit", *flags]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"decoyqkd fit: {name}=0.0: ")
+        assert len(captured.err.splitlines()) == 1
+        assert [str(w.message) for w in caught] == []
+
 
 def refuse_fit(*args, **kwargs):
     """Stand-in for a fit that should not start."""
@@ -373,6 +393,13 @@ class TestSweepCommand:
         assert main(["sweep"]) == EXIT_OK
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_STDOUT_SHA256
+
+    def test_implicit_link_is_fitted_at_the_bundled_intensities(self, capsys, link_file):
+        # --mu describes the swept protocol, not the table the link is fitted to.
+        assert main(["sweep", "--mu", "0.5"]) == EXIT_OK
+        implicit = capsys.readouterr().out
+        assert main(["sweep", "--mu", "0.5", "--link", link_file]) == EXIT_OK
+        assert implicit == capsys.readouterr().out
 
     def test_cutoff_in_reference_band(self, tmp_path, link_file):
         out = tmp_path / "sweep.tsv"
@@ -479,6 +506,16 @@ class TestSimulateCommand:
     def test_zero_pulses_rejected(self, link_file):
         assert main(["simulate", "--link", link_file, "--pulses", "0"]) == EXIT_VALIDATION
 
+    def test_vacuum_only_session_runs_on_the_implicit_link(self, capsys, link_file):
+        argv = ["simulate", "--mu", "0", "--nu", "0", "--seed", "4"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == EXIT_OK
+        implicit = capsys.readouterr().out
+        assert "analysis.error=" in implicit
+        assert main([*argv, "--link", link_file]) == EXIT_OK
+        assert implicit == capsys.readouterr().out
+
     def test_non_integral_pulses_rejected(self, link_file, capsys):
         assert main(["simulate", "--link", link_file, "--pulses", "2.7",
                      "--seed", "1"]) == EXIT_VALIDATION
@@ -538,6 +575,24 @@ def test_commands_run_with_scipy_blocked(argv, tmp_path):
 
 
 class TestCalibrateCommand:
+    @pytest.mark.parametrize("flags", list(CALIBRATE_STDOUT_SHA256))
+    def test_stdout_pinned(self, capsys, flags):
+        assert main(["calibrate", *flags]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == CALIBRATE_STDOUT_SHA256[flags]
+
+    def test_implicit_link_ignores_the_intensities(self, capsys):
+        # calibrate reads no intensity; the link is the bundled fit either way.
+        def link_lines(argv):
+            assert main(argv) == EXIT_OK
+            return [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("# link.")]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            zero = link_lines(["calibrate", "--mu", "0", "--nu", "0", "--seed", "3"])
+        assert zero == link_lines(["calibrate", "--seed", "3"]) and len(zero) == 5
+
     def test_visibility_round_trip(self, tmp_path):
         out = tmp_path / "cal.txt"
         assert main(["calibrate", "--visibility", "0.99", "--alpha-db-per-km", "0",

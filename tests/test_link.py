@@ -14,7 +14,6 @@ from decoyqkd import (
     ProtocolParams,
     UnidentifiableDataError,
     analyze_row,
-    click_probability,
     expected_stats,
     fit_link,
     sweep_key_rate,
@@ -24,7 +23,7 @@ from decoyqkd import link
 from decoyqkd.link import (coherent_click_probability, fit_objective,
                            photon_click_probability)
 
-from conftest import not_converged, scipy_refinement
+from conftest import model_click, not_converged, scipy_refinement
 
 
 class TestTransmittance:
@@ -48,29 +47,29 @@ class TestTransmittance:
 class TestClickProbability:
     def test_no_light_no_darks(self):
         model = LinkModel(excess_loss_db=0.0, y0=0.0)
-        assert click_probability(model, 0.0, 0.0) == 0.0
+        assert model_click(model, 0.0, 0.0) == 0.0
 
     def test_perfect_destructive_interference(self):
         model = LinkModel(excess_loss_db=0.0, y0=0.0, visibility=1.0)
         for mean in (0.1, 1.0, 100.0):
-            assert click_probability(model, mean, math.pi) == pytest.approx(0.0, abs=1e-15)
+            assert model_click(model, mean, math.pi) == pytest.approx(0.0, abs=1e-15)
 
     def test_direct_evaluation(self):
         model = LinkModel(alpha_db_per_km=0.0, excess_loss_db=0.0, eta_det=1.0,
                           y0=5e-7, visibility=0.99)
         # 1 - (1 - 5e-7) * exp(-0.01 * 1.99 / 2), frozen
-        assert click_probability(model, 0.01, 0.0) == pytest.approx(9.901e-3, abs=1e-5)
+        assert model_click(model, 0.01, 0.0) == pytest.approx(9.901e-3, abs=1e-5)
 
     def test_monotone_in_intensity(self):
         model = LinkModel(excess_loss_db=10.0, y0=5e-7)
         for phase in (0.0, math.pi / 2, math.pi):
-            probs = [click_probability(model, m, phase) for m in np.linspace(0, 5, 40)]
+            probs = [model_click(model, m, phase) for m in np.linspace(0, 5, 40)]
             assert all(b >= a for a, b in zip(probs, probs[1:]))
 
     def test_monotone_in_dark_rate(self):
         for y0 in (0.0, 1e-7, 1e-5, 1e-3):
-            lower = click_probability(LinkModel(y0=y0), 0.1, math.pi)
-            higher = click_probability(LinkModel(y0=y0 * 10 + 1e-7), 0.1, math.pi)
+            lower = model_click(LinkModel(y0=y0), 0.1, math.pi)
+            higher = model_click(LinkModel(y0=y0 * 10 + 1e-7), 0.1, math.pi)
             assert higher >= lower
 
     @pytest.mark.parametrize("y0", [0.0, 5e-7])
@@ -96,9 +95,9 @@ class TestClickProbability:
 
     def test_maximal_at_zero_phase(self):
         model = LinkModel(excess_loss_db=5.0)
-        peak = click_probability(model, 0.5, 0.0)
+        peak = model_click(model, 0.5, 0.0)
         for phase in np.linspace(0.1, math.pi, 20):
-            assert click_probability(model, 0.5, phase) <= peak
+            assert model_click(model, 0.5, phase) <= peak
 
 
 def one_intensity(mean_photons):

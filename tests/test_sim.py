@@ -14,7 +14,6 @@ from decoyqkd import (
     SimConfig,
     SimTally,
     analyze_row,
-    click_probability,
     expected_stats,
     run_session,
     soundness_report,
@@ -30,6 +29,7 @@ from decoyqkd.sim import (
     tally_to_text,
 )
 
+from conftest import model_click
 from reference_sampler import pulse_records, simulate_arrays
 
 LUMPED_L0 = LinkModel(alpha_db_per_km=0.0, excess_loss_db=0.0, eta_det=1.0,
@@ -144,7 +144,7 @@ class TestSessionStatistics:
                     per_n = photon_click_probability(eta, model.visibility, model.y0,
                                                      photons, phase)
                     mixture = float(np.sum(weights * per_n))
-                    direct = click_probability(model, mu, phase, length)
+                    direct = model_click(model, mu, phase, length)
                     assert mixture == pytest.approx(direct, rel=1e-9)
 
 
