@@ -29,8 +29,8 @@ EXIT_PARSE = 3
 EXIT_VALIDATION = 4
 EXIT_RUNTIME = 5
 
-PARAM_KEYS = ("mu", "nu", "q", "f_ec", "u_alpha", "n_mu", "n_nu")
-LINK_KEYS = ("alpha_db_per_km", "excess_loss_db", "eta_det", "y0", "visibility")
+PARAM_KEYS = tuple(f.name for f in fields(ProtocolParams))
+LINK_KEYS = tuple(f.name for f in fields(link.LinkModel))
 # Largest sweep grid or calibrate scan; checked before anything is allocated.
 MAX_GRID_POINTS = 10**7
 
@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="FILE", help="output path (default: stdout)")
         for key in PARAM_KEYS:
             p.add_argument(f"--{key.replace('_', '-')}", type=float, default=None,
-                           dest=f"param_{key}", help=argparse.SUPPRESS)
+                           dest=f"params_{key}", help=argparse.SUPPRESS)
         if with_link:
             p.add_argument("--link", metavar="FILE",
                            help="key=value file with link parameters "
@@ -103,37 +103,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: str | None, allowed: Sequence[str]) -> dict[str, float]:
-    if path is None:
-        return {}
-    with open(path, encoding="utf-8") as handle:
-        return tables.read_config(handle, allowed)
-
-
-def _effective(defaults: dict[str, float], file_values: dict[str, float],
-               flag_values: dict[str, float | None]) -> dict[str, float]:
-    merged = dict(defaults)
-    merged.update(file_values)
-    merged.update({k: v for k, v in flag_values.items() if v is not None})
-    return merged
+def _given_values(args: argparse.Namespace, option: str,
+                  keys: Sequence[str]) -> dict[str, float]:
+    """The values given for keys by the --<option> key=value file and by the
+    per-key flags, a flag winning over the file; empty when none is given. A
+    key given by neither keeps its dataclass default."""
+    values: dict[str, float] = {}
+    path = getattr(args, option)
+    if path is not None:
+        with open(path, encoding="utf-8") as handle:
+            values = tables.read_config(handle, keys)
+    flags = {key: getattr(args, f"{option}_{key}") for key in keys}
+    values.update({key: value for key, value in flags.items() if value is not None})
+    return values
 
 
 def _resolve_params(args: argparse.Namespace) -> ProtocolParams:
-    defaults = {f.name: f.default for f in fields(ProtocolParams)}
-    file_values = _load_config(args.params, PARAM_KEYS)
-    flags = {key: getattr(args, f"param_{key}") for key in PARAM_KEYS}
-    return ProtocolParams(**_effective(defaults, file_values, flags))
+    return ProtocolParams(**_given_values(args, "params", PARAM_KEYS))
 
 
 def _resolve_link(args: argparse.Namespace) -> link.LinkModel:
     """Explicit link inputs win; otherwise fit the bundled table at its own intensities."""
-    file_values = _load_config(getattr(args, "link", None), LINK_KEYS)
-    flags = {key: getattr(args, f"link_{key}") for key in LINK_KEYS}
-    if not file_values and all(v is None for v in flags.values()):
+    values = _given_values(args, "link", LINK_KEYS)
+    if not values:
         return link.fit_link(tables.bundled_reference_table(),
                              tables.BUNDLED_REFERENCE_PARAMS)
-    defaults = {f.name: f.default for f in fields(link.LinkModel)}
-    return link.LinkModel(**_effective(defaults, file_values, flags))
+    return link.LinkModel(**values)
 
 
 def _params_header(params: ProtocolParams) -> list[str]:

@@ -140,8 +140,8 @@ def _transmittance(alpha_db_per_km, excess_loss_db, eta_det, length_km):
 
 def transmittance(model: LinkModel, length_km: float) -> float:
     """End-to-end transmittance eta_det * 10^-(alpha*L + excess)/10."""
-    if length_km < 0:
-        raise ValueError(f"length_km={length_km} must be >= 0")
+    if not 0.0 <= length_km < math.inf:  # also rejects NaN
+        raise ValueError(f"length_km={length_km} must be finite and >= 0")
     return float(_transmittance(model.alpha_db_per_km, model.excess_loss_db,
                                 model.eta_det, length_km))
 
@@ -298,9 +298,9 @@ def fit_link(table: np.ndarray | Sequence[MeasuredStats], params: ProtocolParams
     loss (its intercept); the visibility starts at 1 - 2*e_mu of the
     shortest length.
 
-    Raises UnidentifiableDataError unless mu and nu are positive, the
-    table holds at least three distinct lengths spanning at least 0.1 km
-    and every counting rate exceeds y0, and FitConvergenceError when the
+    Raises UnidentifiableDataError unless 0 < nu < mu, the table holds
+    at least three distinct lengths spanning at least 0.1 km and every
+    counting rate exceeds y0, and FitConvergenceError when the
     refinement runs out of iterations.
     """
     return fit_link_report(table, params, y0).model
@@ -318,6 +318,10 @@ def fit_link_report(table: np.ndarray | Sequence[MeasuredStats], params: Protoco
             raise UnidentifiableDataError(
                 f"{name}={mean_photons!r}: a pulse of mean 0 clicks at y0 on every link, "
                 "so no link model reproduces a rate measured at it")
+    if not params.nu < params.mu:
+        raise UnidentifiableDataError(
+            f"nu={params.nu!r} must be below mu={params.mu!r}: a link model gives pulses "
+            "of equal mean equal rates, so it cannot reproduce two classes measured apart")
     rows = np.asarray(table, dtype=float).reshape(-1, 5)
     length, s_mu, e_mu, s_nu, _ = rows.T
     distinct = np.unique(length).size

@@ -32,6 +32,11 @@ number and phase difference. A session builds one click table with
 rows = the larger K of its two classes and draws each class from its
 first K rows. K is computed outside both caches. The caches change no
 draw, so a seed gives the same tally as without them.
+
+soundness_report holds a session's bounds against its ground truth. Its
+SoundnessReport stores only the measured values s1_lower, e1_upper,
+true_s1 and true_e1; the verdicts s1_ok, e1_ok and sound and the slacks
+are properties derived from them.
 """
 
 from __future__ import annotations
@@ -131,6 +136,8 @@ class SimTally:
 class SoundnessReport:
     """Ground truth of a session against the bounds computed from its stats.
 
+    Stores the two bounds and the two ground-truth values they bound; the
+    verdicts s1_ok, e1_ok and sound and the slacks are derived from them.
     true_s1 is the observed single-photon click rate per emitted signal
     pulse rescaled by the Poisson single-photon weight mu*e^-mu, i.e.
     expressed per single-photon pulse like the yield bound it is
@@ -142,11 +149,15 @@ class SoundnessReport:
     e1_upper: float
     true_s1: float
     true_e1: float | None
-    s1_ok: bool
-    e1_ok: bool | None
-    single_clicked: int
-    single_sifted: int
-    single_errors: int
+
+    @property
+    def s1_ok(self) -> bool:
+        return self.s1_lower <= self.true_s1
+
+    @property
+    def e1_ok(self) -> bool | None:
+        """None when true_e1 is: no sifted single-photon click to check against."""
+        return None if self.true_e1 is None else self.e1_upper >= self.true_e1
 
     @property
     def sound(self) -> bool:
@@ -292,23 +303,11 @@ def soundness_report(tally: SimTally, bounds: SecurityBounds,
         raise ValueError("soundness report needs at least one emitted signal pulse")
     single = tally.signal_photons[1]
     poisson_weight = params.mu * math.exp(-params.mu)
-    true_s1 = single.clicked / tally.signal.emitted / poisson_weight
-    if single.sifted > 0:
-        true_e1 = single.errors / single.sifted
-        e1_ok = bounds.e1_upper >= true_e1
-    else:
-        true_e1 = None
-        e1_ok = None
     return SoundnessReport(
         s1_lower=bounds.s1_lower,
         e1_upper=bounds.e1_upper,
-        true_s1=true_s1,
-        true_e1=true_e1,
-        s1_ok=bounds.s1_lower <= true_s1,
-        e1_ok=e1_ok,
-        single_clicked=single.clicked,
-        single_sifted=single.sifted,
-        single_errors=single.errors,
+        true_s1=single.clicked / tally.signal.emitted / poisson_weight,
+        true_e1=single.errors / single.sifted if single.sifted else None,
     )
 
 

@@ -38,6 +38,25 @@ FIT_STDERR = "fit: converged in 12 iterations, objective=0.3943113292565052\n"
 # `decoyqkd sweep` stdout, with the link fitted to the bundled table, pinned
 # at the same point.
 SWEEP_STDOUT_SHA256 = "0958f9ce716b2603925856a1095d07fd2b4a289397c1bec19f0612d22a6d2d58"
+# `decoyqkd simulate --length-km 123.6 --u-alpha 0` stdout on each branch of
+# the soundness verdict, and a sound long session at 49.2 km, pinned while
+# SoundnessReport still stored its verdicts.
+SIMULATE_SOUNDNESS_STDOUT_SHA256 = {
+    # s1 violated, e1 ok
+    ("--pulses", "3e5", "--seed", "0"):
+        "2bf2ea24e8897642f75c82c27722e29231fc564b17ccac03e69fbd275ffa83e4",
+    # true_e1 none, sound
+    ("--pulses", "3e5", "--seed", "1"):
+        "692c0142aff1de36ddc93d2203cfeb484922bf6ff2dedb4116bedadd40650778",
+    # true_s1 0, e1 unavailable
+    ("--pulses", "3e5", "--seed", "7"):
+        "3eaf7619f5441e6d495984754292c765f40c86bd726c08c8e4f3a8d22ce42ba7",
+    # s1 and e1 violated
+    ("--pulses", "1e6", "--seed", "161"):
+        "c29397622c7d1ff643bbbc7d5d59bceea66f0fb708f9d7f76eb11a7f673c1562",
+}
+SIMULATE_SOUND_49KM_STDOUT_SHA256 = (
+    "fcd0ce6e351ee8baa9261c5644836e0520d4c4b3c2f41b504f11501511ee3058")
 # `decoyqkd calibrate` stdout, pinned while the scan still reached the click
 # law through link.click_probability and link.mean_photons_for_click.
 CALIBRATE_STDOUT_SHA256 = {
@@ -369,6 +388,18 @@ class TestFitCommand:
         assert len(captured.err.splitlines()) == 1
         assert [str(w.message) for w in caught] == []
 
+    def test_equal_intensities_rejected_before_fitting(self, monkeypatch, capsys):
+        # A model gives pulses of equal mean equal rates, so it cannot fit two classes.
+        monkeypatch.setattr(link, "_least_squares", refuse_fit)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["fit", "--mu", "0.5", "--nu", "0.5"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("decoyqkd fit: nu=0.5 must be below mu=0.5: ")
+        assert len(captured.err.splitlines()) == 1
+        assert [str(w.message) for w in caught] == []
+
 
 def refuse_fit(*args, **kwargs):
     """Stand-in for a fit that should not start."""
@@ -473,12 +504,35 @@ class TestSweepCommand:
         assert (f"parse error: line {line}: key {key!r} is given more than once"
                 in capsys.readouterr().err)
 
+    def test_link_file_and_flag_precedence(self, tmp_path):
+        config = tmp_path / "link.cfg"
+        config.write_text("alpha_db_per_km=0.21\nvisibility=0.95\n")
+        out = tmp_path / "sweep.tsv"
+        assert main(["sweep", "--link", str(config), "--visibility", "0.9",
+                     "--grid", "10:10:1", "--out", str(out)]) == EXIT_OK
+        text = out.read_text()
+        assert "# link.visibility=0.9\n" in text        # flag beats file
+        assert "# link.alpha_db_per_km=0.21\n" in text  # file beats default
+        assert "# link.eta_det=1.0\n" in text           # LinkModel default
+
 
 class TestSimulateCommand:
     def test_stdout_pinned(self, capsys):
         assert main(["simulate", "--seed", "5"]) == EXIT_OK
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_STDOUT_SHA256
+
+    @pytest.mark.parametrize("flags", SIMULATE_SOUNDNESS_STDOUT_SHA256)
+    def test_stdout_pinned_on_each_soundness_branch(self, capsys, flags):
+        assert main(["simulate", "--length-km", "123.6", "--u-alpha", "0", *flags]) == EXIT_OK
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == SIMULATE_SOUNDNESS_STDOUT_SHA256[flags]
+
+    def test_sound_session_stdout_pinned(self, capsys):
+        assert main(["simulate", "--pulses", "2e9", "--length-km", "49.2", "--u-alpha", "0",
+                     "--seed", "2"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_SOUND_49KM_STDOUT_SHA256
 
     def test_fixed_seed_is_byte_identical(self, tmp_path, link_file):
         args = ["simulate", "--link", link_file, "--pulses", "200000",

@@ -43,6 +43,11 @@ class TestTransmittance:
         with pytest.raises(ValueError):
             transmittance(LinkModel(), -1.0)
 
+    @pytest.mark.parametrize("length", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_length_rejected(self, length):
+        with pytest.raises(ValueError, match=r"must be finite and >= 0"):
+            transmittance(LinkModel(), length)
+
 
 class TestClickProbability:
     def test_no_light_no_darks(self):
