@@ -236,8 +236,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     with _output(args, header) as stream:
         stream.write("length_km\tr_lower\n")
         for length, rate in zip(sweep.lengths, sweep.rates):
-            rate_text = "nan" if math.isnan(rate) else repr(float(rate))
-            stream.write(f"{float(length)!r}\t{rate_text}\n")
+            stream.write(f"{float(length)!r}\t{float(rate)!r}\n")
     print(f"sweep: cutoff_km={cutoff}", file=sys.stderr)
     return EXIT_OK
 

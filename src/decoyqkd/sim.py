@@ -15,23 +15,18 @@ with exactly the law of pulse-by-pulse sampling. Determinism contract:
 one default_rng(SeedSequence(seed)) per session draws, in this order,
 the decoy count Binomial(n_pulses, decoy_fraction); then for the signal
 class and then the decoy class, with K = ceil(m + 12*sqrt(m)) + 12 for
-class mean m: one multinomial over the cells photon number n < K times
-phase difference d (n-major, p = Poisson(n)/4) plus a last tail cell
-for n >= K; one binomial click count per (n, d) cell, in cell order;
-and for the t pulses of the tail cell, t uniforms giving n by inverse
-transform over the Poisson law conditioned on n >= K, t phase
-differences and t click uniforms. The tests keep a pulse-by-pulse
-sampler as the reference this law is checked against.
+class mean m: one multinomial over the 4(K + 1) cells photon number
+n < K, then the tail n >= K, times phase difference d (n-major,
+p = Poisson(n)/4 and P(n >= K)/4 for the tail), then one binomial click
+count per cell, in cell order. A tail cell clicks with the Poisson-
+weighted mean click probability of the tail's photon numbers, which is
+the law of its pulses since no count resolves n beyond 3. The tests
+keep a pulse-by-pulse sampler as the reference this law is checked
+against.
 
 The parts of that law that do not depend on the seed are built once per
-state and kept in two bounded caches of read-only arrays: _cell_law, on
-(class mean, K), holds the multinomial cell probabilities and the
-cumulative tail weights; _click_table, on (transmittance, visibility,
-y0, bob_phase_error, rows), holds the click probability per photon
-number and phase difference. A session builds one click table with
-rows = the larger K of its two classes and draws each class from its
-first K rows. K is computed outside both caches. The caches change no
-draw, so a seed gives the same tally as without them.
+class mean, K and link state and kept, read-only, in the bounded cache
+of _class_law; K is computed outside it, and the cache changes no draw.
 
 soundness_report holds a session's bounds against its ground truth. Its
 SoundnessReport stores only the measured values s1_lower, e1_upper,
@@ -72,7 +67,7 @@ class SimConfig:
     model with the loss already lumped into excess_loss_db);
     bob_phase_error is a constant phase offset added to every pulse's
     phase difference, modelling residual miscalibration of Bob's
-    working points.
+    working points. The signal mean, and so the decoy mean, is at most 200.
     """
 
     n_pulses: int
@@ -88,6 +83,11 @@ class SimConfig:
         require_count(n_pulses=self.n_pulses)
         if not 0.0 < self.decoy_fraction < 1.0:
             raise ValueError(f"decoy_fraction={self.decoy_fraction} must be in (0, 1)")
+        # Beyond it the lgamma Poisson cells overshoot a sum of 1 by more than
+        # the 1e-12 numpy's multinomial allows, and a class law grows with its mean.
+        if self.params.mu > 200.0:
+            raise ValueError(f"mu={self.params.mu} must be at most 200: "
+                             "the photon-number law is not drawn beyond that mean")
 
 
 @dataclass(frozen=True)
@@ -198,50 +198,40 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _cell_law(mean: float, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """The multinomial cell probabilities of a class of the given mean (4*cutoff
-    photon-number/phase-difference cells, n-major, then the tail cell) and the
-    cumulative Poisson weights of the tail's photon numbers from the cutoff up."""
-    # The tail weights are summed upward from the cutoff, not taken as one
-    # minus the rest; beyond n = mean + 24*sqrt(mean) + 48 they are below
-    # 1e-70 of the first.
-    pmf = _poisson_pmf(mean, np.arange(math.ceil(mean + 24.0 * math.sqrt(mean)) + 48))
+def _class_law(mean: float, cutoff: int, eta: float, visibility: float, y0: float,
+               bob_phase_error: float) -> tuple[np.ndarray, np.ndarray]:
+    """The multinomial cell probabilities of a class of the given mean (the
+    photon numbers n < cutoff, then the tail n >= cutoff, each times the four
+    phase differences, n-major) and their click probabilities as a
+    (cutoff + 1, 4) table, at the phase differences of PHASE_GRID offset by
+    bob_phase_error."""
+    # The tail is summed upward from the cutoff, not taken as one minus the
+    # rest; beyond n = mean + 24*sqrt(mean) + 48 its weights are below 1e-70
+    # of the first.
+    photons = np.arange(math.ceil(mean + 24.0 * math.sqrt(mean)) + 48)
+    pmf = _poisson_pmf(mean, photons)
+    clicks = photon_click_probability(eta, visibility, y0, photons[:, None],
+                                      np.asarray(PHASE_GRID) + bob_phase_error)
     tail = pmf[cutoff:]
-    return (_read_only(np.append(np.repeat(pmf[:cutoff] / 4.0, 4), tail.sum())),
-            _read_only(np.cumsum(tail)))
+    weight = tail.sum()
+    # An elementwise sum, not a BLAS product, keeps the row's bits independent
+    # of the BLAS build; rounding can lift the mean of clicks of 1 above 1.
+    tail_clicks = (np.minimum((tail[:, None] * clicks[cutoff:]).sum(axis=0) / weight, 1.0)
+                   if weight else np.zeros(4))
+    return (_read_only(np.repeat(np.append(pmf[:cutoff], weight) / 4.0, 4)),
+            _read_only(np.vstack([clicks[:cutoff], tail_clicks])))
 
 
-@functools.lru_cache(maxsize=64)
-def _click_table(eta: float, visibility: float, y0: float, bob_phase_error: float,
-                 rows: int) -> np.ndarray:
-    """Click probability of each photon number n < rows (row) at each
-    phase difference of PHASE_GRID offset by bob_phase_error (column)."""
-    return _read_only(photon_click_probability(eta, visibility, y0, np.arange(rows)[:, None],
-                                               np.asarray(PHASE_GRID) + bob_phase_error))
-
-
-def _draw_class(rng: np.random.Generator, pulses: int, mean: float, cutoff: int,
-                click_table: np.ndarray, tail_click_law) -> np.ndarray:
+def _draw_class(rng: np.random.Generator, pulses: int,
+                law: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Counts (emitted, clicked, sifted, errors) of one intensity class, one row
-    per photon bin n = 0, 1, 2, >= 3, drawn as the module docstring fixes;
-    click_table holds the click probabilities of the n < cutoff cells and
-    tail_click_law(photons, diffs) gives them at a photon number >= cutoff
-    and a phase-difference index."""
-    cell_law, tail_cumulative = _cell_law(mean, cutoff)
-    cells = rng.multinomial(pulses, cell_law)
-    emitted = cells[:-1].reshape(cutoff, 4)
+    per photon bin n = 0, 1, 2, >= 3, drawn as the module docstring fixes
+    from its _class_law."""
+    cell_law, click_table = law
+    emitted = rng.multinomial(pulses, cell_law).reshape(click_table.shape)
     clicks = rng.binomial(emitted, click_table)
     # Rows 0, 1, 2 are photon bins 0, 1, 2; every n >= 3, tail included, is bin 3.
     emitted, clicks = (np.add.reduceat(a, [0, 1, 2, 3]) for a in (emitted, clicks))
-    n_tail = cells[-1]
-    if n_tail:
-        index = np.searchsorted(tail_cumulative, rng.random(n_tail) * tail_cumulative[-1],
-                                side="right")
-        diffs = rng.integers(0, 4, n_tail)
-        hit = rng.random(n_tail) < tail_click_law(
-            cutoff + np.minimum(index, tail_cumulative.size - 1), diffs)
-        emitted[3] += np.bincount(diffs, minlength=4)
-        clicks[3] += np.bincount(diffs[hit], minlength=4)
     return np.column_stack([emitted.sum(axis=1), clicks.sum(axis=1),
                             clicks[:, 0] + clicks[:, 2], clicks[:, 2]])
 
@@ -272,19 +262,11 @@ def run_session(config: SimConfig) -> tuple[SimTally, MeasuredStats]:
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     n_decoy = int(rng.binomial(config.n_pulses, config.decoy_fraction))
     link, mu, nu = config.link, config.params.mu, config.params.nu
-    eta = transmittance(link, config.length_km)
-    mu_cutoff, nu_cutoff = _photon_cutoff(mu), _photon_cutoff(nu)
-    clicks = _click_table(eta, link.visibility, link.y0, config.bob_phase_error,
-                          max(mu_cutoff, nu_cutoff))
-    phase_diffs = np.asarray(PHASE_GRID) + config.bob_phase_error
-
-    def tail_click_law(photons: np.ndarray, diffs: np.ndarray) -> np.ndarray:
-        return photon_click_probability(eta, link.visibility, link.y0, photons,
-                                        phase_diffs[diffs])
-
-    signal = _draw_class(rng, config.n_pulses - n_decoy, mu, mu_cutoff, clicks[:mu_cutoff],
-                         tail_click_law)
-    decoy = _draw_class(rng, n_decoy, nu, nu_cutoff, clicks[:nu_cutoff], tail_click_law)
+    state = (transmittance(link, config.length_km), link.visibility, link.y0,
+             config.bob_phase_error)
+    signal = _draw_class(rng, config.n_pulses - n_decoy,
+                         _class_law(mu, _photon_cutoff(mu), *state))
+    decoy = _draw_class(rng, n_decoy, _class_law(nu, _photon_cutoff(nu), *state))
     tally = SimTally(signal=ClassTally(*signal.sum(axis=0).tolist()),
                      decoy=ClassTally(*decoy.sum(axis=0).tolist()),
                      signal_photons=tuple(ClassTally(*row) for row in signal.tolist()))

@@ -57,6 +57,11 @@ SIMULATE_SOUNDNESS_STDOUT_SHA256 = {
 }
 SIMULATE_SOUND_49KM_STDOUT_SHA256 = (
     "fcd0ce6e351ee8baa9261c5644836e0520d4c4b3c2f41b504f11501511ee3058")
+# `decoyqkd simulate --mu 20 --nu 5 --pulses 1e7 --length-km 10 --seed 4`
+# stdout, whose photon bins 2 and 3+ fill through a class law other than the
+# default's, pinned while the photon-number tail was still drawn pulse by pulse.
+SIMULATE_BRIGHT_STDOUT_SHA256 = (
+    "737a53b00e8c7b0e80cc77292e0ad3b619a7804c478aab448ebe646a8e6cbec8")
 # `decoyqkd calibrate` stdout, pinned while the scan still reached the click
 # law through link.click_probability and link.mean_photons_for_click.
 CALIBRATE_STDOUT_SHA256 = {
@@ -533,6 +538,19 @@ class TestSimulateCommand:
                      "--seed", "2"]) == EXIT_OK
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_SOUND_49KM_STDOUT_SHA256
+
+    def test_bright_session_stdout_pinned(self, capsys):
+        assert main(["simulate", "--mu", "20", "--nu", "5", "--pulses", "1e7",
+                     "--length-km", "10", "--seed", "4"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_BRIGHT_STDOUT_SHA256
+
+    def test_class_mean_above_limit_rejected(self, capsys):
+        # numpy's multinomial rejected the lgamma Poisson cells of this mean
+        assert main(["simulate", "--mu", "1e4", "--nu", "0.2"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "mu=10000.0 must be at most 200:" in captured.err
 
     def test_fixed_seed_is_byte_identical(self, tmp_path, link_file):
         args = ["simulate", "--link", link_file, "--pulses", "200000",

@@ -21,7 +21,7 @@ from decoyqkd import (
 )
 from decoyqkd import sim
 from decoyqkd.estimator import InsufficientStatisticsError
-from decoyqkd.link import photon_click_probability
+from decoyqkd.link import PHASE_GRID, photon_click_probability
 from decoyqkd.sim import (
     ClassTally,
     measured_stats,
@@ -287,6 +287,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=r"n_pulses=9223372036854775808 must be in"):
             SimConfig(n_pulses=2**63, link=LUMPED_L0, params=default_params)
 
+    def test_class_mean_limit(self, default_params):
+        with pytest.raises(ValueError, match=r"mu=200.5 must be at most 200:"):
+            SimConfig(n_pulses=10, link=LUMPED_L0, params=ProtocolParams(mu=200.5, nu=0.2))
+        config = SimConfig(n_pulses=1_000_000, link=LUMPED_L0,
+                           params=ProtocolParams(mu=200.0, nu=200.0), seed=1)
+        tally, _ = run_session(config)
+        assert tally.signal_photons[3].emitted == tally.signal.emitted
+
     def test_decoy_fraction_domain(self, default_params):
         with pytest.raises(ValueError):
             SimConfig(n_pulses=10, link=LUMPED_L0, params=default_params,
@@ -351,26 +359,20 @@ class TestSamplerAgreement:
     ])
     def test_outcome_counts_agree(self, monkeypatch, mu, nu, phase_error, cutoff):
         stand_in = None if cutoff is None else CountingCutoff(cutoff)
-        tail_pulses = []
         if stand_in is not None:
             monkeypatch.setattr(sim, "_photon_cutoff", stand_in)
-            click_law = sim.photon_click_probability
-
-            def counting_click_law(eta, visibility, y0, photons, phase_diff):
-                # Only the tail cell asks for photon numbers at or above the cutoff.
-                if np.min(photons) >= cutoff:
-                    tail_pulses[-1] += np.size(photons)
-                return click_law(eta, visibility, y0, photons, phase_diff)
-
-            monkeypatch.setattr(sim, "photon_click_probability", counting_click_law)
+            # The tail cells of the signal law carry P(n >= cutoff) of its pulses.
+            cells, _ = sim._class_law(mu, cutoff, transmittance(AGREEMENT_LINK, 0.0),
+                                      AGREEMENT_LINK.visibility, AGREEMENT_LINK.y0,
+                                      phase_error)
+            below = math.fsum(math.exp(-mu) * mu**n / math.factorial(n) for n in range(cutoff))
+            assert cells[4 * cutoff:].sum() == pytest.approx(1.0 - below, rel=1e-12)
 
         def session_counts(config):
             consulted = 0 if stand_in is None else stand_in.calls
-            tail_pulses.append(0)
             tally = run_session(config)[0]
             if stand_in is not None:
                 assert stand_in.calls > consulted, "the patched cutoff was not consulted"
-                assert tail_pulses[-1] > 0, "no pulse was drawn through the tail cell"
             return outcome_counts(tally)
 
         n_pulses, seeds = 100_000, range(40)
@@ -436,8 +438,8 @@ GOLDEN_SESSIONS = [
     pytest.param(SimConfig(n_pulses=100_000, link=AGREEMENT_LINK,
                            params=ProtocolParams(mu=5.0, nu=1.0), seed=3,
                            bob_phase_error=0.1), 4,
-                 [50042, 21673, 9735, 1018, 49958, 6616, 3237, 399, 356, 7, 4, 3,
-                  1640, 241, 120, 13, 4185, 990, 464, 52, 43861, 20435, 9147, 950],
+                 [50042, 21683, 9748, 1016, 49958, 6581, 3191, 388, 356, 10, 4, 2,
+                  1640, 255, 134, 13, 4185, 990, 464, 52, 43861, 20428, 9146, 949],
                  id="tail cell"),
     pytest.param(SimConfig(n_pulses=10_000_000, link=GOLDEN_LINK,
                            params=ProtocolParams(mu=0.6, nu=0.0), seed=9, length_km=49.2),
@@ -463,24 +465,43 @@ link_states = {"eta": st.floats(0.0, 1.0), "visibility": st.floats(0.0, 1.0),
 
 
 class TestSharedTables:
-    """The per-mean and per-link tables every session of that state shares."""
-
-    @given(**link_states, rows=st.integers(1, 400), data=st.data())
-    def test_click_table_prefix_is_the_smaller_table(self, eta, visibility, y0,
-                                                     bob_phase_error, rows, data):
-        # run_session builds one table for both classes and slices it per class.
-        prefix = data.draw(st.integers(1, rows))
-        shared = sim._click_table(eta, visibility, y0, bob_phase_error, rows)
-        own = sim._click_table(eta, visibility, y0, bob_phase_error, prefix)
-        assert shared[:prefix].tobytes() == own.tobytes()
+    """The per-class law every session of that mean and link state shares."""
 
     @given(**link_states, mean=st.floats(0.0, 200.0), cutoff=st.integers(1, 500))
     def test_cached_arrays_are_read_only(self, eta, visibility, y0, bob_phase_error,
                                          mean, cutoff):
-        for array in (*sim._cell_law(mean, cutoff),
-                      sim._click_table(eta, visibility, y0, bob_phase_error, cutoff)):
+        for array in sim._class_law(mean, cutoff, eta, visibility, y0, bob_phase_error):
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
+
+    # A cutoff of 4 puts P(n >= 4) = 0.735 of a mean-5 class in the tail.
+    @pytest.mark.parametrize("mean, cutoff", [(5.0, 4), (0.6, None), (20.0, None)])
+    def test_tail_row_is_the_poisson_weighted_click_mean(self, mean, cutoff):
+        cutoff = sim._photon_cutoff(mean) if cutoff is None else cutoff
+        eta, visibility, y0, phase_error = 0.05, 0.9, 0.02, 0.1
+        _, clicks = sim._class_law(mean, cutoff, eta, visibility, y0, phase_error)
+        assert clicks.shape == (cutoff + 1, 4)
+        tail = range(cutoff, math.ceil(mean + 24.0 * math.sqrt(mean)) + 48)
+        weights = [math.exp(n * math.log(mean) - mean - math.lgamma(n + 1.0)) for n in tail]
+        for d, phase in enumerate(PHASE_GRID):
+            expected = math.fsum(
+                w * photon_click_probability(eta, visibility, y0, n, phase + phase_error)
+                for w, n in zip(weights, tail)) / math.fsum(weights)
+            assert clicks[-1, d] == pytest.approx(expected, rel=1e-14)
+
+    def test_tail_clicks_are_certain_at_full_dark_rate(self, default_params):
+        # Every photon number clicks with probability 1 at y0 = 1; the tail's
+        # weighted mean of those ones rounds above 1 at mean 0.6 unless clipped.
+        model = LinkModel(y0=1.0)
+        eta = transmittance(model, 49.2)
+        _, clicks = sim._class_law(default_params.mu, sim._photon_cutoff(default_params.mu),
+                                   eta, model.visibility, 1.0, 0.0)
+        assert clicks[-1].tolist() == [1.0] * 4
+        config = SimConfig(n_pulses=10_000, link=model, params=default_params, seed=1,
+                           length_km=49.2)
+        tally, _ = run_session(config)
+        assert tally.signal.clicked == tally.signal.emitted
+        assert tally.decoy.clicked == tally.decoy.emitted
 
 
 @st.composite
