@@ -14,19 +14,17 @@ Pulses are i.i.d., so run_session draws a session's counts directly,
 with exactly the law of pulse-by-pulse sampling. Determinism contract:
 one default_rng(SeedSequence(seed)) per session draws, in this order,
 the decoy count Binomial(n_pulses, decoy_fraction); then for the signal
-class and then the decoy class, with K = ceil(m + 12*sqrt(m)) + 12 for
-class mean m: one multinomial over the 4(K + 1) cells photon number
-n < K, then the tail n >= K, times phase difference d (n-major,
-p = Poisson(n)/4 and P(n >= K)/4 for the tail), then one binomial click
-count per cell, in cell order. A tail cell clicks with the Poisson-
-weighted mean click probability of the tail's photon numbers, which is
-the law of its pulses since no count resolves n beyond 3. The tests
-keep a pulse-by-pulse sampler as the reference this law is checked
-against.
+class and then the decoy class one multinomial over the 16 cells photon
+bin b in {0, 1, 2, >= 3} times phase difference d (bin-major,
+p = P(b)/4), then one binomial click count per cell, in cell order. The
+n >= 3 cells click with the Poisson-weighted mean click probability of
+their photon numbers; since no count resolves n beyond 3, that is
+exactly the law of their pulses. The tests keep a pulse-by-pulse sampler
+as the reference this law is checked against.
 
 The parts of that law that do not depend on the seed are built once per
-class mean, K and link state and kept, read-only, in the bounded cache
-of _class_law; K is computed outside it, and the cache changes no draw.
+class mean and link state and kept, read-only, in the bounded cache of
+_class_law; the cache changes no draw.
 
 soundness_report holds a session's bounds against its ground truth. Its
 SoundnessReport stores only the measured values s1_lower, e1_upper,
@@ -42,8 +40,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimator import (MeasuredStats, ProtocolParams, SecurityBounds, require_count,
-                        require_finite)
+from .estimator import (AnalysisError, MeasuredStats, ProtocolParams, SecurityBounds,
+                        require_count, require_finite)
 from .link import PHASE_GRID, LinkModel, photon_click_probability, transmittance
 
 __all__ = [
@@ -83,8 +81,8 @@ class SimConfig:
         require_count(n_pulses=self.n_pulses)
         if not 0.0 < self.decoy_fraction < 1.0:
             raise ValueError(f"decoy_fraction={self.decoy_fraction} must be in (0, 1)")
-        # Beyond it the lgamma Poisson cells overshoot a sum of 1 by more than
-        # the 1e-12 numpy's multinomial allows, and a class law grows with its mean.
+        # A class law sums the Poisson weights and click probabilities of
+        # about mean + 24*sqrt(mean) photon numbers, so its cost grows with it.
         if self.params.mu > 200.0:
             raise ValueError(f"mu={self.params.mu} must be at most 200: "
                              "the photon-number law is not drawn beyond that mean")
@@ -179,11 +177,6 @@ class SoundnessReport:
         return None if self.true_e1 is None else self.e1_upper - self.true_e1
 
 
-def _photon_cutoff(mean: float) -> int:
-    """K of the count-level draw: P(n >= K) is below 1e-25 for any class mean."""
-    return math.ceil(mean + 12.0 * math.sqrt(mean)) + 12
-
-
 def _poisson_pmf(mean: float, photons: np.ndarray) -> np.ndarray:
     """Poisson(mean) probabilities of the given photon numbers, through lgamma."""
     if mean == 0.0:
@@ -198,28 +191,26 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _class_law(mean: float, cutoff: int, eta: float, visibility: float, y0: float,
+def _class_law(mean: float, eta: float, visibility: float, y0: float,
                bob_phase_error: float) -> tuple[np.ndarray, np.ndarray]:
-    """The multinomial cell probabilities of a class of the given mean (the
-    photon numbers n < cutoff, then the tail n >= cutoff, each times the four
-    phase differences, n-major) and their click probabilities as a
-    (cutoff + 1, 4) table, at the phase differences of PHASE_GRID offset by
-    bob_phase_error."""
-    # The tail is summed upward from the cutoff, not taken as one minus the
-    # rest; beyond n = mean + 24*sqrt(mean) + 48 its weights are below 1e-70
-    # of the first.
+    """The 16 multinomial cell probabilities of a class of the given mean
+    (photon bins n = 0, 1, 2, >= 3, each times the four phase differences,
+    bin-major) and their click probabilities as a (4, 4) table, at the phase
+    differences of PHASE_GRID offset by bob_phase_error."""
+    # The n >= 3 weight is summed upward, not taken as one minus the rest;
+    # beyond n = mean + 24*sqrt(mean) + 48 the weights are below 1e-70 of the first.
     photons = np.arange(math.ceil(mean + 24.0 * math.sqrt(mean)) + 48)
     pmf = _poisson_pmf(mean, photons)
     clicks = photon_click_probability(eta, visibility, y0, photons[:, None],
                                       np.asarray(PHASE_GRID) + bob_phase_error)
-    tail = pmf[cutoff:]
+    tail = pmf[3:]
     weight = tail.sum()
     # An elementwise sum, not a BLAS product, keeps the row's bits independent
     # of the BLAS build; rounding can lift the mean of clicks of 1 above 1.
-    tail_clicks = (np.minimum((tail[:, None] * clicks[cutoff:]).sum(axis=0) / weight, 1.0)
+    tail_clicks = (np.minimum((tail[:, None] * clicks[3:]).sum(axis=0) / weight, 1.0)
                    if weight else np.zeros(4))
-    return (_read_only(np.repeat(np.append(pmf[:cutoff], weight) / 4.0, 4)),
-            _read_only(np.vstack([clicks[:cutoff], tail_clicks])))
+    return (_read_only(np.repeat(np.append(pmf[:3], weight) / 4.0, 4)),
+            _read_only(np.vstack([clicks[:3], tail_clicks])))
 
 
 def _draw_class(rng: np.random.Generator, pulses: int,
@@ -228,10 +219,8 @@ def _draw_class(rng: np.random.Generator, pulses: int,
     per photon bin n = 0, 1, 2, >= 3, drawn as the module docstring fixes
     from its _class_law."""
     cell_law, click_table = law
-    emitted = rng.multinomial(pulses, cell_law).reshape(click_table.shape)
+    emitted = rng.multinomial(pulses, cell_law).reshape(4, 4)
     clicks = rng.binomial(emitted, click_table)
-    # Rows 0, 1, 2 are photon bins 0, 1, 2; every n >= 3, tail included, is bin 3.
-    emitted, clicks = (np.add.reduceat(a, [0, 1, 2, 3]) for a in (emitted, clicks))
     return np.column_stack([emitted.sum(axis=1), clicks.sum(axis=1),
                             clicks[:, 0] + clicks[:, 2], clicks[:, 2]])
 
@@ -264,9 +253,8 @@ def run_session(config: SimConfig) -> tuple[SimTally, MeasuredStats]:
     link, mu, nu = config.link, config.params.mu, config.params.nu
     state = (transmittance(link, config.length_km), link.visibility, link.y0,
              config.bob_phase_error)
-    signal = _draw_class(rng, config.n_pulses - n_decoy,
-                         _class_law(mu, _photon_cutoff(mu), *state))
-    decoy = _draw_class(rng, n_decoy, _class_law(nu, _photon_cutoff(nu), *state))
+    signal = _draw_class(rng, config.n_pulses - n_decoy, _class_law(mu, *state))
+    decoy = _draw_class(rng, n_decoy, _class_law(nu, *state))
     tally = SimTally(signal=ClassTally(*signal.sum(axis=0).tolist()),
                      decoy=ClassTally(*decoy.sum(axis=0).tolist()),
                      signal_photons=tuple(ClassTally(*row) for row in signal.tolist()))
@@ -282,7 +270,7 @@ def soundness_report(tally: SimTally, bounds: SecurityBounds,
     rescaled by 1/(mu*e^-mu) before comparison.
     """
     if tally.signal.emitted == 0:
-        raise ValueError("soundness report needs at least one emitted signal pulse")
+        raise AnalysisError("soundness report needs at least one emitted signal pulse")
     single = tally.signal_photons[1]
     poisson_weight = params.mu * math.exp(-params.mu)
     return SoundnessReport(

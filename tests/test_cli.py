@@ -28,9 +28,9 @@ REFERENCE_SHA256 = "42dd2ad257a0f2fddab4c954dd0dd1114b924517e93c1fb0970d86cf61d3
 # `decoyqkd analyze` stdout on the bundled table, pinned while the bounds were
 # still computed one MeasuredStats row at a time.
 ANALYZE_STDOUT_SHA256 = "5d3c7471cd2446bc6eac75280294f787ae36345dd97d105ad15d8fcfea9bef7f"
-# `decoyqkd simulate --seed 5` stdout, pinned while every session still
-# recomputed its Poisson and click-probability tables.
-SIMULATE_STDOUT_SHA256 = "93eb61d3d2ef0c018fedae6de2bf75c3b399ff5d30275f148e603452b78efe00"
+# `decoyqkd simulate --seed 5` stdout, pinned when a class became one 16-cell
+# multinomial.
+SIMULATE_STDOUT_SHA256 = "bdc3f0b4ceeab59e0845440db9a6c960673bb72bb0c842f4465d279274bf69a8"
 # `decoyqkd fit` stdout and stderr, pinned while fit still read the table as a
 # list of MeasuredStats rows.
 FIT_STDOUT_SHA256 = "719905dd1c3a140f43557cb68246c829d356602c7cd820ebf2bc5ff4b1f438d3"
@@ -39,29 +39,29 @@ FIT_STDERR = "fit: converged in 12 iterations, objective=0.3943113292565052\n"
 # at the same point.
 SWEEP_STDOUT_SHA256 = "0958f9ce716b2603925856a1095d07fd2b4a289397c1bec19f0612d22a6d2d58"
 # `decoyqkd simulate --length-km 123.6 --u-alpha 0` stdout on each branch of
-# the soundness verdict, and a sound long session at 49.2 km, pinned while
-# SoundnessReport still stored its verdicts.
+# the soundness verdict, each at the smallest seed that reaches it, and a sound
+# long session at 49.2 km, pinned when a class became one 16-cell multinomial.
 SIMULATE_SOUNDNESS_STDOUT_SHA256 = {
     # s1 violated, e1 ok
     ("--pulses", "3e5", "--seed", "0"):
-        "2bf2ea24e8897642f75c82c27722e29231fc564b17ccac03e69fbd275ffa83e4",
+        "66eae2364a12cd4785bd5f4c4ef4b28691a3fafda1464b0cf49f96c36312871a",
     # true_e1 none, sound
-    ("--pulses", "3e5", "--seed", "1"):
-        "692c0142aff1de36ddc93d2203cfeb484922bf6ff2dedb4116bedadd40650778",
+    ("--pulses", "3e5", "--seed", "25"):
+        "ec2b490427e1377faa62dd1fe9a105b8eb64d5a88700b6ac70c9dfb4cf59461b",
     # true_s1 0, e1 unavailable
-    ("--pulses", "3e5", "--seed", "7"):
-        "3eaf7619f5441e6d495984754292c765f40c86bd726c08c8e4f3a8d22ce42ba7",
+    ("--pulses", "3e5", "--seed", "87"):
+        "b83d7917cb77cf63c5d234e719b875296de8f4b100678b87457426a6a3d11a0f",
     # s1 and e1 violated
-    ("--pulses", "1e6", "--seed", "161"):
-        "c29397622c7d1ff643bbbc7d5d59bceea66f0fb708f9d7f76eb11a7f673c1562",
+    ("--pulses", "1e6", "--seed", "760"):
+        "f2eb770291c8fdb4e96cdd3580c1ba4113e153049f534925ba64ad802b2bd324",
 }
 SIMULATE_SOUND_49KM_STDOUT_SHA256 = (
-    "fcd0ce6e351ee8baa9261c5644836e0520d4c4b3c2f41b504f11501511ee3058")
+    "8d2cf63199ff8f9c916f9a9b993ca6cf0a30ad32f4f74851746894fb381be9af")
 # `decoyqkd simulate --mu 20 --nu 5 --pulses 1e7 --length-km 10 --seed 4`
 # stdout, whose photon bins 2 and 3+ fill through a class law other than the
-# default's, pinned while the photon-number tail was still drawn pulse by pulse.
+# default's, pinned at the same point.
 SIMULATE_BRIGHT_STDOUT_SHA256 = (
-    "737a53b00e8c7b0e80cc77292e0ad3b619a7804c478aab448ebe646a8e6cbec8")
+    "52aa0bbacd32cab4b0119c4f64b457c04c7d2cd82c605e64bfcd8263514c4dfb")
 # `decoyqkd calibrate` stdout, pinned while the scan still reached the click
 # law through link.click_probability and link.mean_photons_for_click.
 CALIBRATE_STDOUT_SHA256 = {
@@ -269,6 +269,15 @@ class TestAnalyzeCommand:
         assert main(["analyze", flag, value]) == EXIT_VALIDATION
         assert f"{name}={value} must be finite" in capsys.readouterr().err
 
+    def test_underflowing_intensities_reported_on_every_row(self, capsys):
+        # mu**2 underflows to zero, so the yield bound divides by zero.
+        assert main(["analyze", "--mu", "1e-200", "--nu", "1e-201"]) == EXIT_OK
+        rows = parse_bounds_output(capsys.readouterr().out)
+        assert len(rows) == 6
+        for s1, _, _, secure, diagnostics in rows.values():
+            assert s1 is None and not secure
+            assert diagnostics.startswith("yield bound is not representable")
+
     def test_unanalyzable_row_reported_inline(self, tmp_path):
         table = tmp_path / "mixed.tsv"
         table.write_text(
@@ -473,6 +482,12 @@ class TestSweepCommand:
         assert main(["sweep", "--link", link_file, "--grid", "abc"]) == EXIT_VALIDATION
         assert main(["sweep", "--link", link_file, "--grid", "0:1:nan"]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("grid", ["5:1:1", "0:10:0"])
+    def test_reversed_or_stepless_grid_rejected(self, link_file, capsys, grid):
+        assert main(["sweep", "--link", link_file, "--grid", grid]) == EXIT_VALIDATION
+        assert (f"grid '{grid}' must have positive step and stop >= start"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("grid", ["0:150:1e-10", "0:1e308:5e-324", "-1e308:1e308:1"])
     def test_oversized_grid_rejected_before_allocation(self, link_file, capsys, monkeypatch,
                                                        grid):
@@ -508,6 +523,16 @@ class TestSweepCommand:
         line = len(text.splitlines())
         assert (f"parse error: line {line}: key {key!r} is given more than once"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("text, message", [
+        ("mu 0.6\n", "line 1: expected key=value, got 'mu 0.6'"),
+        ("nu=0.2\nmu=abc\n", "line 2: value for 'mu' is not a number"),
+    ])
+    def test_malformed_config_line_is_parse_error(self, tmp_path, capsys, text, message):
+        config = tmp_path / "bad.cfg"
+        config.write_text(text)
+        assert main(["sweep", "--params", str(config)]) == EXIT_PARSE
+        assert f"parse error: {message}" in capsys.readouterr().err
 
     def test_link_file_and_flag_precedence(self, tmp_path):
         config = tmp_path / "link.cfg"
@@ -546,7 +571,6 @@ class TestSimulateCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_BRIGHT_STDOUT_SHA256
 
     def test_class_mean_above_limit_rejected(self, capsys):
-        # numpy's multinomial rejected the lgamma Poisson cells of this mean
         assert main(["simulate", "--mu", "1e4", "--nu", "0.2"]) == EXIT_VALIDATION
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -577,6 +601,18 @@ class TestSimulateCommand:
 
     def test_zero_pulses_rejected(self, link_file):
         assert main(["simulate", "--link", link_file, "--pulses", "0"]) == EXIT_VALIDATION
+
+    def test_session_without_signal_pulses_reports_an_analysis_error(self, capsys):
+        # The one pulse is a decoy, and at y0 = 1 it clicks: the decoy rate
+        # yields bounds, but there is no signal pulse to hold them against.
+        assert main(["simulate", "--pulses", "1", "--u-alpha", "0", "--y0", "1",
+                     "--length-km", "0", "--seed", "0"]) == EXIT_OK
+        values = parse_keyvalues(capsys.readouterr().out)
+        assert values["signal.emitted"] == "0" and values["decoy.clicked"] == "1"
+        assert values["stats.s_nu"] == "1.0"
+        assert (values["analysis.error"]
+                == "soundness report needs at least one emitted signal pulse")
+        assert not any(key.startswith(("bounds.", "soundness.")) for key in values)
 
     def test_vacuum_only_session_runs_on_the_implicit_link(self, capsys, link_file):
         argv = ["simulate", "--mu", "0", "--nu", "0", "--seed", "4"]
@@ -697,6 +733,14 @@ class TestCalibrateCommand:
         assert main(["calibrate", "--link", link_file]) == EXIT_RUNTIME
         assert "fringe fit did not converge in 100 iterations" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--peak", "1.5", "peak=1.5 must be in (0, 1)"),
+        ("--session-pulses", "0", "session_pulses=0.0 must be > 0"),
+    ])
+    def test_out_of_range_value_rejected(self, link_file, capsys, flag, value, message):
+        assert main(["calibrate", "--link", link_file, flag, value]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+
     def test_four_point_grid_rejected(self, link_file):
         assert main(["calibrate", "--link", link_file, "--points", "4"]) == EXIT_VALIDATION
 
@@ -740,3 +784,20 @@ class TestCalibrateCommand:
         err = capsys.readouterr().err
         assert f"true_phase_zero={value} must be finite" in err and "Warning" not in err
         assert [str(w.message) for w in caught] == []
+
+
+WORKFLOW = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        ".github", "workflows", "tests.yml")
+
+
+def test_workflow_pins_match_the_commands(capsys):
+    # The package-smoke job pins each command's stdout as `check <sha256> <args...>`.
+    with open(WORKFLOW, encoding="utf-8") as handle:
+        checks = re.findall(r"^\s*check ([0-9a-f]{64}) (.+)$", handle.read(), re.MULTILINE)
+    assert checks, f"no pinned check line in {WORKFLOW}"
+    digests = {}
+    for expected, args in checks:
+        assert main(args.split()) == EXIT_OK, args
+        digests[args] = (hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(),
+                         expected)
+    assert {args: pair for args, pair in digests.items() if pair[0] != pair[1]} == {}

@@ -5,12 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from decoyqkd import (
     AnalysisError,
     InsufficientStatisticsError,
+    LinkModel,
     MeasuredStats,
     NoSinglePhotonBoundError,
     ProtocolParams,
@@ -18,6 +20,7 @@ from decoyqkd import (
     analyze_columns,
     analyze_row,
     binary_entropy,
+    expected_stats,
 )
 from decoyqkd.cli import EXIT_OK, main
 
@@ -346,6 +349,42 @@ class TestBoundProperties:
         params = ProtocolParams(mu=mu, nu=nu, u_alpha=0.0)
         with pytest.raises(AnalysisError, match="not representable"):
             analyze_row(params, MeasuredStats(0.0, 0.0, 0.0, 1.0, 0.0))
+
+
+def lp_min_single_photon_yield(mu, nu, s_mu, e_mu, s_nu, photons=41):
+    """Least Y1 over yields 0 <= Y_n <= 1 (n < photons) that reproduce both gains,
+    with vacuum clicks at QBER 1/2 inside the signal errors: the linear
+    programme the two-intensity yield bound solves. Each row is scaled by
+    its right-hand side, so that the solver's absolute tolerances are relative."""
+    n = np.arange(photons)
+    log_factorial = np.array([math.lgamma(k + 1.0) for k in n])
+    poisson = [np.exp(n * math.log(m) - m - log_factorial) for m in (mu, nu)]
+    vacuum_errors = np.where(n == 0, math.exp(-mu) / 2.0, 0.0)
+    result = linprog((n == 1).astype(float), A_ub=[vacuum_errors / (e_mu * s_mu)], b_ub=[1.0],
+                     A_eq=[poisson[0] / s_mu, poisson[1] / s_nu], b_eq=[1.0, 1.0],
+                     bounds=(0.0, 1.0), method="highs")
+    assert result.status == 0, result.message
+    return result.fun
+
+
+class TestLinearProgrammeOracle:
+    @given(mu=st.floats(0.1, 1.0), nu_share=st.floats(0.05, 0.8),
+           alpha=st.floats(0.15, 0.25), excess_loss_db=st.floats(0.0, 20.0),
+           eta_det=st.floats(0.05, 1.0), log_y0=st.floats(-7.0, -5.0),
+           visibility=st.floats(0.95, 1.0), length=st.floats(0.0, 150.0))
+    def test_yield_bound_is_at_most_the_lp_minimum(self, mu, nu_share, alpha, excess_loss_db,
+                                                   eta_det, log_y0, visibility, length):
+        # No photon-number channel that reproduces an honest row has a smaller Y1.
+        link = LinkModel(alpha_db_per_km=alpha, excess_loss_db=excess_loss_db,
+                         eta_det=eta_det, y0=10.0**log_y0, visibility=visibility)
+        params = ProtocolParams(mu=mu, nu=nu_share * mu, u_alpha=0.0)
+        row = expected_stats(link, params, length)
+        try:
+            s1_lower = analyze_row(params, row).s1_lower
+        except AnalysisError:
+            assume(False)
+        lp_min = lp_min_single_photon_yield(mu, params.nu, row.s_mu, row.e_mu, row.s_nu)
+        assert s1_lower <= lp_min * (1.0 + 1e-9)
 
 
 # One row per abort cause, in the chain's check order, then rows that yield

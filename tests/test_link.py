@@ -346,6 +346,8 @@ class TestSweep:
             sweep_key_rate(fitted_model, default_params, [])
         with pytest.raises(ValueError):
             sweep_key_rate(fitted_model, default_params, [10.0, 5.0])
+        with pytest.raises(ValueError, match=r"length_km=nan must be finite and >= 0"):
+            sweep_key_rate(fitted_model, default_params, [math.nan])
 
     def test_single_point_grid_has_no_cutoff(self, fitted_model, default_params):
         sweep = sweep_key_rate(fitted_model, default_params, [150.0])

@@ -337,50 +337,18 @@ def outcome_counts(tally):
     return counts
 
 
-class CountingCutoff:
-    """Stand-in for sim._photon_cutoff: a fixed cutoff, and how often it was asked."""
-
-    def __init__(self, cutoff):
-        self.cutoff, self.calls = cutoff, 0
-
-    def __call__(self, mean):
-        self.calls += 1
-        return self.cutoff
-
-
 class TestSamplerAgreement:
     """The count-level run_session against the pulse-by-pulse reference sampler."""
 
-    @pytest.mark.parametrize("mu, nu, phase_error, cutoff", [
-        (0.6, 0.2, 0.0, None),
-        (5.0, 1.0, 0.1, None),
-        # A cutoff of 4 sends most signal pulses (mean 5) through the tail cell.
-        (5.0, 1.0, 0.1, 4),
-    ])
-    def test_outcome_counts_agree(self, monkeypatch, mu, nu, phase_error, cutoff):
-        stand_in = None if cutoff is None else CountingCutoff(cutoff)
-        if stand_in is not None:
-            monkeypatch.setattr(sim, "_photon_cutoff", stand_in)
-            # The tail cells of the signal law carry P(n >= cutoff) of its pulses.
-            cells, _ = sim._class_law(mu, cutoff, transmittance(AGREEMENT_LINK, 0.0),
-                                      AGREEMENT_LINK.visibility, AGREEMENT_LINK.y0,
-                                      phase_error)
-            below = math.fsum(math.exp(-mu) * mu**n / math.factorial(n) for n in range(cutoff))
-            assert cells[4 * cutoff:].sum() == pytest.approx(1.0 - below, rel=1e-12)
-
-        def session_counts(config):
-            consulted = 0 if stand_in is None else stand_in.calls
-            tally = run_session(config)[0]
-            if stand_in is not None:
-                assert stand_in.calls > consulted, "the patched cutoff was not consulted"
-            return outcome_counts(tally)
-
+    # At mean 5, P(n >= 3) = 0.875 of the signal pulses go through the n >= 3 cells.
+    @pytest.mark.parametrize("mu, nu, phase_error", [(0.6, 0.2, 0.0), (5.0, 1.0, 0.1)])
+    def test_outcome_counts_agree(self, mu, nu, phase_error):
         n_pulses, seeds = 100_000, range(40)
         configs = [SimConfig(n_pulses=n_pulses, link=AGREEMENT_LINK,
                              params=ProtocolParams(mu=mu, nu=nu), seed=seed,
                              bob_phase_error=phase_error) for seed in seeds]
         counts = np.array([
-            [session_counts(config) for config in configs],
+            [outcome_counts(run_session(config)[0]) for config in configs],
             [outcome_counts(reference_tally(config, n_pulses)) for config in configs],
         ])
         # Same outcome law: 2 x 20 homogeneity test on the pooled counts.
@@ -408,44 +376,42 @@ GOLDEN_LINK = LinkModel(alpha_db_per_km=0.16656173496628343,
 
 # 1e7-pulse sessions at the bundled lengths, seeds 100 to 105.
 GOLDEN_LENGTH_COUNTS = {
-    123.6: [5000744, 221, 114, 2, 4999256, 85, 46, 1, 2747491, 1, 0, 0,
-            1645461, 115, 61, 1, 492583, 69, 30, 1, 115209, 36, 23, 0],
-    108.0: [5001849, 333, 174, 1, 4998151, 121, 67, 1, 2746527, 0, 0, 0,
-            1646679, 182, 87, 0, 493131, 117, 65, 1, 115512, 34, 22, 0],
-    97.0: [5001298, 529, 276, 4, 4998702, 192, 108, 3, 2745056, 0, 0, 0,
-           1647425, 289, 162, 3, 493515, 171, 78, 0, 115302, 69, 36, 1],
-    83.7: [4999342, 862, 447, 8, 5000658, 287, 142, 3, 2743313, 2, 1, 1,
-           1646936, 495, 259, 3, 493585, 263, 137, 3, 115508, 102, 50, 1],
-    62.1: [5000621, 2089, 1041, 10, 4999379, 677, 350, 6, 2745023, 0, 0, 0,
-           1646567, 1175, 587, 5, 493568, 661, 324, 3, 115463, 253, 130, 2],
-    49.2: [5000509, 3335, 1672, 31, 4999491, 1159, 558, 4, 2745499, 1, 1, 1,
-           1645814, 1836, 937, 11, 493522, 1092, 541, 14, 115674, 406, 193, 5],
+    123.6: [5000744, 181, 94, 1, 4999256, 90, 47, 2, 2747491, 2, 0, 0,
+            1645461, 105, 50, 1, 492583, 51, 30, 0, 115209, 23, 14, 0],
+    108.0: [5001849, 323, 174, 4, 4998151, 128, 65, 1, 2746527, 0, 0, 0,
+            1646679, 177, 95, 4, 493131, 94, 52, 0, 115512, 52, 27, 0],
+    97.0: [5001298, 551, 268, 4, 4998702, 192, 94, 1, 2745056, 1, 0, 0,
+           1647425, 304, 147, 3, 493515, 173, 86, 0, 115302, 73, 35, 1],
+    83.7: [4999342, 876, 412, 7, 5000658, 301, 161, 0, 2743313, 1, 0, 0,
+           1646936, 507, 237, 1, 493585, 276, 127, 3, 115508, 92, 48, 3],
+    62.1: [5000621, 2113, 1076, 11, 4999379, 669, 344, 6, 2745023, 1, 0, 0,
+           1646567, 1125, 575, 7, 493568, 727, 379, 1, 115463, 260, 122, 3],
+    49.2: [5000509, 3356, 1678, 25, 4999491, 1124, 599, 9, 2745499, 0, 0, 0,
+           1645814, 1884, 924, 12, 493522, 1074, 540, 9, 115674, 398, 214, 4],
 }
 
-# (config, photon cutoff stand-in or None, tally counts), recorded while every
-# session still recomputed its Poisson and click-probability tables.
+# (config, tally counts), recorded when a class became one 16-cell multinomial.
 GOLDEN_SESSIONS = [
     *(pytest.param(SimConfig(n_pulses=10_000_000, link=GOLDEN_LINK, params=ProtocolParams(),
-                             seed=100 + i, length_km=length), None, counts, id=f"{length}km")
+                             seed=100 + i, length_km=length), counts, id=f"{length}km")
       for i, (length, counts) in enumerate(GOLDEN_LENGTH_COUNTS.items())),
     pytest.param(SimConfig(n_pulses=2_000_000_000, link=GOLDEN_LINK, params=ProtocolParams(),
-                           seed=7, length_km=123.6), None,
-                 [1000003427, 39082, 19482, 360, 999996573, 13445, 6745, 186,
-                  548795385, 262, 125, 74, 329313837, 21269, 10520, 168,
-                  98776549, 12829, 6483, 86, 23117656, 4722, 2354, 32],
+                           seed=7, length_km=123.6),
+                 [1000003427, 39651, 19632, 366, 999996573, 13280, 6539, 220,
+                  548795385, 276, 142, 63, 329313837, 21555, 10638, 177,
+                  98776549, 12967, 6431, 99, 23117656, 4853, 2421, 27],
                  id="2e9 pulses at 123.6km"),
-    # Most signal pulses (mean 5) go through the tail cell.
+    # Most signal pulses (mean 5) go through the n >= 3 cells.
     pytest.param(SimConfig(n_pulses=100_000, link=AGREEMENT_LINK,
                            params=ProtocolParams(mu=5.0, nu=1.0), seed=3,
-                           bob_phase_error=0.1), 4,
-                 [50042, 21683, 9748, 1016, 49958, 6581, 3191, 388, 356, 10, 4, 2,
-                  1640, 255, 134, 13, 4185, 990, 464, 52, 43861, 20428, 9146, 949],
+                           bob_phase_error=0.1),
+                 [50042, 21529, 9644, 986, 49958, 6650, 3224, 414, 356, 6, 2, 1,
+                  1640, 241, 120, 13, 4185, 990, 464, 52, 43861, 20292, 9058, 920],
                  id="tail cell"),
     pytest.param(SimConfig(n_pulses=10_000_000, link=GOLDEN_LINK,
                            params=ProtocolParams(mu=0.6, nu=0.0), seed=9, length_km=49.2),
-                 None,
-                 [4999535, 3379, 1635, 19, 5000465, 1, 0, 0, 2744266, 1, 0, 0,
-                  1645574, 1864, 929, 10, 493990, 1107, 518, 8, 115705, 407, 188, 1],
+                 [4999535, 3321, 1646, 24, 5000465, 4, 1, 1, 2744266, 2, 0, 0,
+                  1645574, 1810, 917, 16, 493990, 1106, 533, 4, 115705, 403, 196, 4],
                  id="nu=0"),
 ]
 
@@ -453,10 +419,8 @@ GOLDEN_SESSIONS = [
 class TestGoldenTallies:
     """Seeded sessions keep their exact counts: the determinism contract of sim."""
 
-    @pytest.mark.parametrize("config, cutoff, counts", GOLDEN_SESSIONS)
-    def test_counts_are_pinned(self, monkeypatch, config, cutoff, counts):
-        if cutoff is not None:
-            monkeypatch.setattr(sim, "_photon_cutoff", CountingCutoff(cutoff))
+    @pytest.mark.parametrize("config, counts", GOLDEN_SESSIONS)
+    def test_counts_are_pinned(self, config, counts):
         assert tally_counts(run_session(config)[0]) == counts
 
 
@@ -467,35 +431,46 @@ link_states = {"eta": st.floats(0.0, 1.0), "visibility": st.floats(0.0, 1.0),
 class TestSharedTables:
     """The per-class law every session of that mean and link state shares."""
 
-    @given(**link_states, mean=st.floats(0.0, 200.0), cutoff=st.integers(1, 500))
-    def test_cached_arrays_are_read_only(self, eta, visibility, y0, bob_phase_error,
-                                         mean, cutoff):
-        for array in sim._class_law(mean, cutoff, eta, visibility, y0, bob_phase_error):
+    @given(**link_states, mean=st.floats(0.0, 200.0))
+    def test_cached_arrays_are_read_only(self, eta, visibility, y0, bob_phase_error, mean):
+        for array in sim._class_law(mean, eta, visibility, y0, bob_phase_error):
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
 
-    # A cutoff of 4 puts P(n >= 4) = 0.735 of a mean-5 class in the tail.
-    @pytest.mark.parametrize("mean, cutoff", [(5.0, 4), (0.6, None), (20.0, None)])
-    def test_tail_row_is_the_poisson_weighted_click_mean(self, mean, cutoff):
-        cutoff = sim._photon_cutoff(mean) if cutoff is None else cutoff
+    # P(n >= 3) is 0.875 of a mean-5 class, 0.023 of a mean-0.6 one.
+    @pytest.mark.parametrize("mean", [5.0, 0.6, 20.0])
+    def test_tail_row_is_the_poisson_weighted_click_mean(self, mean):
         eta, visibility, y0, phase_error = 0.05, 0.9, 0.02, 0.1
-        _, clicks = sim._class_law(mean, cutoff, eta, visibility, y0, phase_error)
-        assert clicks.shape == (cutoff + 1, 4)
-        tail = range(cutoff, math.ceil(mean + 24.0 * math.sqrt(mean)) + 48)
+        cells, clicks = sim._class_law(mean, eta, visibility, y0, phase_error)
+        assert cells.shape == (16,) and clicks.shape == (4, 4)
+        tail = range(3, math.ceil(mean + 24.0 * math.sqrt(mean)) + 48)
         weights = [math.exp(n * math.log(mean) - mean - math.lgamma(n + 1.0)) for n in tail]
+        assert cells[12:].tolist() == pytest.approx([math.fsum(weights) / 4.0] * 4, rel=1e-14)
         for d, phase in enumerate(PHASE_GRID):
+            for n in range(3):
+                assert clicks[n, d] == pytest.approx(photon_click_probability(
+                    eta, visibility, y0, n, phase + phase_error), rel=1e-14)
             expected = math.fsum(
                 w * photon_click_probability(eta, visibility, y0, n, phase + phase_error)
                 for w, n in zip(weights, tail)) / math.fsum(weights)
-            assert clicks[-1, d] == pytest.approx(expected, rel=1e-14)
+            assert clicks[3, d] == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("mean", [0.2, 0.6, 5.0, 20.0, 200.0])
+    def test_last_cell_is_what_the_multinomial_draws_with(self, mean):
+        # numpy's multinomial gives the last cell one minus the running sum of
+        # the others, so any rounding deficit of the cells lands on it.
+        cells, _ = sim._class_law(mean, 0.05, 0.9, 0.02, 0.0)
+        remaining = 1.0
+        for p in cells[:-1].tolist():
+            remaining -= p
+        assert remaining == pytest.approx(cells[-1], rel=1e-12)
 
     def test_tail_clicks_are_certain_at_full_dark_rate(self, default_params):
-        # Every photon number clicks with probability 1 at y0 = 1; the tail's
+        # Every photon number clicks with probability 1 at y0 = 1; the n >= 3
         # weighted mean of those ones rounds above 1 at mean 0.6 unless clipped.
         model = LinkModel(y0=1.0)
         eta = transmittance(model, 49.2)
-        _, clicks = sim._class_law(default_params.mu, sim._photon_cutoff(default_params.mu),
-                                   eta, model.visibility, 1.0, 0.0)
+        _, clicks = sim._class_law(default_params.mu, eta, model.visibility, 1.0, 0.0)
         assert clicks[-1].tolist() == [1.0] * 4
         config = SimConfig(n_pulses=10_000, link=model, params=default_params, seed=1,
                            length_km=49.2)
