@@ -340,9 +340,20 @@ def outcome_counts(tally):
 class TestSamplerAgreement:
     """The count-level run_session against the pulse-by-pulse reference sampler."""
 
-    # At mean 5, P(n >= 3) = 0.875 of the signal pulses go through the n >= 3 cells.
-    @pytest.mark.parametrize("mu, nu, phase_error", [(0.6, 0.2, 0.0), (5.0, 1.0, 0.1)])
-    def test_outcome_counts_agree(self, mu, nu, phase_error):
+    @pytest.mark.parametrize("mu, nu, phase_error, tail_cells", [
+        (0.6, 0.2, 0.0, None),
+        (5.0, 1.0, 0.1, None),
+        # The last 4 cells of the signal law, n >= 3, carry most signal pulses (mean 5).
+        (5.0, 1.0, 0.1, 4),
+    ])
+    def test_outcome_counts_agree(self, mu, nu, phase_error, tail_cells):
+        if tail_cells is not None:
+            cells, _ = sim._class_law(mu, transmittance(AGREEMENT_LINK, 0.0),
+                                      AGREEMENT_LINK.visibility, AGREEMENT_LINK.y0,
+                                      phase_error)
+            below = math.fsum(math.exp(-mu) * mu**n / math.factorial(n) for n in range(3))
+            assert cells[-tail_cells:].sum() == pytest.approx(1.0 - below, rel=1e-12)
+
         n_pulses, seeds = 100_000, range(40)
         configs = [SimConfig(n_pulses=n_pulses, link=AGREEMENT_LINK,
                              params=ProtocolParams(mu=mu, nu=nu), seed=seed,
@@ -351,6 +362,10 @@ class TestSamplerAgreement:
             [outcome_counts(run_session(config)[0]) for config in configs],
             [outcome_counts(reference_tally(config, n_pulses)) for config in configs],
         ])
+        if tail_cells is not None:
+            # The drawn sessions send most of their signal pulses through those
+            # cells: outcomes 12 to 15 are the signal's n >= 3 bin.
+            assert counts[0, :, 12:16].sum() > 0.5 * counts[0, :, :16].sum()
         # Same outcome law: 2 x 20 homogeneity test on the pooled counts.
         totals = counts.sum(axis=1)
         assert chi2_contingency(totals).pvalue > 1e-4
