@@ -141,6 +141,8 @@ def simulate_scan(model: LinkModel, strong_mean_photons: float, offsets: Sequenc
         )
     require_finite(true_phase_zero=true_phase_zero)
     require_count(pulses_per_point=pulses_per_point)  # before binomial overflows on it
+    if seed < 0:
+        raise ValueError(f"seed={seed} must be >= 0")
     if strong_mean_photons < 0:
         raise ValueError(f"strong_mean_photons={strong_mean_photons} must be >= 0")
     probs = coherent_click_probability(transmittance(model, 0.0) * strong_mean_photons,

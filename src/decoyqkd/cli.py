@@ -4,7 +4,7 @@ Parameter precedence is command-line flag > config file > built-in
 default, and every effective value is echoed as '# key=value' header
 comments in the output for provenance. Outputs are deterministic for a
 fixed seed: no timestamps, repr-formatted floats (lossless re-parse),
-fixed ordering.
+fixed ordering. Every value goes through tables.format_value.
 
 Exit codes: 0 success; 2 usage errors (argparse); 3 unparseable input
 (tables, config files); 4 invalid values or configuration; 5 runtime
@@ -21,8 +21,9 @@ from dataclasses import fields
 from typing import IO, Iterator, Sequence
 
 from . import calibration, link, sim, tables
-from .estimator import (AnalysisError, ProtocolParams, analyze_columns, analyze_row,
-                        require_finite)
+from .estimator import (AnalysisError, ProtocolParams, SecurityBounds, analyze_columns,
+                        analyze_row, require_finite)
+from .tables import format_value, key_value_lines
 
 EXIT_OK = 0
 EXIT_PARSE = 3
@@ -31,6 +32,10 @@ EXIT_RUNTIME = 5
 
 PARAM_KEYS = tuple(f.name for f in fields(ProtocolParams))
 LINK_KEYS = tuple(f.name for f in fields(link.LinkModel))
+# simulate's tally sections: both intensity classes, then signal photon bins n = 0, 1, 2, >= 3.
+TALLY_SECTIONS = ("signal", "decoy", "photons0", "photons1", "photons2", "photons3plus")
+COUNT_KEYS = tuple(f.name for f in fields(sim.ClassTally))
+BOUND_KEYS = tuple(f.name for f in fields(SecurityBounds))
 # Largest sweep grid or calibrate scan; checked before anything is allocated.
 MAX_GRID_POINTS = 10**7
 
@@ -131,14 +136,6 @@ def _resolve_link(args: argparse.Namespace) -> link.LinkModel:
     return link.LinkModel(**values)
 
 
-def _params_header(params: ProtocolParams) -> list[str]:
-    return [f"params.{key}={getattr(params, key)!r}" for key in PARAM_KEYS]
-
-
-def _link_header(model: link.LinkModel) -> list[str]:
-    return [f"link.{key}={getattr(model, key)!r}" for key in LINK_KEYS]
-
-
 @contextmanager
 def _output(args: argparse.Namespace, header: Sequence[str]) -> Iterator[IO[str]]:
     """The --out file, closed on exit, or stdout, with the provenance header
@@ -176,7 +173,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
     length, s_mu, e_mu, s_nu, _ = table.T
     bounds = analyze_columns(params, s_mu, e_mu, s_nu)
-    header = ["command=analyze", *_params_header(params)]
+    header = ["command=analyze", *key_value_lines("params.", params, PARAM_KEYS)]
     header += [f"warning: {km} km: s_mu={signal:g} <= s_nu={decoy:g}: signal pulses should "
                "click more often than weaker decoy pulses"
                for km, signal, _, decoy, _ in table[s_mu <= s_nu].tolist()]
@@ -202,26 +199,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     header = ["command=simulate",
               f"seed={args.seed} n_pulses={config.n_pulses} "
               f"length_km={args.length_km!r} decoy_fraction={args.decoy_fraction!r}",
-              *_params_header(params), *_link_header(model)]
-    body = sim.tally_to_text(tally)
-    for name in ("s_mu", "e_mu", "s_nu", "e_nu"):
-        body += f"stats.{name}={getattr(stats, name)!r}\n"
+              *key_value_lines("params.", params, PARAM_KEYS),
+              *key_value_lines("link.", model, LINK_KEYS)]
+    counts = (tally.signal, tally.decoy, *tally.signal_photons)
+    lines = [line for section, tallied in zip(TALLY_SECTIONS, counts)
+             for line in key_value_lines(f"{section}.", tallied, COUNT_KEYS)]
+    lines += key_value_lines("stats.", stats, ("s_mu", "e_mu", "s_nu", "e_nu"))
     try:
         bounds = analyze_row(sim.session_params(params, tally), stats)
         report = sim.soundness_report(tally, bounds, params)
-        for name in ("s_nu_lower", "s1_lower", "e1_upper", "r_lower"):
-            body += f"bounds.{name}={getattr(bounds, name)!r}\n"
-        body += f"bounds.secure={str(bounds.secure).lower()}\n"
-        body += f"soundness.true_s1={report.true_s1!r}\n"
-        body += f"soundness.true_e1={'none' if report.true_e1 is None else repr(report.true_e1)}\n"
-        body += f"soundness.s1_ok={str(report.s1_ok).lower()}\n"
-        body += ("soundness.e1_ok=unavailable\n" if report.e1_ok is None
-                 else f"soundness.e1_ok={str(report.e1_ok).lower()}\n")
-        body += f"soundness.sound={str(report.sound).lower()}\n"
+        e1_ok = "unavailable" if report.e1_ok is None else format_value(report.e1_ok)
+        lines += [*key_value_lines("bounds.", bounds, BOUND_KEYS),
+                  *key_value_lines("soundness.", report, ("true_s1", "true_e1", "s1_ok")),
+                  f"soundness.e1_ok={e1_ok}", f"soundness.sound={format_value(report.sound)}"]
     except AnalysisError as exc:
-        body += f"analysis.error={exc}\n"
+        lines.append(f"analysis.error={exc}")
     with _output(args, header) as stream:
-        stream.write(body)
+        stream.writelines(f"{line}\n" for line in lines)
     return EXIT_OK
 
 
@@ -230,9 +224,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     model = _resolve_link(args)
     grid = _parse_grid(args.grid)
     sweep = link.sweep_key_rate(model, params, grid)
-    cutoff = "none" if sweep.cutoff_km is None else repr(sweep.cutoff_km)
-    header = ["command=sweep", *_params_header(params), *_link_header(model),
-              f"cutoff_km={cutoff}"]
+    cutoff = format_value(sweep.cutoff_km)
+    header = ["command=sweep", *key_value_lines("params.", params, PARAM_KEYS),
+              *key_value_lines("link.", model, LINK_KEYS), f"cutoff_km={cutoff}"]
     with _output(args, header) as stream:
         stream.write("length_km\tr_lower\n")
         for length, rate in zip(sweep.lengths, sweep.rates):
@@ -247,10 +241,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
     fit = link.fit_link_report(table, params, y0=args.fit_y0)
     model = fit.model
     objective = link.fit_objective(model, table, params)
-    header = ["command=fit", *_params_header(params), f"objective={objective!r}"]
+    header = ["command=fit", *key_value_lines("params.", params, PARAM_KEYS),
+              f"objective={objective!r}"]
     with _output(args, header) as stream:
-        for key in LINK_KEYS:
-            stream.write(f"{key}={getattr(model, key)!r}\n")
+        stream.writelines(f"{line}\n" for line in key_value_lines("", model, LINK_KEYS))
     print(f"fit: converged in {fit.iterations} iterations, objective={objective!r}",
           file=sys.stderr)
     return EXIT_OK
@@ -270,19 +264,17 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     fit = calibration.fit_fringe(curve)
     points = calibration.working_points(fit)
     overhead = calibration.scan_overhead(curve, args.session_pulses)
-    header = ["command=calibrate", *_params_header(params), *_link_header(model),
+    header = ["command=calibrate", *key_value_lines("params.", params, PARAM_KEYS),
+              *key_value_lines("link.", model, LINK_KEYS),
               f"points={args.points} pulses_per_point={args.pulses_per_point} "
               f"strong_mean_photons={strong!r} seed={args.seed} "
-              f"noiseless={str(args.noiseless).lower()}"]
+              f"noiseless={format_value(args.noiseless)}"]
+    lines = [*key_value_lines("", fit, ("visibility_est", "phase_zero", "amplitude",
+                                        "residual")),
+             *(f"working_point_{i}={point!r}" for i, point in enumerate(points)),
+             f"overhead_fraction={overhead!r}", f"saturated={format_value(curve.saturated)}"]
     with _output(args, header) as stream:
-        stream.write(f"visibility_est={fit.visibility_est!r}\n")
-        stream.write(f"phase_zero={fit.phase_zero!r}\n")
-        stream.write(f"amplitude={fit.amplitude!r}\n")
-        stream.write(f"residual={fit.residual!r}\n")
-        for i, point in enumerate(points):
-            stream.write(f"working_point_{i}={point!r}\n")
-        stream.write(f"overhead_fraction={overhead!r}\n")
-        stream.write(f"saturated={str(curve.saturated).lower()}\n")
+        stream.writelines(f"{line}\n" for line in lines)
     return EXIT_OK
 
 

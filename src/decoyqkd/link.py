@@ -146,10 +146,6 @@ def transmittance(model: LinkModel, length_km: float) -> float:
                                 model.eta_det, length_km))
 
 
-def _float_if_scalar(value):
-    return float(value) if np.ndim(value) == 0 else value
-
-
 def _fringe(scale, visibility, phase_diff):
     """scale*(1 + V*cos(d))/2: detection probability per photon for scale=eta,
     mean detected photons per pulse for scale=eta*m."""
@@ -167,8 +163,7 @@ def coherent_click_probability(arriving_photons, visibility, y0, phase_diff):
     """Click probability of a coherent pulse whose mean photon number at the
     receiver is arriving_photons (eta*m); the arguments broadcast."""
     # Negating arriving_photons rather than the fringe saves an array operation.
-    return _float_if_scalar(
-        _with_darks(y0, -np.expm1(_fringe(-arriving_photons, visibility, phase_diff))))
+    return _with_darks(y0, -np.expm1(_fringe(-arriving_photons, visibility, phase_diff)))
 
 
 def photon_click_probability(eta, visibility, y0, photons, phase_diff):
@@ -179,7 +174,7 @@ def photon_click_probability(eta, visibility, y0, photons, phase_diff):
     # a pulse without photons never gives a signal click.
     with np.errstate(divide="ignore", invalid="ignore"):
         signal_click = -np.expm1(photons * np.log1p(-per_photon))
-    return _float_if_scalar(_with_darks(y0, np.where(photons == 0, 0.0, signal_click)))
+    return _with_darks(y0, np.where(photons == 0, 0.0, signal_click))
 
 
 def _modelled_rates(eta, visibility, y0, params: ProtocolParams):
@@ -379,8 +374,8 @@ def sweep_key_rate(model: LinkModel, params: ProtocolParams,
 
     Lengths where the bounds abort (insufficient modelled statistics)
     carry NaN rates and count as non-positive for cutoff bracketing.
-    The cutoff is refined to 0.1 km and reports the largest length
-    verified positive.
+    The cutoff is refined to 0.1 km, or to adjacent floats where those
+    are further apart, and reports the largest length verified positive.
     """
     grid = np.asarray(list(lengths), dtype=float)
     if grid.size == 0:
@@ -392,16 +387,18 @@ def sweep_key_rate(model: LinkModel, params: ProtocolParams,
         raise ValueError(f"length_km={float(grid[outside][0])} must be finite and >= 0")
 
     # The whole grid in one array evaluation of the statistics and the bounds.
-    rates = _key_rates(model, params, _transmittance(
-        model.alpha_db_per_km, model.excess_loss_db, model.eta_det, grid))
+    with np.errstate(over="ignore"):  # alpha*L = inf is transmittance 0, as in transmittance
+        eta = _transmittance(model.alpha_db_per_km, model.excess_loss_db, model.eta_det, grid)
+    rates = _key_rates(model, params, eta)
     positive = np.nan_to_num(rates, nan=-math.inf) > 0
 
     cutoff = None
     for i in range(grid.size - 1):
         if positive[i] and not positive[i + 1]:
             lo, hi = float(grid[i]), float(grid[i + 1])
-            while hi - lo > 0.1:
-                mid = 0.5 * (lo + hi)
+            # Halving each end cannot overflow; where floats lie more than 0.1 km
+            # apart, the search ends at two adjacent ones.
+            while hi - lo > 0.1 and lo < (mid := 0.5 * lo + 0.5 * hi) < hi:
                 if _key_rates(model, params, np.array([transmittance(model, mid)]))[0] > 0:
                     lo = mid
                 else:

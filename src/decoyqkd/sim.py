@@ -29,7 +29,7 @@ _class_law; the cache changes no draw.
 soundness_report holds a session's bounds against its ground truth. Its
 SoundnessReport stores only the measured values s1_lower, e1_upper,
 true_s1 and true_e1; the verdicts s1_ok, e1_ok and sound and the slacks
-are properties derived from them.
+are properties derived from them. The module writes no text; the CLI does.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ __all__ = [
     "measured_stats",
     "session_params",
     "soundness_report",
-    "tally_to_text",
 ]
 
 
@@ -79,6 +78,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         require_finite(length_km=self.length_km, bob_phase_error=self.bob_phase_error)
         require_count(n_pulses=self.n_pulses)
+        if self.seed < 0:
+            raise ValueError(f"seed={self.seed} must be >= 0")
         if not 0.0 < self.decoy_fraction < 1.0:
             raise ValueError(f"decoy_fraction={self.decoy_fraction} must be in (0, 1)")
         # A class law sums the Poisson weights and click probabilities of
@@ -103,9 +104,6 @@ class ClassTally:
                 f"need errors <= sifted <= clicked, got "
                 f"{self.errors} / {self.sifted} / {self.clicked}"
             )
-
-
-_PHOTON_BIN_NAMES = ("photons0", "photons1", "photons2", "photons3plus")
 
 
 @dataclass(frozen=True)
@@ -279,14 +277,3 @@ def soundness_report(tally: SimTally, bounds: SecurityBounds,
         true_s1=single.clicked / tally.signal.emitted / poisson_weight,
         true_e1=single.errors / single.sifted if single.sifted else None,
     )
-
-
-def tally_to_text(tally: SimTally) -> str:
-    """Serialize a tally as one key=value pair per line (fixed key order)."""
-    lines = []
-    sections = [("signal", tally.signal), ("decoy", tally.decoy)]
-    sections += list(zip(_PHOTON_BIN_NAMES, tally.signal_photons))
-    for name, counts in sections:
-        for field in ("emitted", "clicked", "sifted", "errors"):
-            lines.append(f"{name}.{field}={getattr(counts, field)}")
-    return "\n".join(lines) + "\n"

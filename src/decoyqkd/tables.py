@@ -6,7 +6,8 @@ notation is accepted and '#' lines are comments. read_stats_columns
 reads one into the (n, 5) array that analyze and the link fit take; a
 MeasuredStats is the tuple of one of its rows. Bounds tables carry one
 output row per input row in input order; rows whose analysis aborts
-carry the cause in the diagnostics column instead of values.
+carry the cause in the diagnostics column instead of values. Every
+command writes its key=value output values through format_value.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ __all__ = [
     "read_stats_columns",
     "read_measured_stats",
     "write_bounds_table",
+    "format_value",
+    "key_value_lines",
     "read_config",
     "bundled_reference_table",
     "bundled_reference_text",
@@ -119,6 +122,20 @@ def write_bounds_table(length_km: np.ndarray, bounds: BoundColumns, stream: IO[s
         else:
             cause_text = str(cause).replace("\t", " ")
             stream.write(f"{length!r}\t-\t-\t-\t-\tfalse\t{cause_text}\n")
+
+
+def format_value(value: object) -> str:
+    """An output value: none for None, true or false for a bool, else its repr."""
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value)
+
+
+def key_value_lines(prefix: str, record: object, names: Iterable[str]) -> list[str]:
+    """The '<prefix><name>=<value>' lines of the named attributes of a record, in order."""
+    return [f"{prefix}{name}={format_value(getattr(record, name))}" for name in names]
 
 
 def read_config(stream: Iterable[str], allowed_keys: Sequence[str]) -> dict[str, float]:

@@ -1,9 +1,11 @@
 """Table I/O, bundled dataset and CLI subcommands."""
 import filecmp
 import hashlib
+import importlib
 import itertools
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -13,11 +15,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from decoyqkd import MeasuredStats, calibration, cli, link
+import decoyqkd
+from decoyqkd import MeasuredStats, ProtocolParams, calibration, cli, link
 from decoyqkd.cli import EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_VALIDATION, main
 from decoyqkd.tables import (
     TableParseError,
     bundled_reference_text,
+    format_value,
+    key_value_lines,
     read_config,
     read_measured_stats,
 )
@@ -190,6 +195,13 @@ class TestTableParsing:
     def test_config_parses_floats(self):
         values = read_config(["# c\n", "mu = 0.5", "nu=2e-1"], allowed_keys=("mu", "nu"))
         assert values == {"mu": 0.5, "nu": 0.2}
+
+    def test_output_values_are_none_booleans_or_repr(self):
+        assert ([format_value(v) for v in (None, True, False, 0.1, 1e-7, 5)]
+                == ["none", "true", "false", "0.1", "1e-07", "5"])
+        assert (key_value_lines("params.", ProtocolParams(mu=0.5), ("mu", "nu"))
+                == ["params.mu=0.5", "params.nu=0.2"])
+        assert key_value_lines("", ProtocolParams(), ()) == []
 
 
 class TestAnalyzeCommand:
@@ -439,6 +451,14 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_STDOUT_SHA256
 
+    def test_overflowing_loss_leaks_no_warning(self, capsys):
+        # alpha*L overflows to inf from 2 km on: transmittance 0, no bounds there.
+        assert main(["sweep", "--alpha-db-per-km", "1e308", "--excess-loss-db", "0",
+                     "--y0", "0", "--visibility", "1", "--grid", "0:3:1"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == "sweep: cutoff_km=0.0\n"
+        assert captured.out.endswith("1.0\tnan\n2.0\tnan\n3.0\tnan\n")
+
     def test_implicit_link_is_fitted_at_the_bundled_intensities(self, capsys, link_file):
         # --mu describes the swept protocol, not the table the link is fitted to.
         assert main(["sweep", "--mu", "0.5"]) == EXIT_OK
@@ -602,6 +622,10 @@ class TestSimulateCommand:
     def test_zero_pulses_rejected(self, link_file):
         assert main(["simulate", "--link", link_file, "--pulses", "0"]) == EXIT_VALIDATION
 
+    def test_negative_seed_rejected(self, link_file, capsys):
+        assert main(["simulate", "--link", link_file, "--seed", "-1"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "decoyqkd simulate: seed=-1 must be >= 0\n"
+
     def test_session_without_signal_pulses_reports_an_analysis_error(self, capsys):
         # The one pulse is a decoy, and at y0 = 1 it clicks: the decoy rate
         # yields bounds, but there is no signal pulse to hold them against.
@@ -644,6 +668,15 @@ class TestSimulateCommand:
         assert main(["simulate", "--link", link_file, "--pulses", "1e19"]) == EXIT_VALIDATION
         assert ("n_pulses=10000000000000000000 must be in [1, 2**63 - 1]"
                 in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("module", ["decoyqkd", *(
+    f"decoyqkd.{info.name}" for info in pkgutil.iter_modules(decoyqkd.__path__)
+    if info.name != "__main__")])
+def test_every_exported_name_resolves(module):
+    imported = importlib.import_module(module)
+    assert [name for name in getattr(imported, "__all__", ())
+            if not hasattr(imported, name)] == []
 
 
 @pytest.mark.parametrize("command", ["analyze", "fit", "sweep"])
@@ -736,6 +769,7 @@ class TestCalibrateCommand:
     @pytest.mark.parametrize("flag, value, message", [
         ("--peak", "1.5", "peak=1.5 must be in (0, 1)"),
         ("--session-pulses", "0", "session_pulses=0.0 must be > 0"),
+        ("--seed", "-1", "seed=-1 must be >= 0"),
     ])
     def test_out_of_range_value_rejected(self, link_file, capsys, flag, value, message):
         assert main(["calibrate", "--link", link_file, flag, value]) == EXIT_VALIDATION

@@ -354,6 +354,46 @@ class TestSweep:
         assert sweep.cutoff_km is None
         assert sweep.rates.size == 1
 
+    @pytest.mark.parametrize("alpha, excess", [(1e308, 0.0), (1.0, 1e308)])
+    def test_overflowing_loss_is_zero_transmittance(self, default_params, alpha, excess):
+        # alpha*L + excess overflows to inf at 1e308 km; the sweep reads that as
+        # transmittance 0, as transmittance does, without a RuntimeWarning.
+        model = LinkModel(alpha_db_per_km=alpha, excess_loss_db=excess, y0=0.0,
+                          visibility=1.0)
+        sweep = sweep_key_rate(model, default_params, [0.0, 2.0, 1e308])
+        assert transmittance(model, 1e308) == 0.0
+        assert expected_stats(model, default_params, 1e308).s_mu == 0.0
+        assert np.isnan(sweep.rates[1:]).all()
+
+    @pytest.mark.parametrize("alpha, grid", [(1e-25, [0.0, 1e27]),
+                                             (2.7e-307, [1e308, 1.7e308])])
+    def test_cutoff_beyond_a_tenth_km_resolution(self, default_params, alpha, grid):
+        # Floats near the cutoff are further apart than 0.1 km, and in the second
+        # grid the two ends sum beyond the largest float.
+        model = LinkModel(alpha_db_per_km=alpha, excess_loss_db=0.0, y0=5e-7,
+                          visibility=0.99)
+        cutoff = sweep_key_rate(model, default_params, grid).cutoff_km
+        assert grid[0] < cutoff < grid[1]
+        edge = sweep_key_rate(model, default_params, [cutoff, np.nextafter(cutoff, math.inf)])
+        assert edge.rates[0] > 0 and not edge.rates[1] > 0
+
+
+link_models = st.builds(
+    LinkModel, alpha_db_per_km=st.floats(0.0, 1e308), excess_loss_db=st.floats(0.0, 1e308),
+    eta_det=st.floats(0.0, 1.0), y0=st.floats(0.0, 1.0), visibility=st.floats(0.0, 1.0))
+length_grids = st.lists(st.floats(0.0, 1e308), min_size=1, max_size=6, unique=True).map(sorted)
+
+
+@given(link_models, length_grids)
+def test_sweep_and_expected_stats_never_warn(model, grid):
+    params = ProtocolParams()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sweep = sweep_key_rate(model, params, grid)
+        rows = [expected_stats(model, params, length) for length in grid]
+    assert not np.isinf(sweep.rates).any()
+    assert all(math.isfinite(value) for row in rows for value in row)
+
 
 class TestModelValidation:
     def test_field_domains(self):

@@ -20,20 +20,28 @@ from decoyqkd import (
     transmittance,
 )
 from decoyqkd import sim
+from decoyqkd.cli import COUNT_KEYS, TALLY_SECTIONS
 from decoyqkd.estimator import InsufficientStatisticsError
 from decoyqkd.link import PHASE_GRID, photon_click_probability
 from decoyqkd.sim import (
     ClassTally,
     measured_stats,
     session_params,
-    tally_to_text,
 )
+from decoyqkd.tables import key_value_lines
 
 from conftest import model_click
 from reference_sampler import pulse_records, simulate_arrays
 
 LUMPED_L0 = LinkModel(alpha_db_per_km=0.0, excess_loss_db=0.0, eta_det=1.0,
                       y0=5e-7, visibility=0.99)
+
+
+def tally_lines(tally):
+    """A tally's <section>.<count> lines as simulate writes them."""
+    counts = (tally.signal, tally.decoy, *tally.signal_photons)
+    return [line for section, tallied in zip(TALLY_SECTIONS, counts)
+            for line in key_value_lines(f"{section}.", tallied, COUNT_KEYS)]
 
 
 def binomial_sigma(p, n):
@@ -156,13 +164,13 @@ class TestDeterminismAndMerging:
         tally_b, stats_b = run_session(config)
         assert tally_a == tally_b
         assert stats_a == stats_b
-        assert tally_to_text(tally_a) == tally_to_text(tally_b)
+        assert tally_lines(tally_a) == tally_lines(tally_b)
 
     def test_serialization_round_trip(self, fitted_model, default_params):
         config = SimConfig(n_pulses=50_000, link=fitted_model, params=default_params,
                            seed=47, length_km=49.2)
         tally, _ = run_session(config)
-        values = dict(line.split("=") for line in tally_to_text(tally).splitlines())
+        values = dict(line.split("=") for line in tally_lines(tally))
         sections = {"signal": tally.signal, "decoy": tally.decoy,
                     **dict(zip(("photons0", "photons1", "photons2", "photons3plus"),
                                tally.signal_photons))}
@@ -378,7 +386,7 @@ class TestSamplerAgreement:
 
 
 def tally_counts(tally):
-    """The 24 counts of a tally in tally_to_text order."""
+    """The 24 counts of a tally in simulate's output order."""
     return [getattr(c, field) for c in (tally.signal, tally.decoy, *tally.signal_photons)
             for field in ("emitted", "clicked", "sifted", "errors")]
 
@@ -532,4 +540,4 @@ class TestSessionProperties:
                     for name, counts in sections.items()
                     for field in ("emitted", "clicked", "sifted", "errors")]
         assert len(expected) == 24
-        assert tally_to_text(tally).splitlines() == expected
+        assert tally_lines(tally) == expected
