@@ -196,14 +196,23 @@ def binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
-def _entropy(p) -> np.ndarray:
-    """binary_entropy of each value of p, NaN for a value outside [0, 1]."""
+def _entropy(p):
+    """binary_entropy of each value of p, NaN for a value outside [0, 1]; a
+    float for a scalar or 0-d p."""
+    if not (isinstance(p, np.ndarray) and p.ndim):
+        p = float(p)
+        return binary_entropy(p) if 0.0 <= p <= 1.0 else math.nan
     # math.log2 per value rather than np.log2, whose SIMD loop rounds
     # differently on about one value in a thousand and would move such a
-    # row's r_lower by an ulp against earlier versions of analyze.
-    p = np.asarray(p)
-    return np.array([binary_entropy(x) if 0.0 <= x <= 1.0 else math.nan
-                     for x in p.ravel().tolist()]).reshape(p.shape)
+    # row's r_lower by an ulp. The rest is binary_entropy's expression, so
+    # the operations, their order and the bits are the same.
+    inner = (0.0 < p) & (p < 1.0)
+    x = p[inner]
+    log_x = np.fromiter(map(math.log2, x.tolist()), float, x.size)
+    log_rest = np.fromiter(map(math.log2, (1.0 - x).tolist()), float, x.size)
+    h = np.where((p == 0.0) | (p == 1.0), 0.0, math.nan)
+    h[inner] = -x * log_x - (1.0 - x) * log_rest
+    return h
 
 
 def _yield_factors(mu: float, nu: float) -> tuple[float, ...]:

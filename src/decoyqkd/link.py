@@ -102,6 +102,8 @@ class LinkModel:
                        excess_loss_db=self.excess_loss_db)
         if self.alpha_db_per_km < 0:
             raise ValueError(f"alpha_db_per_km={self.alpha_db_per_km} must be >= 0")
+        if self.excess_loss_db < 0:  # a gain would lift the transmittance above eta_det
+            raise ValueError(f"excess_loss_db={self.excess_loss_db} must be >= 0")
         if not 0.0 <= self.eta_det <= 1.0:
             raise ValueError(f"eta_det={self.eta_det} must be in [0, 1]")
         if not 0.0 <= self.y0 <= 1.0:
@@ -319,7 +321,9 @@ def fit_link_report(table: np.ndarray | Sequence[MeasuredStats], params: Protoco
             "of equal mean equal rates, so it cannot reproduce two classes measured apart")
     rows = np.asarray(table, dtype=float).reshape(-1, 5)
     length, s_mu, e_mu, s_nu, _ = rows.T
-    distinct = np.unique(length).size
+    # math.nan is one object, so every NaN length counts once, as np.unique
+    # counts it; np.unique itself would import numpy.ma into every fit.
+    distinct = len({x if x == x else math.nan for x in length.tolist()})
     if distinct < 3:
         raise UnidentifiableDataError(
             f"link fit needs >= 3 distinct fiber lengths, got {len(rows)} row(s) "

@@ -4,10 +4,13 @@ Measured-statistics tables are whitespace-delimited text with a header
 row naming the columns length_km, s_mu, e_mu, s_nu, e_nu; scientific
 notation is accepted and '#' lines are comments. read_stats_columns
 reads one into the (n, 5) array that analyze and the link fit take; a
-MeasuredStats is the tuple of one of its rows. Bounds tables carry one
-output row per input row in input order; rows whose analysis aborts
-carry the cause in the diagnostics column instead of values. Every
-command writes its key=value output values through format_value.
+MeasuredStats is the tuple of one of its rows. numpy's text reader
+parses the common table in one call; a malformed table, or one only
+float() reads, is parsed again line by line, so an error names the first
+bad line as before. Bounds tables carry one output row per input row
+in input order; rows whose analysis aborts carry the cause in the
+diagnostics column instead of values. Every command writes its
+key=value output values through format_value.
 """
 
 from __future__ import annotations
@@ -54,29 +57,67 @@ def read_stats_columns(stream: Iterable[str]) -> np.ndarray:
     """Parse a measured-statistics table into an (n, 5) float64 array whose
     columns are STATS_COLUMNS.
 
-    One pass splits the lines and converts the numbers; the values are
-    then checked against MeasuredStats' domain as whole columns. Raises
+    numpy's text reader parses the data lines in one call and the values
+    are checked against MeasuredStats' domain as whole columns. A table it
+    does not take as five columns of numbers, or with a value outside the
+    domain, is parsed again line by line by _parse_lines, which accepts
+    what float() accepts and '#' lines between rows. Raises
     TableParseError for the first malformed line, with its line number: a
     wrong header, a wrong column count, a field that is not a number or a
     value outside the domain.
     """
+    lines = list(stream)
+    data_start = _header_end(lines)
+    data = lines[data_start:]
+    if not any(map(str.strip, data)):  # numpy's reader warns on a table without rows
+        return np.empty((0, len(STATS_COLUMNS)))
+    try:
+        # Both readers split on str.isspace whitespace and convert through
+        # the correctly rounded string-to-double of float(), so the values
+        # of a table both accept are the same bits.
+        table = np.loadtxt(data, comments=None, ndmin=2)
+    except ValueError:
+        return _parse_lines(data, data_start)
+    if table.shape[1] != len(STATS_COLUMNS) or _outside_domain(table).any():
+        return _parse_lines(data, data_start)
+    return table
+
+
+def _header_end(lines: Sequence[str]) -> int:
+    """Index of the line after the header; raises TableParseError unless the
+    first line that is neither blank nor a '#' comment is the header."""
+    for index, raw in enumerate(lines):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if tuple(line.split()) != STATS_COLUMNS:
+            raise TableParseError(
+                index + 1, f"expected header {' '.join(STATS_COLUMNS)}, got {line!r}"
+            )
+        return index + 1
+    raise TableParseError(0, "empty input: header row is required")
+
+
+def _outside_domain(table: np.ndarray) -> np.ndarray:
+    """Per row of a STATS_COLUMNS array, whether a value lies outside MeasuredStats' domain."""
+    length, rates = table[:, 0], table[:, 1:]
+    return ~((0.0 <= length) & (length < math.inf)
+             & np.all((0.0 <= rates) & (rates <= 1.0), axis=1))
+
+
+def _parse_lines(data: Sequence[str], lines_before: int) -> np.ndarray:
+    """read_stats_columns one data line at a time; line numbers count the
+    lines_before lines that precede data. Raises TableParseError for the
+    first malformed line, where a domain error on an earlier line comes first."""
     width = len(STATS_COLUMNS)
     numbers = array("d")
     linenos: list[int] = []
     failure = None  # ends the pass; a domain error on an earlier line still comes first
-    header_seen = False
-    for lineno, raw in enumerate(stream, start=1):
+    for lineno, raw in enumerate(data, start=lines_before + 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if not header_seen:
-            if tuple(parts) != STATS_COLUMNS:
-                raise TableParseError(
-                    lineno, f"expected header {' '.join(STATS_COLUMNS)}, got {line!r}"
-                )
-            header_seen = True
-            continue
         if len(parts) != width:
             failure = TableParseError(lineno, f"expected {width} columns, got {len(parts)}")
             break
@@ -87,12 +128,8 @@ def read_stats_columns(stream: Iterable[str]) -> np.ndarray:
             break
         numbers.extend(row)
         linenos.append(lineno)
-    if not header_seen:
-        raise TableParseError(0, "empty input: header row is required")
     table = np.array(numbers, dtype=float).reshape(-1, width)
-    length, rates = table[:, 0], table[:, 1:]
-    outside = ~((0.0 <= length) & (length < math.inf)
-                & np.all((0.0 <= rates) & (rates <= 1.0), axis=1))
+    outside = _outside_domain(table)
     if outside.any():
         # MeasuredStats words the first offending value of the row.
         row = int(np.argmax(outside))

@@ -663,6 +663,12 @@ class TestSimulateCommand:
         assert main(["simulate", "--link", link_file, "--pulses", "inf"]) == EXIT_VALIDATION
         assert "pulses=inf must be finite" in capsys.readouterr().err
 
+    def test_negative_excess_loss_rejected(self, capsys):
+        # A gain: at -1e308 dB the transmittance overflowed into a runtime failure.
+        assert main(["simulate", "--excess-loss-db=-1e308", "--pulses", "1e5"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "decoyqkd simulate: excess_loss_db=-1e+308 must be >= 0\n")
+
     def test_pulse_count_above_int64_rejected(self, link_file, capsys):
         # numpy's samplers raise OverflowError, a runtime failure, on it
         assert main(["simulate", "--link", link_file, "--pulses", "1e19"]) == EXIT_VALIDATION
@@ -698,6 +704,20 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_fits_leave_numpy_ma_unloaded(tmp_path):
+    # np.unique imports numpy.ma, a tenth of a fresh fit's import time; sweep
+    # fits the bundled table too.
+    import decoyqkd
+    src = os.path.dirname(os.path.dirname(os.path.abspath(decoyqkd.__file__)))
+    code = ("import sys; from decoyqkd.cli import main; "
+            "codes = [main([command, '--out', sys.argv[1] + command]) for command in ('fit', 'sweep')]; "
+            "print(codes, 'numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out_")], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == f"{[EXIT_OK, EXIT_OK]} False"
 
 
 @pytest.mark.parametrize("argv", [["fit"], ["calibrate", "--seed", "3"], ["sweep"],

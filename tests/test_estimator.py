@@ -23,6 +23,7 @@ from decoyqkd import (
     expected_stats,
 )
 from decoyqkd.cli import EXIT_OK, main
+from decoyqkd.estimator import _entropy
 
 from conftest import REFERENCE_BOUNDS
 
@@ -66,6 +67,34 @@ class TestBinaryEntropy:
         grid = [i / 2000.0 for i in range(1001)]
         values = [binary_entropy(p) for p in grid]
         assert all(a < b for a, b in zip(values, values[1:]))
+
+    @staticmethod
+    def expected_bits(p):
+        return binary_entropy(p).hex() if 0.0 <= p <= 1.0 else "nan"
+
+    entropy_arguments = st.one_of(
+        st.floats(0.0, 1.0), st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([0.0, -0.0, 1.0, 5e-324, 2.2e-308, 0.5, 1.0 - 2.0**-53, 1.0 + 2.0**-52,
+                         -5e-324]))
+
+    @given(st.lists(entropy_arguments, max_size=40))
+    def test_column_entropy_is_binary_entropy_bit_for_bit(self, values):
+        got = _entropy(np.array(values, dtype=float))
+        assert got.shape == (len(values),) and got.dtype == np.float64
+        assert ([h.hex() if not math.isnan(h) else "nan" for h in got.tolist()]
+                == [self.expected_bits(p) for p in values])
+
+    def test_column_entropy_is_bit_for_bit_on_many_values(self):
+        # np.log2 rounds differently from math.log2 on about one value in a thousand.
+        values = np.random.default_rng(0).random(20_000) ** 4
+        assert _entropy(values).tolist() == [binary_entropy(p) for p in values.tolist()]
+
+    @given(entropy_arguments)
+    def test_scalar_entropy_is_binary_entropy_bit_for_bit(self, value):
+        for p in (value, np.float64(value), np.array(value)):
+            got = _entropy(p)
+            assert type(got) is float
+            assert (got.hex() if not math.isnan(got) else "nan") == self.expected_bits(value)
 
 
 class TestDecoyRateFloor:

@@ -508,7 +508,7 @@ def sim_configs(draw):
     unit = st.floats(0.0, 1.0)
     mu = draw(st.floats(0.0, 200.0))
     link = LinkModel(alpha_db_per_km=draw(st.floats(0.0, 1.0)),
-                     excess_loss_db=draw(st.floats(-10.0, 60.0)),
+                     excess_loss_db=draw(st.floats(0.0, 60.0)),
                      eta_det=draw(unit), y0=draw(unit), visibility=draw(unit))
     return SimConfig(n_pulses=draw(st.integers(1, 10**12)), link=link,
                      params=ProtocolParams(mu=mu, nu=draw(st.floats(0.0, mu))),
