@@ -152,6 +152,23 @@ class MeasuredStats(namedtuple("MeasuredStats", "length_km s_mu e_mu s_nu e_nu")
         return super().__new__(cls, length_km, s_mu, e_mu, s_nu, e_nu)
 
 
+def _first_outside_domain(table: np.ndarray) -> tuple[int, str] | None:
+    """The first row of an (n, 5) array of MeasuredStats columns with a value
+    outside MeasuredStats' domain, and the message MeasuredStats raises for
+    it; None when every row lies inside. The domain is checked on whole
+    columns and NaN lies outside it."""
+    length, rates = table[:, 0], table[:, 1:]
+    outside = ~((0.0 <= length) & (length < math.inf)
+                & ((0.0 <= rates) & (rates <= 1.0)).all(axis=1))
+    if outside.any():
+        row = int(outside.argmax())
+        try:
+            MeasuredStats(*table[row].tolist())
+        except ValueError as exc:
+            return row, str(exc)
+    return None
+
+
 @dataclass(frozen=True)
 class SecurityBounds:
     """Derived security quantities for one measured row.

@@ -37,7 +37,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimator import MeasuredStats, ProtocolParams, analyze_columns, require_finite
+from .estimator import (MeasuredStats, ProtocolParams, _first_outside_domain, analyze_columns,
+                        require_finite)
 
 __all__ = [
     "PHASE_GRID",
@@ -60,9 +61,10 @@ __all__ = [
 # index 0 is constructive and index 2 destructive interference.
 PHASE_GRID = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
 
+_EPS = np.finfo(float).eps
 # Relative step of the central-difference Jacobian of _least_squares: it
 # balances the rounding error (eps/h) against the truncation error (h^2).
-_DIFF_STEP = np.finfo(float).eps ** (1.0 / 3.0)
+_DIFF_STEP = _EPS ** (1.0 / 3.0)
 # Relative change of cost and parameters below which _least_squares stops.
 _FIT_TOL = 1e-15
 # Trial steps before _least_squares gives up; the fits here take 2 to 16.
@@ -243,8 +245,9 @@ def _least_squares(residuals, x0, lower, upper):
     Returns (x, iterations, converged); iterations counts trial steps.
     Raises FitConvergenceError when the damped normal matrix is singular.
     """
+    # Plain ufuncs and indexing replace numpy's wrappers: same operations, same bits.
     lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
-    x = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    x = np.minimum(np.maximum(np.asarray(x0, dtype=float), lower), upper)
     r = residuals(x[:, None])[0]
     cost, damping, rejected, jac, n = r @ r, 1e-3, 0, None, x.size
     diagonal = np.arange(n)
@@ -252,18 +255,20 @@ def _least_squares(residuals, x0, lower, upper):
         if jac is None:
             h = _DIFF_STEP * np.maximum(np.abs(x), 1.0)
             ends = np.minimum(x + h, upper), np.maximum(x - h, lower)
-            points = np.tile(x[:, None], 2 * n)
+            points = np.repeat(x[:, None], 2 * n, axis=1)
             points[diagonal, diagonal], points[diagonal, n + diagonal] = ends
             f = residuals(points)
             jac = ((f[:n] - f[n:]) / (ends[0] - ends[1])[:, None]).T
             gradient, normal = jac.T @ r, jac.T @ jac
-            # A column that vanishes (a phase at zero visibility) still gets damped.
-            scale = np.maximum(np.diag(normal), np.finfo(float).eps * np.diag(normal).max())
+            normal_diagonal = normal[diagonal, diagonal]
+            # The damping's diagonal matrix, built once per Jacobian; a column
+            # that vanishes (a phase at zero visibility) still gets damped.
+            scale = np.diag(np.maximum(normal_diagonal, _EPS * normal_diagonal.max()))
         try:  # singular when every residual is flat in every parameter
-            step = np.linalg.solve(normal + damping * np.diag(scale), -gradient)
+            step = np.linalg.solve(normal + damping * scale, -gradient)
         except np.linalg.LinAlgError as exc:
             raise FitConvergenceError(f"step {iteration} failed: {exc}") from exc
-        trial = np.clip(x + step, lower, upper)
+        trial = np.minimum(np.maximum(x + step, lower), upper)
         r_trial = residuals(trial[:, None])[0]
         cost_trial = r_trial @ r_trial
         if not cost_trial <= cost:  # also rejects NaN
@@ -273,7 +278,7 @@ def _least_squares(residuals, x0, lower, upper):
             damping *= 10.0 ** rejected
             continue
         converged = (cost - cost_trial <= _FIT_TOL * cost
-                     or np.all(np.abs(trial - x) <= _FIT_TOL * np.abs(trial)))
+                     or (np.abs(trial - x) <= _FIT_TOL * np.abs(trial)).all())
         x, r, cost, jac, rejected = trial, r_trial, cost_trial, None, 0
         damping /= 10.0
         if converged:
@@ -295,10 +300,11 @@ def fit_link(table: np.ndarray | Sequence[MeasuredStats], params: ProtocolParams
     loss (its intercept); the visibility starts at 1 - 2*e_mu of the
     shortest length.
 
-    Raises UnidentifiableDataError unless 0 < nu < mu, the table holds
-    at least three distinct lengths spanning at least 0.1 km and every
-    counting rate exceeds y0, and FitConvergenceError when the
-    refinement runs out of iterations.
+    Raises UnidentifiableDataError unless 0 < nu < mu, every row lies in
+    MeasuredStats' domain (finite lengths >= 0, rates and QBERs in
+    [0, 1]), the table holds at least three distinct lengths spanning at
+    least 0.1 km and every counting rate exceeds y0, and
+    FitConvergenceError when the refinement runs out of iterations.
     """
     return fit_link_report(table, params, y0).model
 
@@ -320,10 +326,13 @@ def fit_link_report(table: np.ndarray | Sequence[MeasuredStats], params: Protoco
             f"nu={params.nu!r} must be below mu={params.mu!r}: a link model gives pulses "
             "of equal mean equal rates, so it cannot reproduce two classes measured apart")
     rows = np.asarray(table, dtype=float).reshape(-1, 5)
+    outside = _first_outside_domain(rows)
+    if outside is not None:  # before a NaN or infinite value reaches np.polyfit
+        row, message = outside
+        raise UnidentifiableDataError(f"table row {row}: {message}")
     length, s_mu, e_mu, s_nu, _ = rows.T
-    # math.nan is one object, so every NaN length counts once, as np.unique
-    # counts it; np.unique itself would import numpy.ma into every fit.
-    distinct = len({x if x == x else math.nan for x in length.tolist()})
+    # A set rather than np.unique, which would import numpy.ma into every fit.
+    distinct = len(set(length.tolist()))
     if distinct < 3:
         raise UnidentifiableDataError(
             f"link fit needs >= 3 distinct fiber lengths, got {len(rows)} row(s) "

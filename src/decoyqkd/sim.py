@@ -212,15 +212,21 @@ def _class_law(mean: float, eta: float, visibility: float, y0: float,
 
 
 def _draw_class(rng: np.random.Generator, pulses: int,
-                law: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Counts (emitted, clicked, sifted, errors) of one intensity class, one row
-    per photon bin n = 0, 1, 2, >= 3, drawn as the module docstring fixes
-    from its _class_law."""
+                law: tuple[np.ndarray, np.ndarray]) -> list[ClassTally]:
+    """Tallies of one intensity class, one per photon bin n = 0, 1, 2, >= 3,
+    drawn as the module docstring fixes from its _class_law."""
     cell_law, click_table = law
     emitted = rng.multinomial(pulses, cell_law).reshape(4, 4)
     clicks = rng.binomial(emitted, click_table)
-    return np.column_stack([emitted.sum(axis=1), clicks.sum(axis=1),
-                            clicks[:, 0] + clicks[:, 2], clicks[:, 2]])
+    # Columns are the phase differences; 0 and pi are sifted, pi is an error.
+    return [ClassTally(sum(e), sum(c), c[0] + c[2], c[2])
+            for e, c in zip(emitted.tolist(), clicks.tolist())]
+
+
+def _class_total(bins: list[ClassTally]) -> ClassTally:
+    """One class's tally: the sums of its photon bins' counts."""
+    return ClassTally(sum(b.emitted for b in bins), sum(b.clicked for b in bins),
+                      sum(b.sifted for b in bins), sum(b.errors for b in bins))
 
 
 def measured_stats(tally: SimTally, length_km: float = 0.0) -> MeasuredStats:
@@ -253,9 +259,8 @@ def run_session(config: SimConfig) -> tuple[SimTally, MeasuredStats]:
              config.bob_phase_error)
     signal = _draw_class(rng, config.n_pulses - n_decoy, _class_law(mu, *state))
     decoy = _draw_class(rng, n_decoy, _class_law(nu, *state))
-    tally = SimTally(signal=ClassTally(*signal.sum(axis=0).tolist()),
-                     decoy=ClassTally(*decoy.sum(axis=0).tolist()),
-                     signal_photons=tuple(ClassTally(*row) for row in signal.tolist()))
+    tally = SimTally(signal=_class_total(signal), decoy=_class_total(decoy),
+                     signal_photons=tuple(signal))
     return tally, measured_stats(tally, config.length_km)
 
 

@@ -15,14 +15,13 @@ key=value output values through format_value.
 
 from __future__ import annotations
 
-import math
 from array import array
 from importlib import resources
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .estimator import BoundColumns, MeasuredStats, ProtocolParams
+from .estimator import BoundColumns, MeasuredStats, ProtocolParams, _first_outside_domain
 
 __all__ = [
     "TableParseError",
@@ -78,7 +77,7 @@ def read_stats_columns(stream: Iterable[str]) -> np.ndarray:
         table = np.loadtxt(data, comments=None, ndmin=2)
     except ValueError:
         return _parse_lines(data, data_start)
-    if table.shape[1] != len(STATS_COLUMNS) or _outside_domain(table).any():
+    if table.shape[1] != len(STATS_COLUMNS) or _first_outside_domain(table) is not None:
         return _parse_lines(data, data_start)
     return table
 
@@ -96,13 +95,6 @@ def _header_end(lines: Sequence[str]) -> int:
             )
         return index + 1
     raise TableParseError(0, "empty input: header row is required")
-
-
-def _outside_domain(table: np.ndarray) -> np.ndarray:
-    """Per row of a STATS_COLUMNS array, whether a value lies outside MeasuredStats' domain."""
-    length, rates = table[:, 0], table[:, 1:]
-    return ~((0.0 <= length) & (length < math.inf)
-             & np.all((0.0 <= rates) & (rates <= 1.0), axis=1))
 
 
 def _parse_lines(data: Sequence[str], lines_before: int) -> np.ndarray:
@@ -129,14 +121,10 @@ def _parse_lines(data: Sequence[str], lines_before: int) -> np.ndarray:
         numbers.extend(row)
         linenos.append(lineno)
     table = np.array(numbers, dtype=float).reshape(-1, width)
-    outside = _outside_domain(table)
-    if outside.any():
-        # MeasuredStats words the first offending value of the row.
-        row = int(np.argmax(outside))
-        try:
-            MeasuredStats(*table[row].tolist())
-        except ValueError as exc:
-            raise TableParseError(linenos[row], str(exc)) from None
+    outside = _first_outside_domain(table)
+    if outside is not None:
+        row, message = outside
+        raise TableParseError(linenos[row], message)
     if failure is not None:
         raise failure
     return table

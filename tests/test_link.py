@@ -215,6 +215,21 @@ class TestFitLink:
         with pytest.raises(UnidentifiableDataError, match="non-positive counting rate"):
             fit_link(rows, default_params)
 
+    # Without the domain check a NaN or infinite length reached np.polyfit, whose
+    # LAPACK call printed DLASCL to stderr and raised LinAlgError; a NaN s_mu or
+    # an infinite s_nu ran 100 steps to FitConvergenceError; e_mu = 5 fitted V = 0.
+    @pytest.mark.parametrize("column, value", [
+        ("length_km", math.nan), ("length_km", math.inf), ("s_mu", math.nan),
+        ("s_nu", math.inf), ("e_mu", 5.0),
+    ])
+    def test_rows_outside_domain_unidentifiable(self, reference_table, default_params, capfd,
+                                                column, value):
+        table = np.array(reference_table)
+        table[2, reference_table[2]._fields.index(column)] = value
+        with pytest.raises(UnidentifiableDataError, match=rf"^table row 2: {column}={value!r} "):
+            link.fit_link_report(table, default_params)
+        assert capfd.readouterr() == ("", "")
+
     def test_rates_not_above_y0_unidentifiable(self, reference_table, default_params):
         # A modelled rate y0 + (1 - y0)*(signal click) exceeds y0 on every link;
         # the bundled table's smallest rate is s_nu = 1.36e-5 at 123.6 km.
