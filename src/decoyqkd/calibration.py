@@ -117,9 +117,9 @@ def scan_intensity_for_peak(model: LinkModel, peak: float = 0.5) -> float:
     eta = transmittance(model, 0.0)
     if eta <= 0:
         raise ValueError("link transmittance is zero; no mean photon number exists")
-    signal_click = (peak - model.y0) / (1.0 - model.y0)
-    if signal_click <= 0.0:
+    if model.y0 >= peak:  # also spares y0 = 1 the division below
         raise ValueError(f"dark counts alone exceed the requested click probability {peak}")
+    signal_click = (peak - model.y0) / (1.0 - model.y0)
     return -math.log1p(-signal_click) / float(_fringe(eta, model.visibility, 0.0))
 
 
@@ -135,11 +135,13 @@ def simulate_scan(model: LinkModel, strong_mean_photons: float, offsets: Sequenc
     threshold only flags the curve; the counts are still produced.
     """
     grid = np.asarray(list(offsets), dtype=float)
+    require_finite(strong_mean_photons=strong_mean_photons, true_phase_zero=true_phase_zero)
+    if not np.isfinite(grid).all():
+        raise ValueError("scan offsets must be finite")
     if grid.size < 2 or grid[-1] - grid[0] < TWO_PI - 1e-9:
         raise InsufficientScanRangeError(
             f"scan must span >= 2*pi, got {grid[-1] - grid[0] if grid.size else 0.0:.3f} rad"
         )
-    require_finite(true_phase_zero=true_phase_zero)
     require_count(pulses_per_point=pulses_per_point)  # before binomial overflows on it
     if seed < 0:
         raise ValueError(f"seed={seed} must be >= 0")

@@ -32,6 +32,11 @@ EXIT_RUNTIME = 5
 
 PARAM_KEYS = tuple(f.name for f in fields(ProtocolParams))
 LINK_KEYS = tuple(f.name for f in fields(link.LinkModel))
+# The key=value input groups, each read from a --<group> FILE and from one hidden
+# --<key> flag per key: group -> (keys, what they are, help suffix).
+INPUT_GROUPS = {"params": (PARAM_KEYS, "protocol parameters", ""),
+                "link": (LINK_KEYS, "link parameters",
+                         "; default: model fitted to the bundled reference table")}
 # simulate's tally sections: both intensity classes, then signal photon bins n = 0, 1, 2, >= 3.
 TALLY_SECTIONS = ("signal", "decoy", "photons0", "photons1", "photons2", "photons3plus")
 COUNT_KEYS = tuple(f.name for f in fields(sim.ClassTally))
@@ -48,27 +53,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_link: bool = True) -> None:
-        p.add_argument("--params", metavar="FILE",
-                       help="key=value file with protocol parameters "
-                            f"({', '.join(PARAM_KEYS)})")
+    def add_common(p: argparse.ArgumentParser, *groups: str) -> None:
         p.add_argument("--out", metavar="FILE", help="output path (default: stdout)")
-        for key in PARAM_KEYS:
-            p.add_argument(f"--{key.replace('_', '-')}", type=float, default=None,
-                           dest=f"params_{key}", help=argparse.SUPPRESS)
-        if with_link:
-            p.add_argument("--link", metavar="FILE",
-                           help="key=value file with link parameters "
-                                f"({', '.join(LINK_KEYS)}); default: model fitted "
-                                "to the bundled reference table")
-            for key in LINK_KEYS:
+        for group in groups:
+            keys, what, default = INPUT_GROUPS[group]
+            p.add_argument(f"--{group}", metavar="FILE",
+                           help=f"key=value file with {what} ({', '.join(keys)}){default}")
+            for key in keys:
                 p.add_argument(f"--{key.replace('_', '-')}", type=float, default=None,
-                               dest=f"link_{key}", help=argparse.SUPPRESS)
+                               dest=f"{group}_{key}", help=argparse.SUPPRESS)
 
     p_analyze = sub.add_parser("analyze", help="security bounds for a measured table")
     p_analyze.add_argument("--input", metavar="FILE",
                            help="measured-statistics table (default: bundled reference)")
-    add_common(p_analyze, with_link=False)
+    add_common(p_analyze, "params")
 
     p_simulate = sub.add_parser("simulate", help="Monte Carlo session with soundness check")
     p_simulate.add_argument("--pulses", type=float, default=1e6, help="emitted pulses")
@@ -77,19 +75,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_simulate.add_argument("--seed", type=int, default=0, help="pseudo-random seed")
     # Accepted and ignored: a session is one cheap count-level draw.
     p_simulate.add_argument("--workers", type=int, help=argparse.SUPPRESS)
-    add_common(p_simulate)
+    add_common(p_simulate, "params", "link")
 
     p_sweep = sub.add_parser("sweep", help="key rate versus fiber length with cutoff")
     p_sweep.add_argument("--grid", default="0:150:1", metavar="START:STOP:STEP",
                          help="length grid in km (default 0:150:1)")
-    add_common(p_sweep)
+    add_common(p_sweep, "params", "link")
 
     p_fit = sub.add_parser("fit", help="fit a link model to a measured table")
     p_fit.add_argument("--input", metavar="FILE",
                        help="measured-statistics table (default: bundled reference)")
     p_fit.add_argument("--fit-y0", type=float, default=5e-7,
                        help="dark-count probability held fixed during the fit")
-    add_common(p_fit, with_link=False)
+    add_common(p_fit, "params")
 
     p_cal = sub.add_parser("calibrate", help="simulate a phase scan and fit the fringe")
     p_cal.add_argument("--points", type=int, default=64, help="scan settings over 2*pi")
@@ -103,33 +101,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--session-pulses", type=float, default=2e9,
                        help="session length used for the overhead figure")
     p_cal.add_argument("--seed", type=int, default=0, help="pseudo-random seed")
-    add_common(p_cal)
+    add_common(p_cal, "link")
 
     return parser
 
 
-def _given_values(args: argparse.Namespace, option: str,
-                  keys: Sequence[str]) -> dict[str, float]:
-    """The values given for keys by the --<option> key=value file and by the
-    per-key flags, a flag winning over the file; empty when none is given. A
-    key given by neither keeps its dataclass default."""
+def _given_values(args: argparse.Namespace, group: str) -> dict[str, float]:
+    """The values given for the input group's keys by its --<group> key=value
+    file and by the per-key flags, a flag winning over the file; empty when
+    none is given. A key given by neither keeps its dataclass default."""
+    keys = INPUT_GROUPS[group][0]
     values: dict[str, float] = {}
-    path = getattr(args, option)
+    path = getattr(args, group)
     if path is not None:
         with open(path, encoding="utf-8") as handle:
             values = tables.read_config(handle, keys)
-    flags = {key: getattr(args, f"{option}_{key}") for key in keys}
+    flags = {key: getattr(args, f"{group}_{key}") for key in keys}
     values.update({key: value for key, value in flags.items() if value is not None})
     return values
 
 
 def _resolve_params(args: argparse.Namespace) -> ProtocolParams:
-    return ProtocolParams(**_given_values(args, "params", PARAM_KEYS))
+    return ProtocolParams(**_given_values(args, "params"))
 
 
 def _resolve_link(args: argparse.Namespace) -> link.LinkModel:
     """Explicit link inputs win; otherwise fit the bundled table at its own intensities."""
-    values = _given_values(args, "link", LINK_KEYS)
+    values = _given_values(args, "link")
     if not values:
         return link.fit_link(tables.bundled_reference_table(),
                              tables.BUNDLED_REFERENCE_PARAMS)
@@ -157,7 +155,10 @@ def _parse_grid(spec: str) -> list[float]:
     intervals = (stop + 1e-9 - start) / step
     if not intervals < MAX_GRID_POINTS:  # also catches an overflow to inf
         raise ValueError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
-    return [round(start + i * step, 9) for i in range(math.floor(intervals) + 1)]
+    grid = [round(start + i * step, 9) for i in range(math.floor(intervals) + 1)]
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"grid {spec!r}: step {step!r} km merges points rounded to 1e-9 km")
+    return grid
 
 
 def _read_input(args: argparse.Namespace):
@@ -253,7 +254,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_calibrate(args: argparse.Namespace) -> int:
     if not 2 <= args.points <= MAX_GRID_POINTS:
         raise ValueError(f"--points={args.points} must be in [2, {MAX_GRID_POINTS}]")
-    params = _resolve_params(args)
     model = _resolve_link(args)
     strong = calibration.scan_intensity_for_peak(model, peak=args.peak)
     offsets = [i * 2.0 * math.pi / (args.points - 1) for i in range(args.points)]
@@ -264,8 +264,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     fit = calibration.fit_fringe(curve)
     points = calibration.working_points(fit)
     overhead = calibration.scan_overhead(curve, args.session_pulses)
-    header = ["command=calibrate", *key_value_lines("params.", params, PARAM_KEYS),
-              *key_value_lines("link.", model, LINK_KEYS),
+    header = ["command=calibrate", *key_value_lines("link.", model, LINK_KEYS),
               f"points={args.points} pulses_per_point={args.pulses_per_point} "
               f"strong_mean_photons={strong!r} seed={args.seed} "
               f"noiseless={format_value(args.noiseless)}"]

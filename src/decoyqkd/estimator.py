@@ -73,10 +73,11 @@ def require_finite(**values: float) -> None:
 
 def require_count(**values: int) -> None:
     """Raise ValueError naming the first of the keyword values that is not a
-    count numpy's samplers take: 1 to 2**63 - 1, which NaN fails too."""
+    count numpy's samplers take: a whole number from 1 to 2**63 - 1, which NaN
+    fails too."""
     for name, value in values.items():
-        if not 1 <= value <= 2**63 - 1:
-            raise ValueError(f"{name}={value} must be in [1, 2**63 - 1]")
+        if not (1 <= value <= 2**63 - 1 and value == int(value)):
+            raise ValueError(f"{name}={value} must be in [1, 2**63 - 1] and whole")
 
 
 class AnalysisError(ValueError):

@@ -1,5 +1,6 @@
 """Phase-scan simulation, fringe fitting and working points."""
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -71,6 +72,19 @@ class TestSimulateScan:
         with pytest.raises(InsufficientScanRangeError):
             simulate_scan(LUMPED, 0.5, np.linspace(0, math.pi, 32), 1000, seed=5)
 
+    @given(st.sampled_from(["strong_mean_photons", "offsets", "true_phase_zero"]),
+           st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(0, 15))
+    def test_non_finite_input_rejected_by_name(self, argument, value, index):
+        inputs = {"strong_mean_photons": 0.5, "offsets": grid(16), "true_phase_zero": 0.0}
+        if argument == "offsets":
+            inputs["offsets"][index] = value
+        else:
+            inputs[argument] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"\b{argument}\b.* must be finite"):
+                simulate_scan(LUMPED, pulses_per_point=1000, seed=1, **inputs)
+
     def test_deterministic_per_seed(self):
         a = simulate_scan(LUMPED, 1.0, grid(64), 10_000, seed=6)
         b = simulate_scan(LUMPED, 1.0, grid(64), 10_000, seed=6)
@@ -109,6 +123,13 @@ class TestSimulateScan:
         statistics.append((np.sum((scan_totals - n * p.sum()) ** 2) / variance.sum(), seeds))
         for value, dof in statistics:
             assert 1e-4 < chi2.cdf(value, dof) < 1.0 - 1e-4, (value, dof)
+
+    @pytest.mark.parametrize("y0", [0.5, 1.0])
+    def test_intensity_helper_rejects_dark_counts_at_the_peak(self, y0):
+        # y0 = 1 must fail on this check, not in the division by 1 - y0.
+        with pytest.raises(ValueError, match="dark counts alone exceed the requested click "
+                                             "probability 0.5"):
+            scan_intensity_for_peak(replace(LUMPED, y0=y0), peak=0.5)
 
     def test_intensity_helper_hits_requested_peak(self):
         strong = scan_intensity_for_peak(LUMPED, peak=0.5)
@@ -322,6 +343,13 @@ class TestScanCurveIO:
             ScanCurve(offsets=grid(16), counts=np.zeros(16), pulses_per_point=2**63)
         with pytest.raises(ValueError, match=message):
             simulate_scan(LUMPED, 0.5, grid(16), 2**63, seed=1)
+
+    def test_non_integral_pulses_per_point_rejected(self):
+        message = r"pulses_per_point=2.5 must be in \[1, 2\*\*63 - 1\] and whole"
+        with pytest.raises(ValueError, match=message):
+            ScanCurve(offsets=grid(16), counts=np.zeros(16), pulses_per_point=2.5)
+        with pytest.raises(ValueError, match=message):
+            simulate_scan(LUMPED, 0.5, grid(16), 2.5, seed=1)
 
     def test_nan_count_rejected_on_read(self):
         with pytest.raises(ValueError, match="finite"):

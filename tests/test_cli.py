@@ -30,22 +30,16 @@ from decoyqkd.tables import (
 from conftest import REFERENCE_BOUNDS, not_converged
 
 REFERENCE_SHA256 = "42dd2ad257a0f2fddab4c954dd0dd1114b924517e93c1fb0970d86cf61d30520"
-# `decoyqkd analyze` stdout on the bundled table, pinned while the bounds were
-# still computed one MeasuredStats row at a time.
-ANALYZE_STDOUT_SHA256 = "5d3c7471cd2446bc6eac75280294f787ae36345dd97d105ad15d8fcfea9bef7f"
-# `decoyqkd simulate --seed 5` stdout, pinned when a class became one 16-cell
-# multinomial.
-SIMULATE_STDOUT_SHA256 = "bdc3f0b4ceeab59e0845440db9a6c960673bb72bb0c842f4465d279274bf69a8"
-# `decoyqkd fit` stdout and stderr, pinned while fit still read the table as a
-# list of MeasuredStats rows.
-FIT_STDOUT_SHA256 = "719905dd1c3a140f43557cb68246c829d356602c7cd820ebf2bc5ff4b1f438d3"
+# The stdout of analyze, fit, sweep, `simulate --seed 5`, two more simulate
+# sessions and `calibrate --seed 3` is pinned once, by the package-smoke check
+# lines of .github/workflows/tests.yml, which test_workflow_pins_match_the_commands
+# runs in process. The pins below are the ones the workflow lacks.
+# `decoyqkd fit` stderr, pinned while fit still read the table as a list of
+# MeasuredStats rows.
 FIT_STDERR = "fit: converged in 12 iterations, objective=0.3943113292565052\n"
-# `decoyqkd sweep` stdout, with the link fitted to the bundled table, pinned
-# at the same point.
-SWEEP_STDOUT_SHA256 = "0958f9ce716b2603925856a1095d07fd2b4a289397c1bec19f0612d22a6d2d58"
 # `decoyqkd simulate --length-km 123.6 --u-alpha 0` stdout on each branch of
-# the soundness verdict, each at the smallest seed that reaches it, and a sound
-# long session at 49.2 km, pinned when a class became one 16-cell multinomial.
+# the soundness verdict, each at the smallest seed that reaches it, pinned when
+# a class became one 16-cell multinomial.
 SIMULATE_SOUNDNESS_STDOUT_SHA256 = {
     # s1 violated, e1 ok
     ("--pulses", "3e5", "--seed", "0"):
@@ -60,20 +54,9 @@ SIMULATE_SOUNDNESS_STDOUT_SHA256 = {
     ("--pulses", "1e6", "--seed", "760"):
         "f2eb770291c8fdb4e96cdd3580c1ba4113e153049f534925ba64ad802b2bd324",
 }
-SIMULATE_SOUND_49KM_STDOUT_SHA256 = (
-    "8d2cf63199ff8f9c916f9a9b993ca6cf0a30ad32f4f74851746894fb381be9af")
-# `decoyqkd simulate --mu 20 --nu 5 --pulses 1e7 --length-km 10 --seed 4`
-# stdout, whose photon bins 2 and 3+ fill through a class law other than the
-# default's, pinned at the same point.
-SIMULATE_BRIGHT_STDOUT_SHA256 = (
-    "52aa0bbacd32cab4b0119c4f64b457c04c7d2cd82c605e64bfcd8263514c4dfb")
-# `decoyqkd calibrate` stdout, pinned while the scan still reached the click
-# law through link.click_probability and link.mean_photons_for_click.
-CALIBRATE_STDOUT_SHA256 = {
-    ("--seed", "3"): "231417d43b80194a5db4b125b631399bd0892700ab9745311060e951a214541f",
-    ("--noiseless", "--peak", "0.9", "--visibility", "0.5"):
-        "d1e4327a8a2d684dd643e2515959e05b555a3fa8258783b0e3b6a00c17b79acd",
-}
+# `decoyqkd calibrate --noiseless --peak 0.9 --visibility 0.5` stdout.
+CALIBRATE_NOISELESS_STDOUT_SHA256 = (
+    "cb694caacb37b0bbb9852fd5d5b9aae829923f90e09beed8d646cdf600c2d774")
 
 
 # A malformed data line of each kind and the message it is reported with.
@@ -218,11 +201,6 @@ class TestAnalyzeCommand:
             assert secure and diag == "-"
         assert "6 secure" in capsys.readouterr().err
 
-    def test_stdout_pinned(self, capsys):
-        assert main(["analyze"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_STDOUT_SHA256
-
     def test_warning_header_text_and_order(self, tmp_path):
         table = tmp_path / "odd.tsv"
         table.write_text("length_km\ts_mu\te_mu\ts_nu\te_nu\n"
@@ -328,11 +306,9 @@ class TestAnalyzeCommand:
 
 
 class TestFitCommand:
-    def test_stdout_pinned(self, capsys):
+    def test_stderr_pinned(self, capsys):
         assert main(["fit"]) == EXIT_OK
-        captured = capsys.readouterr()
-        assert hashlib.sha256(captured.out.encode()).hexdigest() == FIT_STDOUT_SHA256
-        assert captured.err == FIT_STDERR
+        assert capsys.readouterr().err == FIT_STDERR
 
     def test_bundled_fit_values(self, tmp_path):
         out = tmp_path / "model.cfg"
@@ -446,11 +422,6 @@ def refuse_allocation(*args, **kwargs):
 
 
 class TestSweepCommand:
-    def test_stdout_pinned(self, capsys):
-        assert main(["sweep"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_STDOUT_SHA256
-
     def test_overflowing_loss_leaks_no_warning(self, capsys):
         # alpha*L overflows to inf from 2 km on: transmittance 0, no bounds there.
         assert main(["sweep", "--alpha-db-per-km", "1e308", "--excess-loss-db", "0",
@@ -507,6 +478,14 @@ class TestSweepCommand:
         assert main(["sweep", "--link", link_file, "--grid", grid]) == EXIT_VALIDATION
         assert (f"grid '{grid}' must have positive step and stop >= start"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("grid", ["0:1e-5:1e-11", "0:1e-10:1e-10"])
+    def test_grid_finer_than_its_rounding_rejected(self, link_file, capsys, grid):
+        # Grid points are rounded to 1e-9 km, so a finer step merges neighbours.
+        assert main(["sweep", "--link", link_file, "--grid", grid]) == EXIT_VALIDATION
+        step = repr(float(grid.split(":")[2]))
+        assert capsys.readouterr().err == (
+            f"decoyqkd sweep: grid {grid!r}: step {step} km merges points rounded to 1e-9 km\n")
 
     @pytest.mark.parametrize("grid", ["0:150:1e-10", "0:1e308:5e-324", "-1e308:1e308:1"])
     def test_oversized_grid_rejected_before_allocation(self, link_file, capsys, monkeypatch,
@@ -567,28 +546,11 @@ class TestSweepCommand:
 
 
 class TestSimulateCommand:
-    def test_stdout_pinned(self, capsys):
-        assert main(["simulate", "--seed", "5"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_STDOUT_SHA256
-
     @pytest.mark.parametrize("flags", SIMULATE_SOUNDNESS_STDOUT_SHA256)
     def test_stdout_pinned_on_each_soundness_branch(self, capsys, flags):
         assert main(["simulate", "--length-km", "123.6", "--u-alpha", "0", *flags]) == EXIT_OK
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == SIMULATE_SOUNDNESS_STDOUT_SHA256[flags]
-
-    def test_sound_session_stdout_pinned(self, capsys):
-        assert main(["simulate", "--pulses", "2e9", "--length-km", "49.2", "--u-alpha", "0",
-                     "--seed", "2"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_SOUND_49KM_STDOUT_SHA256
-
-    def test_bright_session_stdout_pinned(self, capsys):
-        assert main(["simulate", "--mu", "20", "--nu", "5", "--pulses", "1e7",
-                     "--length-km", "10", "--seed", "4"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_BRIGHT_STDOUT_SHA256
 
     def test_class_mean_above_limit_rejected(self, capsys):
         assert main(["simulate", "--mu", "1e4", "--nu", "0.2"]) == EXIT_VALIDATION
@@ -694,6 +656,16 @@ def test_seed_is_an_option_only_of_the_sampling_commands(command, capsys):
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--params", "--mu", "--nu", "--q", "--f-ec", "--u-alpha",
+                                  "--n-mu", "--n-nu"])
+def test_protocol_inputs_are_not_options_of_calibrate(flag, capsys):
+    # The fringe scan reads the link alone: no intensity or finite-size budget.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["calibrate", flag, "1"])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is a test dependency only; its import would dominate a command's time
     import decoyqkd
@@ -736,23 +708,18 @@ def test_commands_run_with_scipy_blocked(argv, tmp_path):
 
 
 class TestCalibrateCommand:
-    @pytest.mark.parametrize("flags", list(CALIBRATE_STDOUT_SHA256))
-    def test_stdout_pinned(self, capsys, flags):
-        assert main(["calibrate", *flags]) == EXIT_OK
+    def test_noiseless_stdout_pinned(self, capsys):
+        assert main(["calibrate", "--noiseless", "--peak", "0.9",
+                     "--visibility", "0.5"]) == EXIT_OK
         out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == CALIBRATE_STDOUT_SHA256[flags]
+        assert hashlib.sha256(out.encode()).hexdigest() == CALIBRATE_NOISELESS_STDOUT_SHA256
 
-    def test_implicit_link_ignores_the_intensities(self, capsys):
-        # calibrate reads no intensity; the link is the bundled fit either way.
-        def link_lines(argv):
-            assert main(argv) == EXIT_OK
-            return [line for line in capsys.readouterr().out.splitlines()
-                    if line.startswith("# link.")]
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            zero = link_lines(["calibrate", "--mu", "0", "--nu", "0", "--seed", "3"])
-        assert zero == link_lines(["calibrate", "--seed", "3"]) and len(zero) == 5
+    def test_dark_counts_at_one_rejected(self, capsys):
+        # y0 = 1 must not reach the division by 1 - y0, a runtime failure.
+        assert main(["calibrate", "--y0", "1"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "decoyqkd calibrate: dark counts alone exceed the requested click "
+            "probability 0.5\n")
 
     def test_visibility_round_trip(self, tmp_path):
         out = tmp_path / "cal.txt"

@@ -295,6 +295,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=r"n_pulses=9223372036854775808 must be in"):
             SimConfig(n_pulses=2**63, link=LUMPED_L0, params=default_params)
 
+    def test_non_integral_pulse_count_rejected(self, default_params):
+        # A fractional count would be truncated by the samplers.
+        message = r"n_pulses=10.5 must be in \[1, 2\*\*63 - 1\] and whole"
+        with pytest.raises(ValueError, match=message):
+            SimConfig(n_pulses=10.5, link=LUMPED_L0, params=default_params)
+
     def test_class_mean_limit(self, default_params):
         with pytest.raises(ValueError, match=r"mu=200.5 must be at most 200:"):
             SimConfig(n_pulses=10, link=LUMPED_L0, params=ProtocolParams(mu=200.5, nu=0.2))
