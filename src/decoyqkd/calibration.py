@@ -9,10 +9,13 @@ working points are the fringe zero plus multiples of pi/2.
 The scan draws its counts from link's coherent-state click law
 (link.coherent_click_probability) at the zero-length transmittance
 times the strong intensity. That law saturates at scan intensities, so
-it is also the fit model, rather than a bare cosine; a first-harmonic
-projection of the log-inverted counts seeds a deterministic local
-refinement (link's bounded Levenberg-Marquardt, the one fit_link uses),
-and the residuals are minimized in the count-fraction domain. Dark
+it is also the fit model, rather than a bare cosine. The fit evaluates
+the law at y0 = 0 through an in-place kernel (_negated_clicks) that
+gives its bits with about half its array passes; a test pins the kernel
+to the law. A first-harmonic projection of the log-inverted counts
+seeds a deterministic local refinement (link's bounded
+Levenberg-Marquardt, the one fit_link uses), and the residuals are
+minimized in the count-fraction domain. Dark
 counts are negligible against the strong-pulse click rates and are not
 fitted. A seed fixes a sampled scan: one default_rng(SeedSequence(seed))
 draws all its counts.
@@ -26,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimator import require_count, require_finite
+from .estimator import require_count, require_finite, require_seed
 from .link import (PHASE_GRID, FitConvergenceError, LinkModel, _fringe, _least_squares,
                    coherent_click_probability, transmittance)
 
@@ -42,14 +45,31 @@ __all__ = [
 ]
 
 SATURATION_PEAK = 0.999
+# The fewest scan points the fringe fit takes.
+MIN_FIT_POINTS = 8
 TWO_PI = 2.0 * math.pi
-# The amplitude's phase grid: the mean of the periodic click law over it is off
-# by about 2*exp(-depth)*I_1024(depth*V), under 1 ulp for depths up to 1e4.
-_AMPLITUDE_PHASES = np.linspace(0.0, TWO_PI, 1024, endpoint=False)
+# The cosines of the amplitude's phase grid: the mean of the periodic click law
+# over it is off by about 2*exp(-depth)*I_1024(depth*V), under 1 ulp for depths
+# up to 1e4.
+_AMPLITUDE_COSINES = np.cos(np.linspace(0.0, TWO_PI, 1024, endpoint=False))
 
 
 class InsufficientScanRangeError(ValueError):
     """The scan grid does not cover a full fringe period."""
+
+
+def _negated_clicks(depth, visibility, cosines, out=None):
+    """expm1(-2*depth*(1 + V*cos(d))/2), minus link's click law at y0 = 0 and
+    eta*m = 2*depth, written into out (a new array when out is None).
+
+    The same operations as coherent_click_probability, so the same bits: at
+    y0 = 0 its dark-count mix 0 + 1*s returns s, which is never -0.0 for
+    depth >= 0, and 2*depth overflows at depth >= 2**1023 as there.
+    """
+    negated = np.multiply(cosines, visibility, out=out)
+    negated += 1.0
+    negated *= (2.0 * depth) / -2.0
+    return np.expm1(negated, out=negated)
 
 
 def _wrap_phase(value: float) -> float:
@@ -81,11 +101,11 @@ class ScanCurve:
         object.__setattr__(self, "counts", counts)
         if offsets.ndim != 1 or offsets.size != counts.size:
             raise ValueError("offsets and counts must be 1-d arrays of equal length")
-        if offsets.size > 1 and not np.all(np.diff(offsets) > 0):
+        if not (offsets[1:] > offsets[:-1]).all():
             raise ValueError("scan offsets must be strictly increasing")
         require_count(pulses_per_point=self.pulses_per_point)
         # Written so that NaN, for which every comparison is false, fails it.
-        if not np.all((counts >= 0) & (counts <= self.pulses_per_point)):
+        if not ((counts >= 0) & (counts <= self.pulses_per_point)).all():
             raise ValueError("counts must be finite and lie in [0, pulses_per_point]")
 
     @property
@@ -143,8 +163,7 @@ def simulate_scan(model: LinkModel, strong_mean_photons: float, offsets: Sequenc
             f"scan must span >= 2*pi, got {grid[-1] - grid[0] if grid.size else 0.0:.3f} rad"
         )
     require_count(pulses_per_point=pulses_per_point)  # before binomial overflows on it
-    if seed < 0:
-        raise ValueError(f"seed={seed} must be >= 0")
+    require_seed(seed)
     if strong_mean_photons < 0:
         raise ValueError(f"strong_mean_photons={strong_mean_photons} must be >= 0")
     probs = coherent_click_probability(transmittance(model, 0.0) * strong_mean_photons,
@@ -172,12 +191,12 @@ def fit_fringe(curve: ScanCurve) -> FringeFit:
     count is pulses_per_point, and FitConvergenceError when the
     refinement fails or runs out of iterations.
     """
-    if curve.offsets.size < 8 or curve.span < TWO_PI - 1e-9:
+    if curve.offsets.size < MIN_FIT_POINTS or curve.span < TWO_PI - 1e-9:
         raise InsufficientScanRangeError(
-            f"fringe fit needs >= 8 points spanning >= 2*pi, got {curve.offsets.size} "
-            f"points over {curve.span:.3f} rad"
+            f"fringe fit needs >= {MIN_FIT_POINTS} points spanning >= 2*pi, got "
+            f"{curve.offsets.size} points over {curve.span:.3f} rad"
         )
-    if np.all(curve.counts == curve.pulses_per_point):
+    if (curve.counts == curve.pulses_per_point).all():
         raise ValueError("every scan point is saturated (count = pulses_per_point), so "
                          "the fringe cannot be fitted; lower the scan peak")
     y = curve.counts / curve.pulses_per_point
@@ -191,10 +210,13 @@ def fit_fringe(curve: ScanCurve) -> FringeFit:
     vis0 = min(math.hypot(coeff[1], coeff[2]) / depth0, 1.0)
     zero0 = math.atan2(coeff[2], coeff[1])
 
+    neg_y = -y  # (-y) - e rounds as (-e) - y does
+
     def residuals(points: np.ndarray) -> np.ndarray:
         # The click law with y0 = 0 and depth = eta*m/2, one row per point.
         depth, vis, zero = points[..., None]
-        return coherent_click_probability(2.0 * depth, vis, 0.0, curve.offsets - zero) - y
+        terms = curve.offsets - zero
+        return neg_y - _negated_clicks(depth, vis, np.cos(terms, out=terms), out=terms)
 
     x, iterations, converged = _least_squares(
         residuals, [depth0, vis0, zero0],
@@ -205,8 +227,8 @@ def fit_fringe(curve: ScanCurve) -> FringeFit:
     rms = float(np.sqrt(np.mean(residuals(x[:, None]) ** 2)))
     # fsum: at V = 0 the 1,024 values are equal, and np.mean's pairwise sum of
     # them rounds about 4 ulp away from the value itself.
-    clicks = coherent_click_probability(2.0 * depth, vis, 0.0, _AMPLITUDE_PHASES)
-    amplitude = math.fsum(clicks.tolist()) / _AMPLITUDE_PHASES.size
+    clicks = _negated_clicks(depth, vis, _AMPLITUDE_COSINES)
+    amplitude = math.fsum(np.negative(clicks, out=clicks).tolist()) / _AMPLITUDE_COSINES.size
     return FringeFit(amplitude=amplitude, visibility_est=float(vis),
                      phase_zero=_wrap_phase(float(zero)), residual=rms)
 

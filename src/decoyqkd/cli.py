@@ -252,8 +252,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    if not 2 <= args.points <= MAX_GRID_POINTS:
-        raise ValueError(f"--points={args.points} must be in [2, {MAX_GRID_POINTS}]")
+    if not calibration.MIN_FIT_POINTS <= args.points <= MAX_GRID_POINTS:
+        raise ValueError(f"--points={args.points} must be in "
+                         f"[{calibration.MIN_FIT_POINTS}, {MAX_GRID_POINTS}]")
     model = _resolve_link(args)
     strong = calibration.scan_intensity_for_peak(model, peak=args.peak)
     offsets = [i * 2.0 * math.pi / (args.points - 1) for i in range(args.points)]

@@ -50,6 +50,7 @@ __all__ = [
     "analyze_columns",
     "require_finite",
     "require_count",
+    "require_seed",
 ]
 
 # Abort-cause messages, in the order the chain checks them; str.format
@@ -78,6 +79,15 @@ def require_count(**values: int) -> None:
     for name, value in values.items():
         if not (1 <= value <= 2**63 - 1 and value == int(value)):
             raise ValueError(f"{name}={value} must be in [1, 2**63 - 1] and whole")
+
+
+def require_seed(seed: int) -> None:
+    """Raise ValueError unless seed is an int, Python's or numpy's, >= 0: what
+    SeedSequence takes, which rejects a float even when it is whole."""
+    if not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed={seed!r} must be an integer")
+    if seed < 0:
+        raise ValueError(f"seed={seed} must be >= 0")
 
 
 class AnalysisError(ValueError):

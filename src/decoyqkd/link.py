@@ -259,13 +259,13 @@ def _least_squares(residuals, x0, lower, upper):
             points[diagonal, diagonal], points[diagonal, n + diagonal] = ends
             f = residuals(points)
             jac = ((f[:n] - f[n:]) / (ends[0] - ends[1])[:, None]).T
-            gradient, normal = jac.T @ r, jac.T @ jac
+            neg_gradient, normal = -(jac.T @ r), jac.T @ jac
             normal_diagonal = normal[diagonal, diagonal]
             # The damping's diagonal matrix, built once per Jacobian; a column
             # that vanishes (a phase at zero visibility) still gets damped.
             scale = np.diag(np.maximum(normal_diagonal, _EPS * normal_diagonal.max()))
         try:  # singular when every residual is flat in every parameter
-            step = np.linalg.solve(normal + damping * scale, -gradient)
+            step = np.linalg.solve(normal + damping * scale, neg_gradient)
         except np.linalg.LinAlgError as exc:
             raise FitConvergenceError(f"step {iteration} failed: {exc}") from exc
         trial = np.minimum(np.maximum(x + step, lower), upper)

@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimator import (AnalysisError, MeasuredStats, ProtocolParams, SecurityBounds,
-                        require_count, require_finite)
+                        require_count, require_finite, require_seed)
 from .link import PHASE_GRID, LinkModel, photon_click_probability, transmittance
 
 __all__ = [
@@ -78,8 +78,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         require_finite(length_km=self.length_km, bob_phase_error=self.bob_phase_error)
         require_count(n_pulses=self.n_pulses)
-        if self.seed < 0:
-            raise ValueError(f"seed={self.seed} must be >= 0")
+        require_seed(self.seed)
         if not 0.0 < self.decoy_fraction < 1.0:
             raise ValueError(f"decoy_fraction={self.decoy_fraction} must be in (0, 1)")
         # A class law sums the Poisson weights and click probabilities of

@@ -24,9 +24,11 @@ from decoyqkd import (
 )
 from decoyqkd import calibration
 from decoyqkd.calibration import (
+    MIN_FIT_POINTS,
     scan_intensity_for_peak,
     scan_overhead,
 )
+from decoyqkd.link import coherent_click_probability
 
 from conftest import model_click, not_converged, scipy_refinement
 
@@ -84,6 +86,16 @@ class TestSimulateScan:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=rf"\b{argument}\b.* must be finite"):
                 simulate_scan(LUMPED, pulses_per_point=1000, seed=1, **inputs)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, math.nan, math.inf])
+    def test_non_integer_seed_rejected_by_name(self, seed):
+        with pytest.raises(ValueError, match=rf"^seed={seed!r} must be an integer$"):
+            simulate_scan(LUMPED, 0.5, grid(16), 1000, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        curve = simulate_scan(LUMPED, 1.0, grid(16), 1000, seed=np.uint32(6))
+        assert np.array_equal(curve.counts, simulate_scan(LUMPED, 1.0, grid(16), 1000,
+                                                          seed=6).counts)
 
     def test_deterministic_per_seed(self):
         a = simulate_scan(LUMPED, 1.0, grid(64), 10_000, seed=6)
@@ -254,6 +266,83 @@ class TestFitFringe:
             expected = (fit_base.phase_zero + delta) % TWO_PI
             wrapped = abs(fit_shifted.phase_zero - expected)
             assert min(wrapped, TWO_PI - wrapped) < 1e-9
+
+
+def assert_same_bits(actual: np.ndarray, expected: np.ndarray) -> None:
+    """Equal arrays, telling -0.0 from 0.0; any NaN matches any NaN."""
+    assert actual.shape == expected.shape
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(actual), nan)
+    assert actual[~nan].tobytes() == expected[~nan].tobytes()
+
+
+@st.composite
+def scans(draw) -> ScanCurve:
+    size = draw(st.integers(MIN_FIT_POINTS, 70))
+    pulses = draw(st.integers(1, 10**6))
+    counts = draw(st.lists(st.integers(0, pulses), min_size=size, max_size=size))
+    counts[0] = 0  # fit_fringe refuses a scan that is saturated everywhere
+    return ScanCurve(offsets=grid(size), counts=counts, pulses_per_point=pulses)
+
+
+DEPTHS = st.floats(0.0, 1e3) | st.sampled_from([2.0**1023, 1.7976931348623157e308,
+                                                 math.inf, math.nan])
+VISIBILITIES = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0])
+# A Jacobian's six points, one column each: a central difference in 3 parameters.
+JACOBIAN_POINTS = st.lists(st.tuples(DEPTHS, VISIBILITIES | st.just(math.nan),
+                                     st.floats(-10.0, 10.0) | st.just(math.nan)),
+                           min_size=6, max_size=6)
+# grid(65) samples d = pi exactly at zero = 0, where 1 + V*cos(d) is 0 at V = 1
+# and (2 * 2**1023) / -2 * 0 is NaN as in the law, where -2**1023 * 0 is -0.0.
+DIP = ScanCurve(offsets=grid(65), counts=np.arange(65.0), pulses_per_point=100)
+
+
+def fit_with_refinement(curve: ScanCurve, fitted: np.ndarray):
+    """fit_fringe with the refinement replaced by one returning fitted, and
+    the residual function it was handed."""
+    handed = []
+
+    def refinement(residuals, x0, lower, upper):
+        handed.append(residuals)
+        return fitted, 1, True
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(calibration, "_least_squares", refinement)
+        fit = fit_fringe(curve)
+    return fit, handed[0]
+
+
+class TestFitKernel:
+    # The fit evaluates link's click law through its own in-place kernel; both
+    # test_least_squares solvers call that one residual function, so only a
+    # comparison with the law itself can catch a change to it.
+    @given(scans(), JACOBIAN_POINTS)
+    @example(curve=DIP, points=[(2.0**1023, 1.0, 0.0), (2.0**1023, 0.0, 0.0),
+                                (1.0, 1.0, 0.0), (0.0, 1.0, 0.0), (5.0, 0.0, 1.0),
+                                (math.inf, 1.0, 0.0)])
+    @example(curve=DIP, points=[(math.nan, 0.5, 0.0), (1.0, math.nan, 0.0),
+                                (1.0, 0.5, math.nan), (math.nan, math.nan, math.nan),
+                                (1e3, 1.0, 0.0), (1e-15, 0.0, 0.0)])
+    def test_residuals_are_the_law_bit_for_bit(self, curve, points):
+        _, residuals = fit_with_refinement(curve, np.array([1.0, 0.5, 0.0]))
+        points = np.array(points).T
+        depth, vis, zero = points[..., None]
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = (coherent_click_probability(2.0 * depth, vis, 0.0, curve.offsets - zero)
+                        - curve.counts / curve.pulses_per_point)
+            assert_same_bits(residuals(points), expected)
+
+    @given(DEPTHS, VISIBILITIES)
+    @example(depth=2.0**1023, visibility=1.0)
+    @example(depth=2.0**1023, visibility=0.0)
+    @example(depth=math.nan, visibility=1.0)
+    @example(depth=0.0, visibility=1.0)
+    def test_amplitude_is_the_law_at_its_phases(self, depth, visibility):
+        # 1,024 phases from 0 to 2*pi; the one at index 512 is pi exactly
+        phases = np.linspace(0.0, TWO_PI, 1024, endpoint=False)
+        with np.errstate(invalid="ignore", over="ignore"):
+            clicks = coherent_click_probability(2.0 * depth, visibility, 0.0, phases)
+            fit, _ = fit_with_refinement(DIP, np.array([depth, visibility, 0.0]))
+        assert repr(fit.amplitude) == repr(math.fsum(clicks.tolist()) / 1024)
 
 
 def phase_gap(a: float, b: float) -> float:

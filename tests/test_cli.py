@@ -762,8 +762,22 @@ class TestCalibrateCommand:
         assert main(["calibrate", "--link", link_file, flag, value]) == EXIT_VALIDATION
         assert message in capsys.readouterr().err
 
-    def test_four_point_grid_rejected(self, link_file):
+    def test_four_point_grid_rejected(self, link_file, capsys):
         assert main(["calibrate", "--link", link_file, "--points", "4"]) == EXIT_VALIDATION
+        assert "--points=4 must be in [8, 10000000]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("points", [5, 7])
+    def test_point_count_below_the_fit_rejected_before_the_scan(self, link_file, capsys,
+                                                                monkeypatch, points):
+        # The fit needs 8 points, so a smaller scan is refused before it is drawn.
+        monkeypatch.setattr(calibration, "simulate_scan", refuse_allocation)
+        assert main(["calibrate", "--link", link_file,
+                     "--points", str(points)]) == EXIT_VALIDATION
+        assert (capsys.readouterr().err
+                == f"decoyqkd calibrate: --points={points} must be in [8, 10000000]\n")
+
+    def test_eight_point_grid_fits(self, link_file):
+        assert main(["calibrate", "--link", link_file, "--points", "8", "--noiseless"]) == EXIT_OK
 
     def test_degenerate_point_count_rejected(self, link_file):
         assert main(["calibrate", "--link", link_file, "--points", "1"]) == EXIT_VALIDATION
@@ -774,7 +788,7 @@ class TestCalibrateCommand:
         monkeypatch.setattr(calibration, "scan_intensity_for_peak", refuse_allocation)
         assert main(["calibrate", "--link", link_file,
                      "--points", str(10**12)]) == EXIT_VALIDATION
-        assert "must be in [2, 10000000]" in capsys.readouterr().err
+        assert "must be in [8, 10000000]" in capsys.readouterr().err
 
     def test_saturated_scan_is_a_validation_error(self, tmp_path, capsys):
         config = tmp_path / "flat.cfg"

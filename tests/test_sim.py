@@ -1,5 +1,6 @@
 """Monte Carlo session: statistics, determinism, serialization, soundness."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -300,6 +301,18 @@ class TestConfigValidation:
         message = r"n_pulses=10.5 must be in \[1, 2\*\*63 - 1\] and whole"
         with pytest.raises(ValueError, match=message):
             SimConfig(n_pulses=10.5, link=LUMPED_L0, params=default_params)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, math.nan, -math.inf])
+    def test_non_integer_seed_rejected_by_name(self, default_params, seed):
+        with pytest.raises(ValueError, match=rf"^seed={seed!r} must be an integer$"):
+            SimConfig(n_pulses=10, link=LUMPED_L0, params=default_params, seed=seed)
+
+    def test_negative_and_numpy_integer_seeds(self, default_params):
+        with pytest.raises(ValueError, match=r"^seed=-1 must be >= 0$"):
+            SimConfig(n_pulses=10, link=LUMPED_L0, params=default_params, seed=np.int64(-1))
+        config = SimConfig(n_pulses=1000, link=LUMPED_L0, params=default_params,
+                           seed=np.int64(7))
+        assert run_session(config) == run_session(replace(config, seed=7))
 
     def test_class_mean_limit(self, default_params):
         with pytest.raises(ValueError, match=r"mu=200.5 must be at most 200:"):
