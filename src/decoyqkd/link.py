@@ -23,10 +23,13 @@ the (n, 5) STATS_COLUMNS array tables.read_stats_columns reads, into
 fixed: a straight line through the log gains and the QBER at the
 shortest length give the start, and _least_squares, a bounded
 Levenberg-Marquardt refinement in numpy that calibration's fringe fit
-shares, finishes it. sweep_key_rate feeds the modelled rates
-of its whole grid, and of each bisection step, through the column bound
-chain (estimator.analyze_columns) to locate the largest fiber length
-with a positive secure rate.
+shares, finishes it. The refinement stops at the cost's rounding floor,
+where the decrease its linear model predicts for a rejected step is at most
+1e-15 of the cost, so fitted digits beyond about 1e-8 relative carry no
+information. sweep_key_rate feeds the modelled rates of its whole grid, and
+of each bisection step, through the column bound chain
+(estimator.analyze_columns) to locate the largest fiber length with a
+positive secure rate.
 """
 
 from __future__ import annotations
@@ -67,7 +70,8 @@ _EPS = np.finfo(float).eps
 _DIFF_STEP = _EPS ** (1.0 / 3.0)
 # Relative change of cost and parameters below which _least_squares stops.
 _FIT_TOL = 1e-15
-# Trial steps before _least_squares gives up; the fits here take 2 to 16.
+# Trial steps before _least_squares gives up; the bundled link fits take 4 and
+# 5, the fringe fits at the calibrate defaults at most 6.
 _MAX_ITERATIONS = 100
 # Shortest spread of fiber lengths from which fit_link identifies the
 # attenuation: lengths a few ulps apart leave alpha at an arbitrary bound.
@@ -222,13 +226,38 @@ def _fit_residuals(alpha, lumped_db, visibility, y0: float, rows: np.ndarray,
                      qber_mu - e_mu], axis=-1)
 
 
+def _fit_rows(table: np.ndarray | Sequence[MeasuredStats]) -> np.ndarray:
+    """The (n, 5) rows of a measured table that the fit residuals can take.
+
+    Raises UnidentifiableDataError for a row outside MeasuredStats' domain
+    (before a NaN or infinite value reaches np.polyfit) or with a counting
+    rate of 0, whose log residual is infinite.
+    """
+    rows = np.asarray(table, dtype=float).reshape(-1, 5)
+    outside = _first_outside_domain(rows)
+    if outside is not None:
+        row, message = outside
+        raise UnidentifiableDataError(f"table row {row}: {message}")
+    length, s_mu, _, s_nu, _ = rows.T
+    non_positive = (s_mu <= 0) | (s_nu <= 0)
+    if non_positive.any():
+        raise UnidentifiableDataError(
+            f"non-positive counting rate at {length[non_positive][0].item()} km "
+            "cannot be log-fitted"
+        )
+    return rows
+
+
 def fit_objective(model: LinkModel, table: np.ndarray | Sequence[MeasuredStats],
                   params: ProtocolParams) -> float:
     """Sum of squared fit residuals of a model against a measured table, an
-    (n, 5) STATS_COLUMNS array or a sequence of MeasuredStats rows."""
+    (n, 5) STATS_COLUMNS array or a sequence of MeasuredStats rows.
+
+    Raises UnidentifiableDataError for the rows fit_link rejects as outside
+    MeasuredStats' domain or at a counting rate of 0."""
     lumped = model.excess_loss_db - 10.0 * math.log10(model.eta_det)
     r = _fit_residuals(model.alpha_db_per_km, lumped, model.visibility, model.y0,
-                       np.asarray(table, dtype=float).reshape(-1, 5), params)
+                       _fit_rows(table), params)
     return float(np.square(r).sum())
 
 
@@ -240,7 +269,10 @@ def _least_squares(residuals, x0, lower, upper):
     one-sided where a bound is nearer than the step. Each trial step solves
     the normal equations damped by their diagonal and is clipped to
     lower <= x <= upper. The fit has converged when an accepted step lowers
-    the cost, or moves the parameters, by no more than _FIT_TOL relative.
+    the cost, or moves the parameters, by no more than _FIT_TOL relative, or
+    when a rejected step's predicted decrease of a finite cost, that of the
+    residuals' linear model, is at most _FIT_TOL relative: the cost's rounding
+    floor, the ftol test of MINPACK's lmder. x is then the current point.
 
     Returns (x, iterations, converged); iterations counts trial steps.
     Raises FitConvergenceError when the damped normal matrix is singular.
@@ -272,8 +304,12 @@ def _least_squares(residuals, x0, lower, upper):
         r_trial = residuals(trial[:, None])[0]
         cost_trial = r_trial @ r_trial
         if not cost_trial <= cost:  # also rejects NaN
-            # x10, x100, ... on consecutive rejections: at the cost's rounding
-            # floor the steps shrink below _FIT_TOL within a few trials.
+            # |r|^2 - |r + J step|^2, the decrease the linear model predicts for
+            # the unclipped step; never negative for a damped step.
+            predicted = 2.0 * (step @ neg_gradient) - step @ normal @ step
+            if predicted <= _FIT_TOL * cost and cost < math.inf:
+                return x, iteration, True
+            # x10, x100, ... on consecutive rejections.
             rejected += 1
             damping *= 10.0 ** rejected
             continue
@@ -325,11 +361,7 @@ def fit_link_report(table: np.ndarray | Sequence[MeasuredStats], params: Protoco
         raise UnidentifiableDataError(
             f"nu={params.nu!r} must be below mu={params.mu!r}: a link model gives pulses "
             "of equal mean equal rates, so it cannot reproduce two classes measured apart")
-    rows = np.asarray(table, dtype=float).reshape(-1, 5)
-    outside = _first_outside_domain(rows)
-    if outside is not None:  # before a NaN or infinite value reaches np.polyfit
-        row, message = outside
-        raise UnidentifiableDataError(f"table row {row}: {message}")
+    rows = _fit_rows(table)
     length, s_mu, e_mu, s_nu, _ = rows.T
     # A set rather than np.unique, which would import numpy.ma into every fit.
     distinct = len(set(length.tolist()))
@@ -343,12 +375,6 @@ def fit_link_report(table: np.ndarray | Sequence[MeasuredStats], params: Protoco
         raise UnidentifiableDataError(
             f"link fit needs lengths spanning >= {_MIN_LENGTH_SPAN_KM} km to identify "
             f"the attenuation, got {span!r} km"
-        )
-    non_positive = (s_mu <= 0) | (s_nu <= 0)
-    if non_positive.any():
-        raise UnidentifiableDataError(
-            f"non-positive counting rate at {length[non_positive][0].item()} km "
-            "cannot be log-fitted"
         )
     # The modelled rate y0 + (1 - y0)*(signal click) exceeds y0 on every link.
     at_dark_rate = (s_mu <= y0) | (s_nu <= y0)

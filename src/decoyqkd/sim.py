@@ -77,6 +77,8 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         require_finite(length_km=self.length_km, bob_phase_error=self.bob_phase_error)
+        if self.length_km < 0:  # transmittance's message, raised before any session runs
+            raise ValueError(f"length_km={self.length_km} must be finite and >= 0")
         require_count(n_pulses=self.n_pulses)
         require_seed(self.seed)
         if not 0.0 < self.decoy_fraction < 1.0:

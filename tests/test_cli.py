@@ -34,25 +34,26 @@ REFERENCE_SHA256 = "42dd2ad257a0f2fddab4c954dd0dd1114b924517e93c1fb0970d86cf61d3
 # sessions and `calibrate --seed 3` is pinned once, by the package-smoke check
 # lines of .github/workflows/tests.yml, which test_workflow_pins_match_the_commands
 # runs in process. The pins below are the ones the workflow lacks.
-# `decoyqkd fit` stderr, pinned while fit still read the table as a list of
-# MeasuredStats rows.
-FIT_STDERR = "fit: converged in 12 iterations, objective=0.3943113292565052\n"
+# `decoyqkd fit` stderr, re-recorded when the refinement began to stop at the
+# cost's rounding floor.
+FIT_STDERR = "fit: converged in 4 iterations, objective=0.3943113292565068\n"
 # `decoyqkd simulate --length-km 123.6 --u-alpha 0` stdout on each branch of
 # the soundness verdict, each at the smallest seed that reaches it, pinned when
-# a class became one 16-cell multinomial.
+# a class became one 16-cell multinomial; their `# link.*` header lines were
+# re-recorded with FIT_STDERR.
 SIMULATE_SOUNDNESS_STDOUT_SHA256 = {
     # s1 violated, e1 ok
     ("--pulses", "3e5", "--seed", "0"):
-        "66eae2364a12cd4785bd5f4c4ef4b28691a3fafda1464b0cf49f96c36312871a",
+        "389a21843da8f16d329ea183d5588344f065d34b017cf79b3a60ea7f544128a7",
     # true_e1 none, sound
     ("--pulses", "3e5", "--seed", "25"):
-        "ec2b490427e1377faa62dd1fe9a105b8eb64d5a88700b6ac70c9dfb4cf59461b",
+        "c5f357b52dd980495b7812d9706d0e2d59056e788f541e49738dfe66ab7c5f18",
     # true_s1 0, e1 unavailable
     ("--pulses", "3e5", "--seed", "87"):
-        "b83d7917cb77cf63c5d234e719b875296de8f4b100678b87457426a6a3d11a0f",
+        "282b8a3d7f736cf0ff691c4a9ea1daf556602485a68c39e5be71e4ac51d0da2e",
     # s1 and e1 violated
     ("--pulses", "1e6", "--seed", "760"):
-        "f2eb770291c8fdb4e96cdd3580c1ba4113e153049f534925ba64ad802b2bd324",
+        "783ec390681cbedab6502619afba05349387b8b0d606ec0093074afd064b9c9e",
 }
 # `decoyqkd calibrate --noiseless --peak 0.9 --visibility 0.5` stdout.
 CALIBRATE_NOISELESS_STDOUT_SHA256 = (
@@ -583,6 +584,12 @@ class TestSimulateCommand:
 
     def test_zero_pulses_rejected(self, link_file):
         assert main(["simulate", "--link", link_file, "--pulses", "0"]) == EXIT_VALIDATION
+
+    def test_negative_length_rejected(self, link_file, capsys):
+        assert main(["simulate", "--link", link_file, "--length-km", "-1"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "decoyqkd simulate: length_km=-1.0 must be finite and >= 0\n"
 
     def test_negative_seed_rejected(self, link_file, capsys):
         assert main(["simulate", "--link", link_file, "--seed", "-1"]) == EXIT_VALIDATION

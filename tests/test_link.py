@@ -230,6 +230,21 @@ class TestFitLink:
             link.fit_link_report(table, default_params)
         assert capfd.readouterr() == ("", "")
 
+    # fit_objective returned inf with numpy's divide warning, nan, and 31.36 for these.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("column, value", [
+        ("s_mu", 0.0), ("length_km", math.nan), ("s_mu", 2.0),
+    ])
+    def test_objective_rejects_what_the_fit_rejects(self, reference_table, fitted_model,
+                                                     default_params, column, value):
+        table = np.array(reference_table)
+        table[2, reference_table[2]._fields.index(column)] = value
+        with pytest.raises(UnidentifiableDataError) as fit_error:
+            link.fit_link_report(table, default_params)
+        with pytest.raises(UnidentifiableDataError) as objective_error:
+            fit_objective(fitted_model, table, default_params)
+        assert str(objective_error.value) == str(fit_error.value)
+
     def test_rates_not_above_y0_unidentifiable(self, reference_table, default_params):
         # A modelled rate y0 + (1 - y0)*(signal click) exceeds y0 on every link;
         # the bundled table's smallest rate is s_nu = 1.36e-5 at 123.6 km.

@@ -322,6 +322,12 @@ class TestConfigValidation:
         tally, _ = run_session(config)
         assert tally.signal_photons[3].emitted == tally.signal.emitted
 
+    def test_negative_length_rejected_at_construction(self, default_params):
+        with pytest.raises(ValueError, match=r"^length_km=-1.0 must be finite and >= 0$"):
+            SimConfig(n_pulses=10, link=LUMPED_L0, params=default_params, length_km=-1.0)
+        assert SimConfig(n_pulses=10, link=LUMPED_L0, params=default_params,
+                         length_km=-0.0).length_km == 0.0
+
     def test_decoy_fraction_domain(self, default_params):
         with pytest.raises(ValueError):
             SimConfig(n_pulses=10, link=LUMPED_L0, params=default_params,
