@@ -15,10 +15,13 @@ gives its bits with about half its array passes; a test pins the kernel
 to the law. A first-harmonic projection of the log-inverted counts
 seeds a deterministic local refinement (link's bounded
 Levenberg-Marquardt, the one fit_link uses), and the residuals are
-minimized in the count-fraction domain. Dark
-counts are negligible against the strong-pulse click rates and are not
-fitted. A seed fixes a sampled scan: one default_rng(SeedSequence(seed))
-draws all its counts.
+minimized in the count-fraction domain; the rms residual comes from the
+residuals the refinement holds at its result. The fit keeps the fitted
+depth, and the amplitude (the law's mean click probability over 1,024
+phases) is derived from it on read, so a fit whose amplitude nobody reads
+does not pay for it. Dark counts are negligible against the strong-pulse
+click rates and are not fitted. A seed fixes a sampled scan: one
+default_rng(SeedSequence(seed)) draws all its counts.
 """
 
 from __future__ import annotations
@@ -115,18 +118,37 @@ class ScanCurve:
 
 @dataclass(frozen=True)
 class FringeFit:
-    """Fitted fringe: mean click probability, visibility, zero phase, rms residual."""
+    """Fitted fringe: depth, visibility, zero phase, rms residual.
 
-    amplitude: float
+    depth is eta*m/2, the mean number of detected photons of a scan pulse
+    averaged over the phase: the click law at phase offset d is
+    1 - exp(-depth*(1 + V*cos(d))). The amplitude, that law's mean click
+    probability, is derived on read from the depth and the visibility.
+    """
+
+    depth: float
     visibility_est: float
     phase_zero: float
     residual: float
 
     def __post_init__(self) -> None:
+        # Each test is written so that NaN, for which every comparison is false, fails it.
+        if not 0.0 < self.depth < math.inf:
+            raise ValueError(f"depth={self.depth} must be finite and > 0")
         if not 0.0 <= self.visibility_est <= 1.0:
             raise ValueError(f"visibility_est={self.visibility_est} must be in [0, 1]")
         if not 0.0 <= self.phase_zero < TWO_PI:
             raise ValueError(f"phase_zero={self.phase_zero} must be normalized to [0, 2*pi)")
+        if not 0.0 <= self.residual < math.inf:
+            raise ValueError(f"residual={self.residual} must be finite and >= 0")
+
+    @property
+    def amplitude(self) -> float:
+        """The fitted law's mean click probability over 1,024 phases."""
+        # fsum: at V = 0 the 1,024 values are equal, and np.mean's pairwise sum of
+        # them rounds about 4 ulp away from the value itself.
+        clicks = _negated_clicks(self.depth, self.visibility_est, _AMPLITUDE_COSINES)
+        return math.fsum(np.negative(clicks, out=clicks).tolist()) / _AMPLITUDE_COSINES.size
 
 
 def scan_intensity_for_peak(model: LinkModel, peak: float = 0.5) -> float:
@@ -150,9 +172,11 @@ def simulate_scan(model: LinkModel, strong_mean_photons: float, offsets: Sequenc
 
     One generator default_rng(SeedSequence(seed)) draws all counts in a
     single binomial(pulses_per_point, probs) call over the offsets, so a
-    seed fixes the whole curve. noiseless replaces sampling with exact
-    expected counts. A peak click probability at or above the saturation
-    threshold only flags the curve; the counts are still produced.
+    seed fixes the whole curve. true_phase_zero is reduced to [0, 2*pi)
+    first, so a huge zero does not round the offsets away. noiseless
+    replaces sampling with exact expected counts. A peak click probability
+    at or above the saturation threshold only flags the curve; the counts
+    are still produced.
     """
     grid = np.asarray(list(offsets), dtype=float)
     require_finite(strong_mean_photons=strong_mean_photons, true_phase_zero=true_phase_zero)
@@ -167,7 +191,8 @@ def simulate_scan(model: LinkModel, strong_mean_photons: float, offsets: Sequenc
     if strong_mean_photons < 0:
         raise ValueError(f"strong_mean_photons={strong_mean_photons} must be >= 0")
     probs = coherent_click_probability(transmittance(model, 0.0) * strong_mean_photons,
-                                       model.visibility, model.y0, grid - true_phase_zero)
+                                       model.visibility, model.y0,
+                                       grid - _wrap_phase(true_phase_zero))
     if noiseless:
         counts = probs * pulses_per_point
     else:
@@ -184,12 +209,14 @@ def fit_fringe(curve: ScanCurve) -> FringeFit:
     first harmonic (an orientation-free least-squares cosine fit), then
     a bounded least-squares refinement of (depth, visibility, zero)
     minimizes count-fraction residuals. Deterministic: no random
-    starts. The reported residual is the rms count-fraction misfit;
-    a flat curve fits with visibility near zero and the residual is
-    the only signal that the phase is unconstrained. The amplitude is
-    the fitted law's mean click probability. Raises ValueError when every
-    count is pulses_per_point, and FitConvergenceError when the
-    refinement fails or runs out of iterations.
+    starts. The reported residual is the rms count-fraction misfit, taken
+    from the residuals the refinement returns with its point; a flat curve
+    fits with visibility near zero and the residual is the only signal that
+    the phase is unconstrained. The fit stores the fitted depth; its
+    amplitude, the fitted law's mean click probability, is derived on read.
+    Raises ValueError when every count is pulses_per_point, and
+    FitConvergenceError when the refinement fails or runs out of
+    iterations.
     """
     if curve.offsets.size < MIN_FIT_POINTS or curve.span < TWO_PI - 1e-9:
         raise InsufficientScanRangeError(
@@ -218,19 +245,14 @@ def fit_fringe(curve: ScanCurve) -> FringeFit:
         terms = curve.offsets - zero
         return neg_y - _negated_clicks(depth, vis, np.cos(terms, out=terms), out=terms)
 
-    x, iterations, converged = _least_squares(
+    (depth, vis, zero), iterations, converged, r = _least_squares(
         residuals, [depth0, vis0, zero0],
         [1e-15, 0.0, zero0 - math.pi], [np.inf, 1.0, zero0 + math.pi])
     if not converged:
         raise FitConvergenceError(f"fringe fit did not converge in {iterations} iterations")
-    depth, vis, zero = x
-    rms = float(np.sqrt(np.mean(residuals(x[:, None]) ** 2)))
-    # fsum: at V = 0 the 1,024 values are equal, and np.mean's pairwise sum of
-    # them rounds about 4 ulp away from the value itself.
-    clicks = _negated_clicks(depth, vis, _AMPLITUDE_COSINES)
-    amplitude = math.fsum(np.negative(clicks, out=clicks).tolist()) / _AMPLITUDE_COSINES.size
-    return FringeFit(amplitude=amplitude, visibility_est=float(vis),
-                     phase_zero=_wrap_phase(float(zero)), residual=rms)
+    return FringeFit(depth=float(depth), visibility_est=float(vis),
+                     phase_zero=_wrap_phase(float(zero)),
+                     residual=float(np.sqrt(np.mean(r ** 2))))
 
 
 def working_points(fit: FringeFit) -> tuple[float, float, float, float]:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -261,7 +261,18 @@ def fit_objective(model: LinkModel, table: np.ndarray | Sequence[MeasuredStats],
     return float(np.square(r).sum())
 
 
-def _least_squares(residuals, x0, lower, upper):
+class _LeastSquaresResult(NamedTuple):
+    """What _least_squares returns: the point x, the trial steps taken, whether
+    the fit converged, and the (m,) residuals of x from the refinement's own
+    single-point call at x."""
+
+    x: np.ndarray
+    iterations: int
+    converged: bool
+    residuals: np.ndarray
+
+
+def _least_squares(residuals, x0, lower, upper) -> _LeastSquaresResult:
     """Bounded Levenberg-Marquardt minimum of the sum of squared residuals.
 
     residuals maps an (n, k) array of k parameter points to their (k, m)
@@ -274,7 +285,11 @@ def _least_squares(residuals, x0, lower, upper):
     residuals' linear model, is at most _FIT_TOL relative: the cost's rounding
     floor, the ftol test of MINPACK's lmder. x is then the current point.
 
-    Returns (x, iterations, converged); iterations counts trial steps.
+    Returns _LeastSquaresResult(x, iterations, converged, residuals);
+    iterations counts trial steps, and residuals are those of x, kept from the
+    call that evaluated x. calibration's fringe fit takes its rms residual
+    from them and derives its amplitude on read from the fitted depth, so no
+    residual call follows its refinement; fit_link_report ignores them.
     Raises FitConvergenceError when the damped normal matrix is singular.
     """
     # Plain ufuncs and indexing replace numpy's wrappers: same operations, same bits.
@@ -308,7 +323,7 @@ def _least_squares(residuals, x0, lower, upper):
             # the unclipped step; never negative for a damped step.
             predicted = 2.0 * (step @ neg_gradient) - step @ normal @ step
             if predicted <= _FIT_TOL * cost and cost < math.inf:
-                return x, iteration, True
+                return _LeastSquaresResult(x, iteration, True, r)
             # x10, x100, ... on consecutive rejections.
             rejected += 1
             damping *= 10.0 ** rejected
@@ -318,8 +333,8 @@ def _least_squares(residuals, x0, lower, upper):
         x, r, cost, jac, rejected = trial, r_trial, cost_trial, None, 0
         damping /= 10.0
         if converged:
-            return x, iteration, True
-    return x, _MAX_ITERATIONS, False
+            return _LeastSquaresResult(x, iteration, True, r)
+    return _LeastSquaresResult(x, _MAX_ITERATIONS, False, r)
 
 
 def fit_link(table: np.ndarray | Sequence[MeasuredStats], params: ProtocolParams,
@@ -391,7 +406,7 @@ def fit_link_report(table: np.ndarray | Sequence[MeasuredStats], params: Protoco
         return _fit_residuals(*points[..., None], y0, rows, params).reshape(
             points.shape[1], -1)
 
-    (alpha, lumped, vis), iterations, converged = _least_squares(
+    (alpha, lumped, vis), iterations, converged, _ = _least_squares(
         residuals, start, [0.0, 0.0, 0.0], [5.0, 80.0, 1.0])
     if not converged:
         raise FitConvergenceError(f"link fit did not converge in {iterations} iterations")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 
 from decoyqkd import ProtocolParams, fit_link, transmittance
-from decoyqkd.link import coherent_click_probability
+from decoyqkd.link import _LeastSquaresResult, coherent_click_probability
 from decoyqkd.tables import bundled_reference_text, read_measured_stats
 
 # Property tests run fits and Monte Carlo sessions whose first call can take
@@ -69,7 +69,8 @@ def scipy_refinement(call, **tolerances):
 
 def not_converged(residuals, x0, lower, upper):
     """Stand-in refinement that runs out of iterations at its start."""
-    return np.asarray(x0, dtype=float), 100, False
+    x = np.asarray(x0, dtype=float)
+    return _LeastSquaresResult(x, 100, False, residuals(x[:, None])[0])
 
 
 def model_click(model, mean_photons, phase, length_km=0.0):

@@ -2,6 +2,7 @@
 import math
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from decoyqkd.calibration import (
     scan_intensity_for_peak,
     scan_overhead,
 )
-from decoyqkd.link import coherent_click_probability
+from decoyqkd.link import _LeastSquaresResult, coherent_click_probability
 
 from conftest import model_click, not_converged, scipy_refinement
 
@@ -96,6 +97,27 @@ class TestSimulateScan:
         curve = simulate_scan(LUMPED, 1.0, grid(16), 1000, seed=np.uint32(6))
         assert np.array_equal(curve.counts, simulate_scan(LUMPED, 1.0, grid(16), 1000,
                                                           seed=6).counts)
+
+    def test_huge_true_zero_is_reduced_before_the_offsets(self):
+        # grid - 1e308 would round every offset to -1e308, a flat scan.
+        strong = scan_intensity_for_peak(LUMPED, peak=0.5)
+        huge = simulate_scan(LUMPED, strong, grid(64), 100_000, seed=3, true_phase_zero=1e308)
+        wrapped = simulate_scan(LUMPED, strong, grid(64), 100_000, seed=3,
+                                true_phase_zero=1e308 % TWO_PI)
+        assert np.array_equal(huge.counts, wrapped.counts)
+        fit = fit_fringe(huge)
+        assert abs(fit.visibility_est - 0.99) <= 0.005
+        assert phase_gap(fit.phase_zero, 1e308 % TWO_PI) < 0.01
+
+    @pytest.mark.parametrize("zero", [-1.0, -1e-300, -TWO_PI - 2.5])
+    def test_negative_true_zero_scans_as_its_wrapped_value(self, zero):
+        strong = scan_intensity_for_peak(LUMPED, peak=0.5)
+        for noiseless in (False, True):
+            negative = simulate_scan(LUMPED, strong, grid(64), 10_000, seed=4,
+                                     true_phase_zero=zero, noiseless=noiseless)
+            wrapped = simulate_scan(LUMPED, strong, grid(64), 10_000, seed=4,
+                                    true_phase_zero=zero % TWO_PI, noiseless=noiseless)
+            assert negative.counts.tobytes() == wrapped.counts.tobytes()
 
     def test_deterministic_per_seed(self):
         a = simulate_scan(LUMPED, 1.0, grid(64), 10_000, seed=6)
@@ -210,12 +232,9 @@ class TestFitFringe:
                 scale = (2 * e) ** j
                 terms.append(num * (scale - math.comb(j, j // 2) * c ** j) / (den * scale))
         expected = math.exp(-depth) * math.fsum(terms)
-        fitted = (np.array([depth, visibility, 0.0]), 1, True)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(calibration, "_least_squares", lambda *args: fitted)
-            curve = simulate_scan(LUMPED, 0.1, grid(16), 100, noiseless=True)
-            amplitude = fit_fringe(curve).amplitude
-        assert abs(amplitude - expected) <= 4 * math.ulp(expected)
+        curve = simulate_scan(LUMPED, 0.1, grid(16), 100, noiseless=True)
+        fit, _ = fit_with_refinement(curve, np.array([depth, visibility, 0.0]))
+        assert abs(fit.amplitude - expected) <= 4 * math.ulp(expected)
 
     def test_scan_saturated_but_at_the_dip_has_a_finite_amplitude(self):
         # The fit walks to a depth of about 6e3, where exp(-d)*I0(d*V) is 0*inf.
@@ -225,6 +244,65 @@ class TestFitFringe:
         assert fit.visibility_est == 1.0 and phase_gap(fit.phase_zero, 0.0) < 1e-9
         # 1 - exp(-d)*I0(d) = 1 - 1/sqrt(2*pi*d) to first order at large d
         assert 0.99 < fit.amplitude < 1.0
+
+    def test_no_residual_call_after_the_refinement_returns(self, monkeypatch):
+        # The residual function is fit_fringe's own closure, so its calls are
+        # seen through the kernel it evaluates.
+        solve, kernel, events = calibration._least_squares, calibration._negated_clicks, []
+
+        def refinement(*problem):
+            result = solve(*problem)
+            events.append("returned")
+            return result
+
+        def residual_kernel(depth, visibility, cosines, out=None):
+            if cosines is not calibration._AMPLITUDE_COSINES:
+                events.append("residuals")
+            return kernel(depth, visibility, cosines, out)
+        monkeypatch.setattr(calibration, "_least_squares", refinement)
+        monkeypatch.setattr(calibration, "_negated_clicks", residual_kernel)
+        fit_fringe(simulate_scan(LUMPED, 1.0, grid(64), 1000, seed=0))
+        assert events.count("returned") == 1 and events[-1] == "returned"
+        assert events.count("residuals") > 1
+
+    def test_amplitude_kernel_runs_only_when_the_amplitude_is_read(self, monkeypatch):
+        kernel, calls = calibration._negated_clicks, []
+
+        def spy(depth, visibility, cosines, out=None):
+            calls.append(cosines is calibration._AMPLITUDE_COSINES)
+            return kernel(depth, visibility, cosines, out)
+        monkeypatch.setattr(calibration, "_negated_clicks", spy)
+        fit = fit_fringe(simulate_scan(LUMPED, 1.0, grid(64), 1000, seed=0))
+        assert calls and not any(calls)
+        fitted = len(calls)
+        fit.amplitude
+        assert calls[fitted:] == [True]
+
+    @given(visibility=st.floats(0.0, 1.0), peak=st.floats(0.01, 0.999),
+           points=st.integers(MIN_FIT_POINTS, 200), pulses=st.integers(10, 10**9),
+           noiseless=st.booleans(), zero=st.floats(0.0, TWO_PI),
+           seed=st.integers(0, 2**32 - 1))
+    @example(visibility=0.5, peak=0.9, points=64, pulses=100_000, noiseless=True, zero=0.0,
+             seed=0)
+    def test_residual_is_the_rms_at_the_returned_point(self, visibility, peak, points, pulses,
+                                                        noiseless, zero, seed):
+        model = replace(LUMPED, y0=0.0, visibility=visibility)
+        curve = simulate_scan(model, scan_intensity_for_peak(model, peak), grid(points),
+                              pulses, seed=seed, true_phase_zero=zero, noiseless=noiseless)
+        solve, returned = calibration._least_squares, []
+
+        def refinement(residuals, *start_and_bounds):
+            result = solve(residuals, *start_and_bounds)
+            returned.append((residuals, result.x))
+            return result
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(calibration, "_least_squares", refinement)
+            try:
+                fit = fit_fringe(curve)
+            except (ValueError, FitConvergenceError):
+                return
+        residuals, x = returned[0]
+        assert repr(fit.residual) == repr(float(np.sqrt(np.mean(residuals(x[:, None]) ** 2))))
 
     def test_fully_saturated_scan_rejected(self):
         curve = ScanCurve(offsets=grid(64), counts=np.full(64, 1000.0), pulses_per_point=1000)
@@ -304,7 +382,7 @@ def fit_with_refinement(curve: ScanCurve, fitted: np.ndarray):
 
     def refinement(residuals, x0, lower, upper):
         handed.append(residuals)
-        return fitted, 1, True
+        return _LeastSquaresResult(fitted, 1, True, residuals(fitted[:, None])[0])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(calibration, "_least_squares", refinement)
         fit = fit_fringe(curve)
@@ -341,8 +419,14 @@ class TestFitKernel:
         phases = np.linspace(0.0, TWO_PI, 1024, endpoint=False)
         with np.errstate(invalid="ignore", over="ignore"):
             clicks = coherent_click_probability(2.0 * depth, visibility, 0.0, phases)
-            fit, _ = fit_with_refinement(DIP, np.array([depth, visibility, 0.0]))
-        assert repr(fit.amplitude) == repr(math.fsum(clicks.tolist()) / 1024)
+            # The property's own code, also at the depths a FringeFit refuses.
+            amplitudes = [FringeFit.amplitude.fget(SimpleNamespace(depth=depth,
+                                                                   visibility_est=visibility))]
+            if 0.0 < depth < math.inf:
+                amplitudes.append(FringeFit(depth=depth, visibility_est=visibility,
+                                            phase_zero=0.0, residual=0.0).amplitude)
+        expected = repr(math.fsum(clicks.tolist()) / 1024)
+        assert [repr(amplitude) for amplitude in amplitudes] == [expected] * len(amplitudes)
 
 
 def phase_gap(a: float, b: float) -> float:
@@ -382,12 +466,12 @@ class TestFitFringeAgainstScipy:
 
 class TestWorkingPoints:
     def test_canonical_zero(self):
-        fit = FringeFit(amplitude=0.3, visibility_est=0.99, phase_zero=0.0, residual=0.0)
+        fit = FringeFit(depth=0.3, visibility_est=0.99, phase_zero=0.0, residual=0.0)
         assert working_points(fit) == pytest.approx((0.0, math.pi / 2, math.pi,
                                                      3 * math.pi / 2))
 
     def test_wrap_around(self):
-        fit = FringeFit(amplitude=0.3, visibility_est=0.99,
+        fit = FringeFit(depth=0.3, visibility_est=0.99,
                         phase_zero=3 * math.pi / 2, residual=0.0)
         assert working_points(fit) == pytest.approx((3 * math.pi / 2, 0.0,
                                                      math.pi / 2, math.pi))
@@ -418,6 +502,25 @@ class TestWorkingPoints:
         overhead = scan_overhead(curve, session_pulses=2e9)
         assert overhead == pytest.approx(64 * 100_000 / 2e9, rel=1e-12)
         assert overhead <= 0.05
+
+
+class TestFringeFitFields:
+    @pytest.mark.parametrize("field, value, message", [
+        ("depth", math.nan, "finite and > 0"), ("depth", math.inf, "finite and > 0"),
+        ("depth", 0.0, "finite and > 0"), ("depth", -1.0, "finite and > 0"),
+        ("residual", math.nan, "finite and >= 0"), ("residual", math.inf, "finite and >= 0"),
+        ("residual", -3.0, "finite and >= 0"),
+    ])
+    def test_values_no_fit_produces_rejected_by_name(self, field, value, message):
+        fields = {"depth": 0.3, "visibility_est": 0.5, "phase_zero": 0.0, "residual": 0.0,
+                  field: value}
+        with pytest.raises(ValueError, match=rf"^{field}={value} must be {message}$"):
+            FringeFit(**fields)
+
+    def test_smallest_fitted_depth_accepted(self):
+        # The refinement's lower bound on the depth.
+        assert FringeFit(depth=1e-15, visibility_est=0.5, phase_zero=0.0,
+                         residual=0.0).amplitude > 0.0
 
 
 class TestScanCurveIO:

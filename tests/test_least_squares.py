@@ -12,7 +12,8 @@ current one, as the loop does. Every fit must then
   reference does;
 - report convergence, at a cost within COST_GAP of the reference's final
   cost, when it stops where the reference went on or gave up;
-- raise what the reference raises before that step.
+- raise what the reference raises before that step;
+- return the residuals of its point, the bits a residual call at it gives.
 """
 import math
 import warnings
@@ -23,7 +24,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from decoyqkd import LinkModel, ProtocolParams, fit_fringe, simulate_scan
-from decoyqkd import calibration, link, tables
+from decoyqkd import calibration, cli, link, tables
 from decoyqkd.calibration import scan_intensity_for_peak
 from decoyqkd.link import expected_stats, fit_link_report
 
@@ -37,7 +38,11 @@ def outcome(fit, solver):
     """What fit() gives with `solver` as the refinement of both fits: the
     repr of its result or its exception's class and message, what every
     refinement it ran returned or raised, and the warnings; then, per
-    refinement, its single-point residual calls as (point bytes, cost)."""
+    refinement, its single-point residual calls as (point bytes, cost).
+
+    The residuals of the returned point are computed untraced: the reference
+    returns (x, iterations, converged) only, and link._least_squares must
+    return these bits as its fourth value."""
     refinements, calls = [], []
 
     def recorded(residuals, x0, lower, upper):
@@ -50,12 +55,15 @@ def outcome(fit, solver):
             return f
 
         try:
-            x, iterations, converged = solver(traced, x0, lower, upper)
+            x, iterations, converged, *returned = solver(traced, x0, lower, upper)
         except link.FitConvergenceError as exc:
             refinements.append(("raised", type(exc), str(exc)))
             raise
+        at_x = residuals(x[:, None])[0]
+        reference = solver is reference_lm.least_squares
+        assert [r.tobytes() for r in returned] == ([] if reference else [at_x.tobytes()])
         refinements.append(("returned", x.tobytes(), iterations, converged))
-        return x, iterations, converged
+        return link._LeastSquaresResult(x, iterations, converged, at_x)
 
     with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -175,12 +183,48 @@ def test_refinements_stop_within_their_pinned_trial_steps():
     solve = link._least_squares
 
     def counted(*args):
-        x, iterations, converged = solve(*args)
-        trials.append(iterations)
-        return x, iterations, converged
+        result = solve(*args)
+        trials.append(result.iterations)
+        return result
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(calibration, "_least_squares", counted)
         for seed in range(64):
             fit_fringe(simulate_scan(model, strong, offsets, 100_000, seed=seed))
     assert len(trials) == 64 and sum(trials) / 64 <= 4.5
+
+
+def stopped(residuals, x0, lower, upper):
+    """link._least_squares on a problem, and how it stopped: after a rejected
+    trial, on an accepted step, or out of iterations."""
+    trials = []
+
+    def traced(points):
+        if points.shape[1] == 1:
+            trials.append(points[:, 0].tobytes())
+        return residuals(points)
+
+    result = link._least_squares(traced, x0, lower, upper)
+    if not result.converged:
+        return result, "out of iterations"
+    return result, "accepted" if trials[-1] == result.x.tobytes() else "rejected"
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["calibrate", "--seed", "3"], "rejected"),
+    (["calibrate", "--visibility", "0.5", "--points", "9", "--seed", "2"], "accepted"),
+    # exp(-x) has its infimum at x = inf: every Gauss-Newton step adds about 1
+    # to x and divides the cost by e^2, so neither tolerance is ever met.
+    (None, "out of iterations"),
+])
+def test_returned_residuals_are_those_of_the_point(solver_calls, capsys, argv, path):
+    if argv is None:
+        problem = (lambda points: np.exp(-points.T), [0.0], [-1.0], [np.inf])
+    else:  # the fringe fit of a pinned calibrate run
+        assert cli.main(argv) == cli.EXIT_OK
+        capsys.readouterr()
+        problem = solver_calls[-1]
+    result, how = stopped(*problem)
+    assert how == path
+    residuals = problem[0]
+    assert result.residuals.tobytes() == residuals(result.x[:, None])[0].tobytes()

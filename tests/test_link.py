@@ -268,7 +268,7 @@ class TestFitLink:
         # refinement before the closed-form start replaced it.
         fitted = fit_link(reference_table, default_params)
         residuals, _, lower, upper = solver_calls[0]
-        (alpha, lumped, vis), _, converged = link._least_squares(
+        (alpha, lumped, vis), _, converged, _ = link._least_squares(
             residuals, [0.17, 18.0, 0.9780526315789474], lower, upper)
         assert converged
         grid_model = LinkModel(alpha_db_per_km=alpha, excess_loss_db=lumped, eta_det=1.0,
