@@ -31,10 +31,10 @@ from conftest import REFERENCE_BOUNDS, not_converged
 
 REFERENCE_SHA256 = "42dd2ad257a0f2fddab4c954dd0dd1114b924517e93c1fb0970d86cf61d30520"
 # The stdout of analyze, fit, sweep, `simulate --seed 5`, two more simulate
-# sessions, `calibrate --seed 3`, two more sampled calibrate scans and a
-# noiseless one is pinned once, by the package-smoke check lines of
-# .github/workflows/tests.yml, which test_workflow_pins_match_the_commands runs
-# in process. The pins below are the ones the workflow lacks.
+# sessions, `calibrate --seed 3` and two more sampled calibrate scans is pinned
+# once, by the package-smoke check lines of .github/workflows/tests.yml, which
+# test_workflow_pins_match_the_commands runs in process. The pins below are the
+# ones the workflow lacks.
 # `decoyqkd fit` stderr, re-recorded when the refinement began to stop at the
 # cost's rounding floor.
 FIT_STDERR = "fit: converged in 4 iterations, objective=0.3943113292565068\n"
@@ -56,6 +56,9 @@ SIMULATE_SOUNDNESS_STDOUT_SHA256 = {
     ("--pulses", "1e6", "--seed", "760"):
         "783ec390681cbedab6502619afba05349387b8b0d606ec0093074afd064b9c9e",
 }
+# `decoyqkd calibrate --noiseless --peak 0.9 --visibility 0.5` stdout.
+CALIBRATE_NOISELESS_STDOUT_SHA256 = (
+    "cb694caacb37b0bbb9852fd5d5b9aae829923f90e09beed8d646cdf600c2d774")
 
 
 # A malformed data line of each kind and the message it is reported with.
@@ -713,6 +716,12 @@ def test_commands_run_with_scipy_blocked(argv, tmp_path):
 
 
 class TestCalibrateCommand:
+    def test_noiseless_stdout_pinned(self, capsys):
+        assert main(["calibrate", "--noiseless", "--peak", "0.9",
+                     "--visibility", "0.5"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == CALIBRATE_NOISELESS_STDOUT_SHA256
+
     def test_dark_counts_at_one_rejected(self, capsys):
         # y0 = 1 must not reach the division by 1 - y0, a runtime failure.
         assert main(["calibrate", "--y0", "1"]) == EXIT_VALIDATION
