@@ -9,19 +9,18 @@ working points are the fringe zero plus multiples of pi/2.
 The scan draws its counts from link's coherent-state click law
 (link.coherent_click_probability) at the zero-length transmittance
 times the strong intensity. That law saturates at scan intensities, so
-it is also the fit model, rather than a bare cosine. The fit evaluates
-the law at y0 = 0 through an in-place kernel (_negated_clicks) that
-gives its bits with about half its array passes; a test pins the kernel
-to the law. A first-harmonic projection of the log-inverted counts
-seeds a deterministic local refinement (link's bounded
-Levenberg-Marquardt, the one fit_link uses), and the residuals are
-minimized in the count-fraction domain; the rms residual comes from the
-residuals the refinement holds at its result. The fit keeps the fitted
-depth, and the amplitude (the law's mean click probability over 1,024
-phases) is derived from it on read, so a fit whose amplitude nobody reads
-does not pay for it. Dark counts are negligible against the strong-pulse
-click rates and are not fitted. A seed fixes a sampled scan: one
-default_rng(SeedSequence(seed)) draws all its counts.
+it is also the fit model, rather than a bare cosine; the fit evaluates it
+at y0 = 0 through the in-place kernel that link's law calls, and link's
+reduction maps phases to [0, 2*pi). A first-harmonic projection of the
+log-inverted counts seeds a deterministic local refinement (link's
+bounded Levenberg-Marquardt, the one fit_link uses), and the residuals
+are minimized in the count-fraction domain; the rms residual comes from
+the residuals the refinement holds at its result. The fit keeps the
+fitted depth, and the amplitude (the law's mean click probability over
+1,024 phases) is derived from it on read, so a fit whose amplitude nobody
+reads does not pay for it. Dark counts are negligible against the
+strong-pulse click rates and are not fitted. A seed fixes a sampled
+scan: one default_rng(SeedSequence(seed)) draws all its counts.
 """
 
 from __future__ import annotations
@@ -33,7 +32,8 @@ from typing import Sequence
 import numpy as np
 
 from .estimator import require_count, require_finite, require_seed
-from .link import (PHASE_GRID, FitConvergenceError, LinkModel, _fringe, _least_squares,
+from .link import (PHASE_GRID, TWO_PI, FitConvergenceError, LinkModel, _fringe,
+                   _least_squares, _negated_signal_click, _wrap_phase,
                    coherent_click_probability, transmittance)
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
 SATURATION_PEAK = 0.999
 # The fewest scan points the fringe fit takes.
 MIN_FIT_POINTS = 8
-TWO_PI = 2.0 * math.pi
 # The cosines of the amplitude's phase grid: the mean of the periodic click law
 # over it is off by about 2*exp(-depth)*I_1024(depth*V), under 1 ulp for depths
 # up to 1e4.
@@ -59,26 +58,6 @@ _AMPLITUDE_COSINES = np.cos(np.linspace(0.0, TWO_PI, 1024, endpoint=False))
 
 class InsufficientScanRangeError(ValueError):
     """The scan grid does not cover a full fringe period."""
-
-
-def _negated_clicks(depth, visibility, cosines, out=None):
-    """expm1(-2*depth*(1 + V*cos(d))/2), minus link's click law at y0 = 0 and
-    eta*m = 2*depth, written into out (a new array when out is None).
-
-    The same operations as coherent_click_probability, so the same bits: at
-    y0 = 0 its dark-count mix 0 + 1*s returns s, which is never -0.0 for
-    depth >= 0, and 2*depth overflows at depth >= 2**1023 as there.
-    """
-    negated = np.multiply(cosines, visibility, out=out)
-    negated += 1.0
-    negated *= (2.0 * depth) / -2.0
-    return np.expm1(negated, out=negated)
-
-
-def _wrap_phase(value: float) -> float:
-    """Map to [0, 2*pi); float rounding can make `x % 2*pi` hit 2*pi exactly."""
-    wrapped = value % TWO_PI
-    return 0.0 if wrapped >= TWO_PI else wrapped
 
 
 @dataclass(frozen=True)
@@ -147,7 +126,7 @@ class FringeFit:
         """The fitted law's mean click probability over 1,024 phases."""
         # fsum: at V = 0 the 1,024 values are equal, and np.mean's pairwise sum of
         # them rounds about 4 ulp away from the value itself.
-        clicks = _negated_clicks(self.depth, self.visibility_est, _AMPLITUDE_COSINES)
+        clicks = _negated_signal_click(2.0 * self.depth, self.visibility_est, _AMPLITUDE_COSINES)
         return math.fsum(np.negative(clicks, out=clicks).tolist()) / _AMPLITUDE_COSINES.size
 
 
@@ -240,10 +219,11 @@ def fit_fringe(curve: ScanCurve) -> FringeFit:
     neg_y = -y  # (-y) - e rounds as (-e) - y does
 
     def residuals(points: np.ndarray) -> np.ndarray:
-        # The click law with y0 = 0 and depth = eta*m/2, one row per point.
+        # The click law at y0 = 0, where 0 + 1*s is s, and eta*m = 2*depth; a row per point.
         depth, vis, zero = points[..., None]
         terms = curve.offsets - zero
-        return neg_y - _negated_clicks(depth, vis, np.cos(terms, out=terms), out=terms)
+        return neg_y - _negated_signal_click(2.0 * depth, vis, np.cos(terms, out=terms),
+                                             out=terms)
 
     (depth, vis, zero), iterations, converged, r = _least_squares(
         residuals, [depth0, vis0, zero0],
@@ -260,9 +240,10 @@ def working_points(fit: FringeFit) -> tuple[float, float, float, float]:
     return tuple(_wrap_phase(fit.phase_zero + d) for d in PHASE_GRID)
 
 
-def scan_overhead(curve: ScanCurve, session_pulses: float) -> float:
-    """Scan duration in pulse slots as a fraction of the session length."""
+def scan_overhead(points: int, pulses_per_point: int, session_pulses: float) -> float:
+    """Scan duration in pulse slots as a fraction of the session length; needs no drawn scan."""
+    require_count(pulses_per_point=pulses_per_point)  # before it overflows a float
     require_finite(session_pulses=session_pulses)
     if session_pulses <= 0:
         raise ValueError(f"session_pulses={session_pulses} must be > 0")
-    return curve.offsets.size * curve.pulses_per_point / session_pulses
+    return points * pulses_per_point / session_pulses

@@ -255,6 +255,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     if not calibration.MIN_FIT_POINTS <= args.points <= MAX_GRID_POINTS:
         raise ValueError(f"--points={args.points} must be in "
                          f"[{calibration.MIN_FIT_POINTS}, {MAX_GRID_POINTS}]")
+    overhead = calibration.scan_overhead(args.points, args.pulses_per_point, args.session_pulses)
     model = _resolve_link(args)
     strong = calibration.scan_intensity_for_peak(model, peak=args.peak)
     offsets = [i * 2.0 * math.pi / (args.points - 1) for i in range(args.points)]
@@ -264,7 +265,6 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     )
     fit = calibration.fit_fringe(curve)
     points = calibration.working_points(fit)
-    overhead = calibration.scan_overhead(curve, args.session_pulses)
     header = ["command=calibrate", *key_value_lines("link.", model, LINK_KEYS),
               f"points={args.points} pulses_per_point={args.pulses_per_point} "
               f"strong_mean_photons={strong!r} seed={args.seed} "

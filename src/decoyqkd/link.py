@@ -10,12 +10,13 @@ n photons (photon_click_probability, drawn by the Monte Carlo) P is
 1 - (1 - eta*(1 + V*cos(d))/2)^n; its Poisson mixture at mean photon
 number m (coherent_click_probability) is 1 - exp(-eta*m*(1 + V*cos(d))/2).
 Both are evaluated through expm1 and log1p, so they keep full relative
-precision however few photons arrive. Expected gains average over the
-uniform phase differences of PHASE_GRID; the QBER is the fraction of
-matched-basis clicks at the destructive phase. _modelled_rates gives a
-modelled row's (s_mu, e_mu, s_nu, e_nu) for expected_stats, the fit and
-the sweep; sim and calibration call the click laws and transmittance
-directly.
+precision however few photons arrive; calibration's fringe fit calls the
+coherent law's in-place kernel, _negated_signal_click, directly. Expected
+gains average over the uniform phase differences of PHASE_GRID, which
+sim offsets by a phase that _wrap_phase reduces to [0, 2*pi); the QBER is
+the fraction of matched-basis clicks at the destructive phase.
+_modelled_rates gives a modelled row's (s_mu, e_mu, s_nu, e_nu) for
+expected_stats, the fit and the sweep.
 
 The laws broadcast over numpy arrays. fit_link inverts a measured table,
 the (n, 5) STATS_COLUMNS array tables.read_stats_columns reads, into
@@ -63,6 +64,7 @@ __all__ = [
 # Phase differences of the four-phase modulation; index k is k*pi/2, so
 # index 0 is constructive and index 2 destructive interference.
 PHASE_GRID = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
+TWO_PI = 2.0 * math.pi
 
 _EPS = np.finfo(float).eps
 # Relative step of the central-difference Jacobian of _least_squares: it
@@ -141,6 +143,12 @@ class LengthSweep:
     cutoff_km: float | None
 
 
+def _wrap_phase(value: float) -> float:
+    """Map to [0, 2*pi); float rounding can make `x % 2*pi` hit 2*pi exactly."""
+    wrapped = value % TWO_PI
+    return 0.0 if wrapped >= TWO_PI else wrapped
+
+
 def _transmittance(alpha_db_per_km, excess_loss_db, eta_det, length_km):
     loss_db = alpha_db_per_km * length_km + excess_loss_db
     return eta_det * 10.0 ** (-loss_db / 10.0)
@@ -167,11 +175,21 @@ def _with_darks(y0, signal_click):
     return y0 + (1.0 - y0) * signal_click
 
 
+def _negated_signal_click(arriving_photons, visibility, cosines, out=None):
+    """expm1(-a*(1 + V*cos(d))/2), minus the signal-click probability of a coherent
+    pulse of a = arriving_photons, from cosines = cos(d); written into out if given."""
+    negated = np.multiply(cosines, visibility, out=out)
+    negated += 1.0
+    # Not in place without out: (k, 1) visibilities meet (k, rows) photons in the fit.
+    negated = np.multiply(negated, arriving_photons / -2.0, out=out)
+    return np.expm1(negated, out=out)
+
+
 def coherent_click_probability(arriving_photons, visibility, y0, phase_diff):
     """Click probability of a coherent pulse whose mean photon number at the
     receiver is arriving_photons (eta*m); the arguments broadcast."""
-    # Negating arriving_photons rather than the fringe saves an array operation.
-    return _with_darks(y0, -np.expm1(_fringe(-arriving_photons, visibility, phase_diff)))
+    return _with_darks(y0, -_negated_signal_click(arriving_photons, visibility,
+                                                  np.cos(phase_diff)))
 
 
 def photon_click_probability(eta, visibility, y0, photons, phase_diff):

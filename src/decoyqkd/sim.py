@@ -42,7 +42,7 @@ import numpy as np
 
 from .estimator import (AnalysisError, MeasuredStats, ProtocolParams, SecurityBounds,
                         require_count, require_finite, require_seed)
-from .link import PHASE_GRID, LinkModel, photon_click_probability, transmittance
+from .link import PHASE_GRID, LinkModel, _wrap_phase, photon_click_probability, transmittance
 
 __all__ = [
     "SimConfig",
@@ -64,7 +64,8 @@ class SimConfig:
     model with the loss already lumped into excess_loss_db);
     bob_phase_error is a constant phase offset added to every pulse's
     phase difference, modelling residual miscalibration of Bob's
-    working points. The signal mean, and so the decoy mean, is at most 200.
+    working points, reduced to [0, 2*pi) as simulate_scan reduces its
+    zero. The signal mean, and so the decoy mean, is at most 200.
     """
 
     n_pulses: int
@@ -257,7 +258,7 @@ def run_session(config: SimConfig) -> tuple[SimTally, MeasuredStats]:
     n_decoy = int(rng.binomial(config.n_pulses, config.decoy_fraction))
     link, mu, nu = config.link, config.params.mu, config.params.nu
     state = (transmittance(link, config.length_km), link.visibility, link.y0,
-             config.bob_phase_error)
+             _wrap_phase(config.bob_phase_error))
     signal = _draw_class(rng, config.n_pulses - n_decoy, _class_law(mu, *state))
     decoy = _draw_class(rng, n_decoy, _class_law(nu, *state))
     tally = SimTally(signal=_class_total(signal), decoy=_class_total(decoy),

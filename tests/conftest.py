@@ -77,3 +77,12 @@ def model_click(model, mean_photons, phase, length_km=0.0):
     """Click law of a pulse of mean `mean_photons` sent through `model` over `length_km`."""
     return coherent_click_probability(transmittance(model, length_km) * mean_photons,
                                       model.visibility, model.y0, phase)
+
+
+def assert_same_bits(actual, expected) -> None:
+    """Equal arrays or scalars, telling -0.0 from 0.0; any NaN matches any NaN."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(actual), nan)
+    assert actual[~nan].tobytes() == expected[~nan].tobytes()

@@ -31,7 +31,7 @@ from decoyqkd.calibration import (
 )
 from decoyqkd.link import _LeastSquaresResult, coherent_click_probability
 
-from conftest import model_click, not_converged, scipy_refinement
+from conftest import assert_same_bits, model_click, not_converged, scipy_refinement
 
 TWO_PI = 2.0 * math.pi
 
@@ -248,30 +248,31 @@ class TestFitFringe:
     def test_no_residual_call_after_the_refinement_returns(self, monkeypatch):
         # The residual function is fit_fringe's own closure, so its calls are
         # seen through the kernel it evaluates.
-        solve, kernel, events = calibration._least_squares, calibration._negated_clicks, []
+        solve, kernel, events = (calibration._least_squares,
+                                 calibration._negated_signal_click, [])
 
         def refinement(*problem):
             result = solve(*problem)
             events.append("returned")
             return result
 
-        def residual_kernel(depth, visibility, cosines, out=None):
+        def residual_kernel(arriving, visibility, cosines, out=None):
             if cosines is not calibration._AMPLITUDE_COSINES:
                 events.append("residuals")
-            return kernel(depth, visibility, cosines, out)
+            return kernel(arriving, visibility, cosines, out)
         monkeypatch.setattr(calibration, "_least_squares", refinement)
-        monkeypatch.setattr(calibration, "_negated_clicks", residual_kernel)
+        monkeypatch.setattr(calibration, "_negated_signal_click", residual_kernel)
         fit_fringe(simulate_scan(LUMPED, 1.0, grid(64), 1000, seed=0))
         assert events.count("returned") == 1 and events[-1] == "returned"
         assert events.count("residuals") > 1
 
     def test_amplitude_kernel_runs_only_when_the_amplitude_is_read(self, monkeypatch):
-        kernel, calls = calibration._negated_clicks, []
+        kernel, calls = calibration._negated_signal_click, []
 
-        def spy(depth, visibility, cosines, out=None):
+        def spy(arriving, visibility, cosines, out=None):
             calls.append(cosines is calibration._AMPLITUDE_COSINES)
-            return kernel(depth, visibility, cosines, out)
-        monkeypatch.setattr(calibration, "_negated_clicks", spy)
+            return kernel(arriving, visibility, cosines, out)
+        monkeypatch.setattr(calibration, "_negated_signal_click", spy)
         fit = fit_fringe(simulate_scan(LUMPED, 1.0, grid(64), 1000, seed=0))
         assert calls and not any(calls)
         fitted = len(calls)
@@ -344,14 +345,6 @@ class TestFitFringe:
             expected = (fit_base.phase_zero + delta) % TWO_PI
             wrapped = abs(fit_shifted.phase_zero - expected)
             assert min(wrapped, TWO_PI - wrapped) < 1e-9
-
-
-def assert_same_bits(actual: np.ndarray, expected: np.ndarray) -> None:
-    """Equal arrays, telling -0.0 from 0.0; any NaN matches any NaN."""
-    assert actual.shape == expected.shape
-    nan = np.isnan(expected)
-    assert np.array_equal(np.isnan(actual), nan)
-    assert actual[~nan].tobytes() == expected[~nan].tobytes()
 
 
 @st.composite
@@ -498,8 +491,7 @@ class TestWorkingPoints:
         assert stats_skewed.e_mu == pytest.approx(stats_aligned.e_mu, rel=0.20)
 
     def test_scan_overhead_below_five_percent(self):
-        curve = simulate_scan(LUMPED, 0.5, grid(64), 100_000, seed=10)
-        overhead = scan_overhead(curve, session_pulses=2e9)
+        overhead = scan_overhead(64, 100_000, session_pulses=2e9)
         assert overhead == pytest.approx(64 * 100_000 / 2e9, rel=1e-12)
         assert overhead <= 0.05
 

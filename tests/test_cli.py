@@ -794,6 +794,15 @@ class TestCalibrateCommand:
         assert (capsys.readouterr().err
                 == f"decoyqkd calibrate: --points={points} must be in [8, 10000000]\n")
 
+    @pytest.mark.parametrize("value, message", [("-1", "session_pulses=-1.0 must be > 0"),
+                                                ("nan", "session_pulses=nan must be finite")])
+    def test_bad_session_pulses_rejected_before_the_scan(self, link_file, capsys, monkeypatch,
+                                                         value, message):
+        monkeypatch.setattr(calibration, "simulate_scan", refuse_allocation)
+        assert main(["calibrate", "--link", link_file,
+                     "--session-pulses", value]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"decoyqkd calibrate: {message}\n"
+
     def test_eight_point_grid_fits(self, link_file):
         assert main(["calibrate", "--link", link_file, "--points", "8", "--noiseless"]) == EXIT_OK
 
@@ -827,6 +836,12 @@ class TestCalibrateCommand:
                      "--pulses-per-point", str(10**19)]) == EXIT_VALIDATION
         assert ("pulses_per_point=10000000000000000000 must be in [1, 2**63 - 1]"
                 in capsys.readouterr().err)
+
+    def test_pulses_per_point_beyond_a_float_rejected(self, link_file, capsys):
+        # The scan overhead, taken before the scan, would overflow on it.
+        assert main(["calibrate", "--link", link_file,
+                     "--pulses-per-point", str(10**400)]) == EXIT_VALIDATION
+        assert f"pulses_per_point={10**400} must be in [1, 2**63 - 1]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_true_zero_rejected_without_warnings(self, link_file, capsys, value):

@@ -23,7 +23,8 @@ from decoyqkd import link
 from decoyqkd.link import (coherent_click_probability, fit_objective,
                            photon_click_probability)
 
-from conftest import model_click, not_converged, scipy_refinement
+import reference_law
+from conftest import assert_same_bits, model_click, not_converged, scipy_refinement
 
 
 class TestTransmittance:
@@ -103,6 +104,64 @@ class TestClickProbability:
         peak = model_click(model, 0.5, 0.0)
         for phase in np.linspace(0.1, math.pi, 20):
             assert model_click(model, 0.5, phase) <= peak
+
+
+UNIT = st.floats(0.0, 1.0)
+ARRIVING = st.floats(min_value=0.0)  # up to inf
+PHASES = st.floats(allow_infinity=False)  # NaN too
+
+
+def assert_reference_law(arriving, visibility, y0, phase):
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert_same_bits(
+            coherent_click_probability(arriving, visibility, y0, phase),
+            reference_law.coherent_click_probability(arriving, visibility, y0, phase))
+
+
+class TestCoherentLawBits:
+    """coherent_click_probability gives the bits of the law written as one
+    expression, at the shapes its callers use; a NaN matches any NaN."""
+
+    @given(ARRIVING, UNIT, UNIT, PHASES)
+    def test_scalars(self, arriving, visibility, y0, phase):
+        assert_reference_law(arriving, visibility, y0, phase)
+
+    @given(st.data(), st.integers(1, 6), st.integers(1, 8), UNIT,
+           st.sampled_from(link.PHASE_GRID))
+    def test_fit_shapes(self, data, points, rows, y0, phase):
+        # The link fit's (k, 1) visibilities meet its (k, rows) arriving photons.
+        visibility = np.array(data.draw(st.lists(UNIT, min_size=points, max_size=points)))
+        arriving = data.draw(st.lists(ARRIVING, min_size=points * rows,
+                                      max_size=points * rows))
+        assert_reference_law(np.reshape(arriving, (points, rows)), visibility[:, None], y0,
+                             phase)
+
+    @given(ARRIVING, UNIT, UNIT, st.lists(PHASES, min_size=1, max_size=70))
+    def test_scan_shapes(self, arriving, visibility, y0, phases):
+        assert_reference_law(arriving, visibility, y0, np.array(phases))
+
+    @pytest.mark.parametrize("arriving", [0.0, 5e-324, 2.0**1023, math.inf])
+    @pytest.mark.parametrize("visibility", [0.0, 1.0])
+    @pytest.mark.parametrize("y0", [0.0, 1.0])
+    def test_edge_values(self, arriving, visibility, y0):
+        assert_reference_law(arriving, visibility, y0, math.pi)
+        assert_reference_law(np.array([[arriving]]), np.array([[visibility]]), y0, math.pi)
+        assert_reference_law(arriving, visibility, y0, np.array([0.0, math.pi]))
+
+    @given(st.data(), st.integers(1, 4), st.integers(1, 70))
+    def test_kernel_gives_the_same_bits_into_a_buffer(self, data, points, size):
+        # The fringe fit: (k, 1) photon numbers and visibilities over (k, n) cosines.
+        def column(values):
+            return np.array(data.draw(st.lists(values, min_size=points, max_size=points)))[:, None]
+        arriving, visibility = column(ARRIVING), column(UNIT)
+        phases = data.draw(st.lists(PHASES, min_size=points * size, max_size=points * size))
+        cosines = np.cos(np.reshape(phases, (points, size)))
+        buffer = cosines.copy()
+        with np.errstate(invalid="ignore", over="ignore"):
+            fresh = link._negated_signal_click(arriving, visibility, cosines)
+            into = link._negated_signal_click(arriving, visibility, buffer, out=buffer)
+        assert into is buffer
+        assert_same_bits(into, fresh)
 
 
 def one_intensity(mean_photons):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.stats import chi2, chi2_contingency
 
@@ -472,6 +472,19 @@ class TestGoldenTallies:
         assert tally_counts(run_session(config)[0]) == counts
 
 
+# Sessions whose offset, added to the phase grid unreduced, rounds all four
+# phase differences to one value.
+HUGE_OFFSETS = [SimConfig(n_pulses=10**6, link=LinkModel(), params=ProtocolParams(), seed=1,
+                          length_km=10.0, bob_phase_error=offset) for offset in (1e308, -1e308)]
+
+
+class TestPhaseReduction:
+    @pytest.mark.parametrize("config", HUGE_OFFSETS)
+    def test_huge_offset_draws_as_its_wrapped_value(self, config):
+        wrapped = replace(config, bob_phase_error=config.bob_phase_error % (2 * math.pi))
+        assert run_session(config) == run_session(wrapped)
+
+
 link_states = {"eta": st.floats(0.0, 1.0), "visibility": st.floats(0.0, 1.0),
                "y0": st.floats(0.0, 1.0), "bob_phase_error": st.floats(-10.0, 10.0)}
 
@@ -541,11 +554,13 @@ def sim_configs(draw):
                                                    exclude_max=True)),
                      seed=draw(st.integers(0, 2**32)),
                      length_km=draw(st.floats(0.0, 300.0)),
-                     bob_phase_error=draw(st.floats(-10.0, 10.0)))
+                     bob_phase_error=draw(st.floats(allow_nan=False, allow_infinity=False)))
 
 
 class TestSessionProperties:
     @given(sim_configs())
+    @example(HUGE_OFFSETS[0])
+    @example(HUGE_OFFSETS[1])
     def test_tally_invariants(self, config):
         tally, _ = run_session(config)
         assert tally.signal.emitted + tally.decoy.emitted == config.n_pulses
@@ -556,6 +571,8 @@ class TestSessionProperties:
             assert 0 <= c.errors <= c.sifted <= c.clicked <= c.emitted
 
     @given(sim_configs())
+    @example(HUGE_OFFSETS[0])
+    @example(HUGE_OFFSETS[1])
     def test_text_round_trip_is_exact(self, config):
         tally, _ = run_session(config)
         sections = {"signal": tally.signal, "decoy": tally.decoy,
