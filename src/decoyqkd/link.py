@@ -24,9 +24,11 @@ the (n, 5) STATS_COLUMNS array tables.read_stats_columns reads, into
 fixed: a straight line through the log gains and the QBER at the
 shortest length give the start, and _least_squares, a bounded
 Levenberg-Marquardt refinement in numpy that calibration's fringe fit
-shares, finishes it. The refinement stops at the cost's rounding floor,
-where the decrease its linear model predicts for a rejected step is at most
-1e-15 of the cost, so fitted digits beyond about 1e-8 relative carry no
+shares, finishes it. It evaluates each point, the start and every trial,
+in one residual call together with the point's central-difference stencil,
+and stops at the cost's rounding floor: before a trial is evaluated, when
+the decrease its linear model predicts for the step is at most 1e-15 of the
+cost. Fitted digits beyond about 1e-8 relative therefore carry no
 information. sweep_key_rate feeds the modelled rates of its whole grid, and
 of each bisection step, through the column bound chain
 (estimator.analyze_columns) to locate the largest fiber length with a
@@ -73,7 +75,7 @@ _DIFF_STEP = _EPS ** (1.0 / 3.0)
 # Relative change of cost and parameters below which _least_squares stops.
 _FIT_TOL = 1e-15
 # Trial steps before _least_squares gives up; the bundled link fits take 4 and
-# 5, the fringe fits at the calibrate defaults at most 6.
+# 5, the fringe fits at the calibrate defaults (seeds 0-999) at most 7.
 _MAX_ITERATIONS = 100
 # Shortest spread of fiber lengths from which fit_link identifies the
 # attenuation: lengths a few ulps apart leave alpha at an arbitrary bound.
@@ -281,8 +283,8 @@ def fit_objective(model: LinkModel, table: np.ndarray | Sequence[MeasuredStats],
 
 class _LeastSquaresResult(NamedTuple):
     """What _least_squares returns: the point x, the trial steps taken, whether
-    the fit converged, and the (m,) residuals of x from the refinement's own
-    single-point call at x."""
+    the fit converged, and the (m,) residuals of x: row 0 of the refinement's
+    own call that evaluated x with its stencil."""
 
     x: np.ndarray
     iterations: int
@@ -294,36 +296,46 @@ def _least_squares(residuals, x0, lower, upper) -> _LeastSquaresResult:
     """Bounded Levenberg-Marquardt minimum of the sum of squared residuals.
 
     residuals maps an (n, k) array of k parameter points to their (k, m)
-    residuals; the Jacobian is a central difference over one such call,
-    one-sided where a bound is nearer than the step. Each trial step solves
-    the normal equations damped by their diagonal and is clipped to
-    lower <= x <= upper. The fit has converged when an accepted step lowers
-    the cost, or moves the parameters, by no more than _FIT_TOL relative, or
-    when a rejected step's predicted decrease of a finite cost, that of the
-    residuals' linear model, is at most _FIT_TOL relative: the cost's rounding
-    floor, the ftol test of MINPACK's lmder. x is then the current point.
+    residuals. Each point the refinement evaluates, the start and every
+    trial, goes to one call of shape (n, 2n+1): column 0 is the point, then
+    the point plus and minus a step in each parameter, one-sided where a bound
+    is nearer than the step, whose central difference is the point's
+    Jacobian. Each trial step solves the normal equations damped by their
+    diagonal and is clipped to lower <= x <= upper. The fit has converged
+    when an accepted step lowers the cost, or moves the parameters, by no
+    more than _FIT_TOL relative, or, before a trial is evaluated, when the
+    decrease the residuals' linear model predicts for its step is at most
+    _FIT_TOL of a finite cost: the cost's rounding floor, the ftol test of
+    MINPACK's lmder. x is then the current point.
 
     Returns _LeastSquaresResult(x, iterations, converged, residuals);
-    iterations counts trial steps, and residuals are those of x, kept from the
-    call that evaluated x. calibration's fringe fit takes its rms residual
-    from them and derives its amplitude on read from the fitted depth, so no
-    residual call follows its refinement; fit_link_report ignores them.
-    Raises FitConvergenceError when the damped normal matrix is singular.
+    iterations counts trial steps, including one stopped before its trial
+    was evaluated, and residuals are those of x, from the call that
+    evaluated x and its stencil. calibration's fringe fit takes its rms
+    residual from them and derives its amplitude on read from the fitted
+    depth, so no residual call follows its refinement; fit_link_report
+    ignores them. Raises FitConvergenceError when the damped normal matrix
+    is singular.
     """
     # Plain ufuncs and indexing replace numpy's wrappers: same operations, same bits.
     lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
     x = np.minimum(np.maximum(np.asarray(x0, dtype=float), lower), upper)
-    r = residuals(x[:, None])[0]
-    cost, damping, rejected, jac, n = r @ r, 1e-3, 0, None, x.size
+    n = x.size
     diagonal = np.arange(n)
+
+    def evaluate(point):
+        """Residuals of point and its Jacobian, from one call with its stencil."""
+        h = _DIFF_STEP * np.maximum(np.abs(point), 1.0)
+        ends = np.minimum(point + h, upper), np.maximum(point - h, lower)
+        points = np.repeat(point[:, None], 2 * n + 1, axis=1)
+        points[diagonal, 1 + diagonal], points[diagonal, 1 + n + diagonal] = ends
+        f = residuals(points)
+        return f[0], ((f[1:n + 1] - f[n + 1:]) / (ends[0] - ends[1])[:, None]).T
+
+    r, jac = evaluate(x)
+    cost, damping, rejected, normal = r @ r, 1e-3, 0, None
     for iteration in range(1, _MAX_ITERATIONS + 1):
-        if jac is None:
-            h = _DIFF_STEP * np.maximum(np.abs(x), 1.0)
-            ends = np.minimum(x + h, upper), np.maximum(x - h, lower)
-            points = np.repeat(x[:, None], 2 * n, axis=1)
-            points[diagonal, diagonal], points[diagonal, n + diagonal] = ends
-            f = residuals(points)
-            jac = ((f[:n] - f[n:]) / (ends[0] - ends[1])[:, None]).T
+        if normal is None:
             neg_gradient, normal = -(jac.T @ r), jac.T @ jac
             normal_diagonal = normal[diagonal, diagonal]
             # The damping's diagonal matrix, built once per Jacobian; a column
@@ -333,22 +345,22 @@ def _least_squares(residuals, x0, lower, upper) -> _LeastSquaresResult:
             step = np.linalg.solve(normal + damping * scale, neg_gradient)
         except np.linalg.LinAlgError as exc:
             raise FitConvergenceError(f"step {iteration} failed: {exc}") from exc
+        # |r|^2 - |r + J step|^2, the decrease the linear model predicts for
+        # the unclipped step; never negative for a damped step.
+        predicted = 2.0 * (step @ neg_gradient) - step @ normal @ step
+        if predicted <= _FIT_TOL * cost and cost < math.inf:
+            return _LeastSquaresResult(x, iteration, True, r)
         trial = np.minimum(np.maximum(x + step, lower), upper)
-        r_trial = residuals(trial[:, None])[0]
+        r_trial, jac_trial = evaluate(trial)
         cost_trial = r_trial @ r_trial
         if not cost_trial <= cost:  # also rejects NaN
-            # |r|^2 - |r + J step|^2, the decrease the linear model predicts for
-            # the unclipped step; never negative for a damped step.
-            predicted = 2.0 * (step @ neg_gradient) - step @ normal @ step
-            if predicted <= _FIT_TOL * cost and cost < math.inf:
-                return _LeastSquaresResult(x, iteration, True, r)
             # x10, x100, ... on consecutive rejections.
             rejected += 1
             damping *= 10.0 ** rejected
             continue
         converged = (cost - cost_trial <= _FIT_TOL * cost
                      or (np.abs(trial - x) <= _FIT_TOL * np.abs(trial)).all())
-        x, r, cost, jac, rejected = trial, r_trial, cost_trial, None, 0
+        x, r, jac, cost, normal, rejected = trial, r_trial, jac_trial, cost_trial, None, 0
         damping /= 10.0
         if converged:
             return _LeastSquaresResult(x, iteration, True, r)

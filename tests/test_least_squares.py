@@ -2,10 +2,14 @@
 
 Both solvers run the fringe fit and the link fit on the same generated
 inputs. The solver matches the reference: it walks the reference's iterates
-and may only stop sooner, at the cost's rounding floor. The reference's
-iterates are found by replaying its single-point residual calls: the start,
-then one trial per step, a trial being accepted when its cost is at most the
-current one, as the loop does. Every fit must then
+and may only stop sooner, at the cost's rounding floor. Each solver's
+iterates are found by replaying its point evaluations, column 0 of every
+odd-width residual call: the reference evaluates a point alone (width 1) and
+its Jacobian in a call of width 2n, the solver a point together with its
+stencil (width 2n+1). They are the start, then one trial per step, a trial
+being accepted when its cost is at most the current one, as the loop does.
+The solver may stop before evaluating a trial, and that trial step counts
+among its iterations. Every fit must then
 - take no more trial steps than the reference;
 - return, to the bit, the point the reference held after that many steps;
 - give the same result, bytes, status and warnings when it stops where the
@@ -29,6 +33,7 @@ from decoyqkd.calibration import scan_intensity_for_peak
 from decoyqkd.link import expected_stats, fit_link_report
 
 import reference_lm
+from conftest import assert_same_bits
 
 # Largest cost, relative to the reference's final cost, at which the solver may stop.
 COST_GAP = 1e-11
@@ -38,7 +43,7 @@ def outcome(fit, solver):
     """What fit() gives with `solver` as the refinement of both fits: the
     repr of its result or its exception's class and message, what every
     refinement it ran returned or raised, and the warnings; then, per
-    refinement, its single-point residual calls as (point bytes, cost).
+    refinement, its point evaluations as (point bytes, cost).
 
     The residuals of the returned point are computed untraced: the reference
     returns (x, iterations, converged) only, and link._least_squares must
@@ -50,7 +55,7 @@ def outcome(fit, solver):
 
         def traced(points):
             f = residuals(points)
-            if points.shape[1] == 1:
+            if points.shape[1] % 2:
                 calls[-1].append((points[:, 0].tobytes(), f[0] @ f[0]))
             return f
 
@@ -77,12 +82,24 @@ def outcome(fit, solver):
 
 
 def held_points(calls):
-    """(point bytes, cost) the loop holds after each trial step, index k
-    after k steps, replayed from its single-point residual calls."""
+    """(point bytes, cost) the loop holds after each evaluated trial, index k
+    after k trials, replayed from its point evaluations."""
     held = calls[:1]
     for trial in calls[1:]:  # a NaN cost is rejected, as in the loop
         held.append(trial if trial[1] <= held[-1][1] else held[-1])
     return held
+
+
+def converged_on_last_trial(calls):
+    """Whether the last of a loop's point evaluations is an accepted trial
+    that meets the loop's convergence test on an accepted step, replayed from
+    the evaluations; a solver that stops without it stopped before a trial."""
+    if len(calls) < 2:
+        return False
+    (x, cost), (trial, cost_trial) = held_points(calls[:-1])[-1], calls[-1]
+    x, trial = np.frombuffer(x), np.frombuffer(trial)
+    return cost_trial <= cost and (cost - cost_trial <= link._FIT_TOL * cost
+                                   or (np.abs(trial - x) <= link._FIT_TOL * np.abs(trial)).all())
 
 
 def assert_stops_no_later_than_reference(fit):
@@ -104,7 +121,9 @@ def assert_stops_no_later_than_reference(fit):
         elif old[0] == "returned" and (steps, new[3]) == (old_steps, old[3]):
             assert actual == expected
         else:  # stopped at the rounding floor where the reference went on or gave up
-            assert new[1:] == (held[steps][0], steps, True)
+            # A stop before a trial counts that trial step among the iterations.
+            taken = steps + (not converged_on_last_trial(new_calls))
+            assert new[1:] == (held[steps][0], taken, True) and taken <= old_steps
             cost, final_cost = held[steps][1], held[-1][1]
             assert cost - final_cost <= COST_GAP * final_cost, (cost, final_cost)
             assert set(actual[2]) <= set(expected[2])
@@ -172,7 +191,8 @@ def test_reference_singular_step_is_raised_too():
 def test_refinements_stop_within_their_pinned_trial_steps():
     # The stop at the rounding floor saves the 4-5 rejected trials the loop
     # made after the minimum: 12 for the bundled fit, 8.22 on average for the
-    # calibrate defaults' fringe fits, before it.
+    # calibrate defaults' fringe fits, before it. The bundled fit stops before
+    # evaluating its fourth trial step.
     bundled = fit_link_report(tables.bundled_reference_table(),
                               tables.BUNDLED_REFERENCE_PARAMS)
     assert bundled.iterations == 4
@@ -195,24 +215,31 @@ def test_refinements_stop_within_their_pinned_trial_steps():
 
 
 def stopped(residuals, x0, lower, upper):
-    """link._least_squares on a problem, and how it stopped: after a rejected
-    trial, on an accepted step, or out of iterations."""
+    """link._least_squares on a problem, and how it stopped: on an accepted
+    step, before evaluating a trial (its predicted decrease at the rounding
+    floor), or out of iterations."""
     trials = []
 
     def traced(points):
-        if points.shape[1] == 1:
-            trials.append(points[:, 0].tobytes())
-        return residuals(points)
+        f = residuals(points)
+        trials.append((points[:, 0].tobytes(), f[0] @ f[0]))
+        return f
 
     result = link._least_squares(traced, x0, lower, upper)
     if not result.converged:
         return result, "out of iterations"
-    return result, "accepted" if trials[-1] == result.x.tobytes() else "rejected"
+    if converged_on_last_trial(trials):
+        assert (trials[-1][0], result.iterations) == (result.x.tobytes(), len(trials) - 1)
+        return result, "accepted"
+    # The start, then every trial step but the one stopped before.
+    assert result.iterations == len(trials)
+    return result, "predicted"
 
 
 @pytest.mark.parametrize("argv, path", [
-    (["calibrate", "--seed", "3"], "rejected"),
-    (["calibrate", "--visibility", "0.5", "--points", "9", "--seed", "2"], "accepted"),
+    (["calibrate", "--seed", "3"], "predicted"),
+    (["calibrate", "--visibility", "0.5", "--points", "9", "--seed", "2"], "predicted"),
+    (["calibrate", "--seed", "30"], "accepted"),
     # exp(-x) has its infimum at x = inf: every Gauss-Newton step adds about 1
     # to x and divides the cost by e^2, so neither tolerance is ever met.
     (None, "out of iterations"),
@@ -228,3 +255,92 @@ def test_returned_residuals_are_those_of_the_point(solver_calls, capsys, argv, p
     assert how == path
     residuals = problem[0]
     assert result.residuals.tobytes() == residuals(result.x[:, None])[0].tobytes()
+
+
+def checked_rows(fit):
+    """Runs fit() with every residual call of its refinements checked: each
+    point's row of a call has the bits of a call at that point alone. Returns
+    the widths of the checked calls."""
+    solve, widths = link._least_squares, []
+
+    def refinement(residuals, *start_and_bounds):
+        def checked(points):
+            f = residuals(points)
+            for column in range(points.shape[1]):
+                assert_same_bits(f[column], residuals(points[:, column:column + 1])[0])
+            widths.append(points.shape[1])
+            return f
+        return solve(checked, *start_and_bounds)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(link, "_least_squares", refinement)
+        patch.setattr(calibration, "_least_squares", refinement)
+        try:
+            fit()
+        except (ValueError, RuntimeError):
+            pass
+    return widths
+
+
+# The solver evaluates a point together with its stencil in one call, so the
+# residuals it keeps for the point are bit-safe only if both residual functions
+# are elementwise per point, whatever the point's position in the call. Scan
+# and row counts that are not multiples of a SIMD width leave vector tails.
+@given(visibility=st.floats(0.0, 1.0), peak=st.floats(0.01, 0.999),
+       points=st.integers(8, 97), pulses=st.integers(10, 10**9), noiseless=st.booleans(),
+       zero=st.floats(0.0, 2.0 * math.pi), seed=st.integers(0, 2**32 - 1))
+def test_fringe_residual_rows_are_single_point_calls(visibility, peak, points, pulses,
+                                                     noiseless, zero, seed):
+    model = LinkModel(alpha_db_per_km=0.0, excess_loss_db=0.0, eta_det=1.0, y0=0.0,
+                      visibility=visibility)
+    curve = simulate_scan(model, scan_intensity_for_peak(model, peak),
+                          np.linspace(0.0, 2.0 * math.pi, points), pulses, seed=seed,
+                          true_phase_zero=zero, noiseless=noiseless)
+    assert checked_rows(lambda: fit_fringe(curve))
+
+
+@given(alpha=st.floats(0.05, 0.40), lumped=st.floats(0.0, 40.0),
+       visibility=st.floats(0.80, 0.999), y0=st.sampled_from([0.0, 5e-7]),
+       lengths=st.lists(st.integers(0, 1600).map(lambda k: k / 10), min_size=3, max_size=12,
+                        unique=True))
+def test_link_residual_rows_are_single_point_calls(alpha, lumped, visibility, y0, lengths):
+    params = ProtocolParams()
+    truth = LinkModel(alpha_db_per_km=alpha, excess_loss_db=lumped, eta_det=1.0, y0=y0,
+                      visibility=visibility)
+    table = np.array([expected_stats(truth, params, length) for length in lengths])
+    assert checked_rows(lambda: fit_link_report(table, params, y0))
+
+
+def test_one_residual_call_per_evaluated_point(capsys):
+    # Each point a refinement evaluates, the start and every evaluated trial,
+    # goes to one call of width 2n+1 = 7 with its stencil, so an accepted
+    # step's Jacobian needs no call of its own. calibrate runs the bundled
+    # link fit, then the fringe fit of its default scan.
+    solve, refinements = link._least_squares, []
+
+    def counted(residuals, *start_and_bounds):
+        calls = []
+
+        def traced(points):
+            f = residuals(points)
+            calls.append((points.shape[1], points[:, 0].tobytes(), f[0] @ f[0]))
+            return f
+
+        result = solve(traced, *start_and_bounds)
+        refinements.append((calls, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(link, "_least_squares", counted)
+        patch.setattr(calibration, "_least_squares", counted)
+        for seed in range(8):
+            assert cli.main(["calibrate", "--seed", str(seed)]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert len(refinements) == 16
+    for calls, result in refinements[::2]:  # the bundled link fit, 9 calls before
+        assert [width for width, *_ in calls] == [7] * 4 and result.iterations == 4
+    for calls, result in refinements[1::2]:
+        # A stop before a trial counts that trial step but evaluates no point.
+        evaluations = [(point, cost) for _, point, cost in calls]
+        trials = result.iterations - (not converged_on_last_trial(evaluations))
+        assert [width for width, *_ in calls] == [7] * (1 + trials)
