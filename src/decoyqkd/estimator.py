@@ -12,12 +12,10 @@ single-photon yield bound is per emitted single-photon pulse, so its
 contribution to the key rate carries the Poisson weight mu*exp(-mu).
 
 The bound chain (decoy-rate floor, yield bound, QBER bound, key rate,
-secure flag) is written once, in _chain, as numpy expressions that take
-one row of floats or float64 columns alike. analyze_row raises the
-row's abort cause; analyze_columns returns every row's bounds with its
-abort cause, an exception of the class and message analyze_row raises
-for that row, or None. The operations and the per-value math.log2
-entropy are the same either way, so a row's bounds are bit-identical.
+secure flag) is evaluated once, in analyze_columns, as numpy expressions
+over float64 columns of rows. It returns every row's bounds with its
+abort cause, an AnalysisError, or None. analyze_row is its one-row call
+and raises the row's cause.
 A row aborts at the first check it fails, in this order:
 
     s_nu <= 0                              InsufficientStatisticsError
@@ -33,7 +31,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -202,9 +200,9 @@ class SecurityBounds:
 class BoundColumns:
     """SecurityBounds of a table of rows, one array entry per row.
 
-    causes[i] is None when row i yields bounds, else the AnalysisError
-    analyze_row raises for it; the value columns of such a row are NaN
-    and its secure flag is False.
+    causes[i] is None when row i yields bounds, else the AnalysisError of
+    the first check it fails (module docstring); the value columns of such
+    a row are NaN and its secure flag is False.
     """
 
     s_nu_lower: np.ndarray
@@ -224,12 +222,9 @@ def binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
-def _entropy(p):
-    """binary_entropy of each value of p, NaN for a value outside [0, 1]; a
-    float for a scalar or 0-d p."""
-    if not (isinstance(p, np.ndarray) and p.ndim):
-        p = float(p)
-        return binary_entropy(p) if 0.0 <= p <= 1.0 else math.nan
+def _entropy(p: np.ndarray) -> np.ndarray:
+    """binary_entropy of each value of a 1-d array p, NaN for a value outside
+    [0, 1]."""
     # math.log2 per value rather than np.log2, whose SIMD loop rounds
     # differently on about one value in a thousand and would move such a
     # row's r_lower by an ulp. The rest is binary_entropy's expression, so
@@ -257,12 +252,23 @@ def _yield_factors(mu: float, nu: float) -> tuple[float, ...]:
     return factors
 
 
-def _chain(params: ProtocolParams, s_mu, e_mu, s_nu):
-    """The bounds (s_nu_lower, s1_lower, e1_upper, r_lower, secure) of one row
-    of floats or of float64 columns, and the checks in the order of the module
-    docstring, each (failed, error class, message, message values). Every row
-    runs the whole chain, so one that fails a check may divide by zero or
-    overflow further on; its values past that check mean nothing.
+def analyze_row(params: ProtocolParams, stats: MeasuredStats) -> SecurityBounds:
+    """The bounds of one measured row: analyze_columns on that row alone.
+    Raises the row's abort cause, an AnalysisError subclass, for the first
+    check it fails (module docstring)."""
+    bounds = analyze_columns(params, [stats.s_mu], [stats.e_mu], [stats.s_nu])
+    if bounds.causes[0] is not None:
+        raise bounds.causes[0]
+    # item() gives Python floats and a bool.
+    return SecurityBounds(*(getattr(bounds, f.name)[0].item() for f in fields(SecurityBounds)))
+
+
+def analyze_columns(params: ProtocolParams, s_mu, e_mu, s_nu) -> BoundColumns:
+    """The bounds (s_nu_lower, s1_lower, e1_upper, r_lower, secure) of each row
+    of 1-d columns, and its abort cause, for the first check it fails in the
+    order of the module docstring. Raises ValueError unless the three columns
+    are 1-d and of one length, and every value lies in [0, 1] (NaN does not),
+    naming the first row outside that domain.
 
     The single-photon yield bound is
         (mu/(mu*nu - nu^2)) * (S_nu_L*e^nu - S_mu*e^mu*nu^2/mu^2
@@ -272,8 +278,18 @@ def _chain(params: ProtocolParams, s_mu, e_mu, s_nu):
     finite float when e^mu overflows (mu past ~709) or mu*nu - nu^2
     underflows to zero (subnormal intensities). The QBER bound charges every
     signal error to the single-photon clicks, and the key rate subtracts the
-    error-correction cost over all sifted signal bits.
+    error-correction cost over all sifted signal bits. Every row runs the
+    whole chain, so one that fails a check may divide by zero or overflow
+    further on; its values past that check are replaced by NaN.
     """
+    s_mu, e_mu, s_nu = (np.asarray(c, dtype=float) for c in (s_mu, e_mu, s_nu))
+    if not (s_mu.ndim == 1 and s_mu.shape == e_mu.shape == s_nu.shape):
+        raise ValueError("analyze_columns takes three 1-d columns of one length, got shapes "
+                         f"{s_mu.shape}, {e_mu.shape}, {s_nu.shape}")
+    zeros = np.zeros_like(s_mu)
+    outside = _first_outside_domain(np.column_stack([zeros, s_mu, e_mu, s_nu, zeros]))
+    if outside is not None:
+        raise ValueError("row {}: {}".format(*outside))
     mu, nu, n_nu, u_alpha = params.mu, params.nu, params.n_nu, params.u_alpha
     with np.errstate(all="ignore"):
         s_nu_l = s_nu * (1.0 - u_alpha / np.sqrt(n_nu * s_nu))
@@ -294,33 +310,17 @@ def _chain(params: ProtocolParams, s_mu, e_mu, s_nu):
             # A QBER bound above 1 leaves the key-rate entropy term undefined.
             (e1_u > 1.0, NoSinglePhotonBoundError, _QBER_ABOVE_ONE, (e1_u,)),
         ]
-        return (s_nu_l, s1_l, e1_u, r_l, (r_l > 0) & (e1_u < 0.5) & (s1_l > 0)), checks
-
-
-def analyze_row(params: ProtocolParams, stats: MeasuredStats) -> SecurityBounds:
-    """The bound chain for one measured row. Raises the row's abort cause, an
-    AnalysisError subclass, for the first check it fails (module docstring)."""
-    values, checks = _chain(params, float(stats.s_mu), float(stats.e_mu), float(stats.s_nu))
-    for failed, error, message, args in checks:
-        if failed:
-            raise error(message.format(*args))
-    *bounds, secure = values
-    return SecurityBounds(*map(float, bounds), secure=bool(secure))
-
-
-def analyze_columns(params: ProtocolParams, s_mu, e_mu, s_nu) -> BoundColumns:
-    """The bound chain over 1-d columns of rows; row i of the result holds
-    what analyze_row gives for row i, or NaN values and the cause it raises."""
-    s_mu, e_mu, s_nu = (np.asarray(c, dtype=float) for c in (s_mu, e_mu, s_nu))
-    (*values, secure), checks = _chain(params, s_mu, e_mu, s_nu)
+        secure = (r_l > 0) & (e1_u < 0.5) & (s1_l > 0)
     ok = np.ones(s_nu.size, dtype=bool)
     causes: list[AnalysisError | None] = [None] * s_nu.size
     for failed, error, message, args in checks:
         rows = (ok & failed).nonzero()[0]
+        if not rows.size:
+            continue
         ok[rows] = False
-        # tolist gives Python floats, so the messages read as analyze_row's do.
+        # tolist gives the messages Python floats.
         columns = (np.broadcast_to(v, ok.shape)[rows].tolist() for v in args)
         for i, *row_values in zip(rows.tolist(), *columns):
             causes[i] = error(message.format(*row_values))
-    return BoundColumns(*(np.where(ok, v, math.nan) for v in values),
+    return BoundColumns(*(np.where(ok, v, math.nan) for v in (s_nu_l, s1_l, e1_u, r_l)),
                         secure=secure & ok, causes=causes)
