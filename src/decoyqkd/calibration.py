@@ -11,12 +11,15 @@ The scan draws its counts from link's coherent-state click law
 times the strong intensity. That law saturates at scan intensities, so
 it is also the fit model, rather than a bare cosine; the fit evaluates it
 at y0 = 0 through the in-place kernel that link's law calls, and link's
-reduction maps phases to [0, 2*pi). A first-harmonic projection of the
-log-inverted counts seeds a deterministic local refinement (link's
-bounded Levenberg-Marquardt, the one fit_link uses), and the residuals
-are minimized in the count-fraction domain; the rms residual comes from
-the residuals the refinement holds at its result. The fit keeps the
-fitted depth, and the amplitude (the law's mean click probability over
+reduction maps phases to [0, 2*pi). Gauss-Newton in the first harmonic's
+coefficients, started from a weighted fit of the log-inverted counts,
+seeds a deterministic local refinement (link's bounded
+Levenberg-Marquardt, the one fit_link uses) that minimizes the residuals
+in the count-fraction domain and owns the bounds and the convergence
+verdict. On a well-sampled unsaturated scan the seed is already that
+minimum, so the refinement stops at its first stop test. The rms residual
+comes from the residuals the refinement holds at its result. The fit keeps
+the fitted depth, and the amplitude (the law's mean click probability over
 1,024 phases) is derived from it on read, so a fit whose amplitude nobody
 reads does not pay for it. Dark counts are negligible against the
 strong-pulse click rates and are not fitted. A seed fixes a sampled
@@ -184,15 +187,19 @@ def simulate_scan(model: LinkModel, strong_mean_photons: float, offsets: Sequenc
 def fit_fringe(curve: ScanCurve) -> FringeFit:
     """Fit the click-law fringe and return visibility and fringe zero.
 
-    Initialization projects the log-inverted count fractions onto the
-    first harmonic (an orientation-free least-squares cosine fit), then
-    a bounded least-squares refinement of (depth, visibility, zero)
-    minimizes count-fraction residuals. Deterministic: no random
-    starts. The reported residual is the rms count-fraction misfit, taken
-    from the residuals the refinement returns with its point; a flat curve
-    fits with visibility near zero and the residual is the only signal that
-    the phase is unconstrained. The fit stores the fitted depth; its
-    amplitude, the fitted law's mean click probability, is derived on read.
+    The law is 1 - exp(-(a + b*cos(d) + c*sin(d))) in the first
+    harmonic's coefficients (a, b, c), an orientation-free form. A
+    least-squares fit of the log-inverted count fractions, weighted by
+    1 - y, starts two Gauss-Newton steps in (a, b, c), each one weighted
+    linear least-squares fit; mapped to (depth, visibility, zero), their
+    result seeds a bounded least-squares refinement that minimizes
+    count-fraction residuals and decides convergence. Deterministic: no
+    random starts. The reported residual is the rms count-fraction misfit,
+    taken from the residuals the refinement returns with its point; a flat
+    curve fits with visibility near zero and the residual is the only
+    signal that the phase is unconstrained. The fit stores the fitted
+    depth; its amplitude, the fitted law's mean click probability, is
+    derived on read.
     Raises ValueError when every count is pulses_per_point, and
     FitConvergenceError when the refinement fails or runs out of
     iterations.
@@ -206,12 +213,21 @@ def fit_fringe(curve: ScanCurve) -> FringeFit:
         raise ValueError("every scan point is saturated (count = pulses_per_point), so "
                          "the fringe cannot be fitted; lower the scan peak")
     y = curve.counts / curve.pulses_per_point
-    # Log inversion of the click law linearizes the fringe for the
-    # first-harmonic projection; clamp away the y=1 pole.
+    # The log inversion's error maps to the count fraction's through the law's
+    # slope 1 - y, its weight; the clamp keeps the log of a saturated point,
+    # of weight 0, finite. Each Gauss-Newton step linearizes
+    # 1 - exp(-design @ coeff) at coeff. At the calibrate defaults one step
+    # left the refinement 2.0 trial steps per fit, two leave it 1: a stop at
+    # its first test.
+    survival = 1.0 - y
     t = -np.log1p(-np.minimum(y, 1.0 - 1e-12))
     design = np.column_stack([np.ones_like(curve.offsets),
                               np.cos(curve.offsets), np.sin(curve.offsets)])
-    coeff, *_ = np.linalg.lstsq(design, t, rcond=None)
+    coeff, *_ = np.linalg.lstsq(design * survival[:, None], survival * t, rcond=None)
+    for _ in range(2):
+        s = design @ coeff
+        w = np.exp(-s)
+        coeff, *_ = np.linalg.lstsq(design * w[:, None], w * s + w - survival, rcond=None)
     depth0 = max(float(coeff[0]), 1e-12)
     vis0 = min(math.hypot(coeff[1], coeff[2]) / depth0, 1.0)
     zero0 = math.atan2(coeff[2], coeff[1])

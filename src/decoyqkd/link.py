@@ -75,7 +75,8 @@ _DIFF_STEP = _EPS ** (1.0 / 3.0)
 # Relative change of cost and parameters below which _least_squares stops.
 _FIT_TOL = 1e-15
 # Trial steps before _least_squares gives up; the bundled link fits take 4 and
-# 5, the fringe fits at the calibrate defaults (seeds 0-999) at most 7.
+# 5, the fringe fits at the calibrate defaults (seeds 0-999) 1 each, since
+# calibration seeds them at the minimum.
 _MAX_ITERATIONS = 100
 # Shortest spread of fiber lengths from which fit_link identifies the
 # attenuation: lengths a few ulps apart leave alpha at an arbitrary bound.

@@ -192,7 +192,9 @@ def test_refinements_stop_within_their_pinned_trial_steps():
     # The stop at the rounding floor saves the 4-5 rejected trials the loop
     # made after the minimum: 12 for the bundled fit, 8.22 on average for the
     # calibrate defaults' fringe fits, before it. The bundled fit stops before
-    # evaluating its fourth trial step.
+    # evaluating its fourth trial step. The fringe fit's Gauss-Newton seed is
+    # the minimum, so each of these fits stops before its first trial (3.22
+    # trial steps on average with the log-fit seed before it).
     bundled = fit_link_report(tables.bundled_reference_table(),
                               tables.BUNDLED_REFERENCE_PARAMS)
     assert bundled.iterations == 4
@@ -211,7 +213,7 @@ def test_refinements_stop_within_their_pinned_trial_steps():
         patch.setattr(calibration, "_least_squares", counted)
         for seed in range(64):
             fit_fringe(simulate_scan(model, strong, offsets, 100_000, seed=seed))
-    assert len(trials) == 64 and sum(trials) / 64 <= 4.5
+    assert len(trials) == 64 and sum(trials) / 64 <= 1.0
 
 
 def stopped(residuals, x0, lower, upper):
@@ -239,7 +241,7 @@ def stopped(residuals, x0, lower, upper):
 @pytest.mark.parametrize("argv, path", [
     (["calibrate", "--seed", "3"], "predicted"),
     (["calibrate", "--visibility", "0.5", "--points", "9", "--seed", "2"], "predicted"),
-    (["calibrate", "--seed", "30"], "accepted"),
+    (["calibrate", "--pulses-per-point", "1000", "--seed", "62"], "accepted"),
     # exp(-x) has its infimum at x = inf: every Gauss-Newton step adds about 1
     # to x and divides the cost by e^2, so neither tolerance is ever met.
     (None, "out of iterations"),
