@@ -161,6 +161,8 @@ def simulate_scan(model: LinkModel, strong_mean_photons: float, offsets: Sequenc
     are still produced.
     """
     grid = np.asarray(list(offsets), dtype=float)
+    if grid.ndim != 1:
+        raise ValueError(f"scan offsets must be a 1-d sequence, got shape {grid.shape}")
     require_finite(strong_mean_photons=strong_mean_photons, true_phase_zero=true_phase_zero)
     if not np.isfinite(grid).all():
         raise ValueError("scan offsets must be finite")
@@ -229,7 +231,7 @@ def fit_fringe(curve: ScanCurve) -> FringeFit:
         w = np.exp(-s)
         coeff, *_ = np.linalg.lstsq(design * w[:, None], w * s + w - survival, rcond=None)
     depth0 = max(float(coeff[0]), 1e-12)
-    vis0 = min(math.hypot(coeff[1], coeff[2]) / depth0, 1.0)
+    vis0 = math.hypot(coeff[1], coeff[2]) / depth0  # _least_squares clips it to 1
     zero0 = math.atan2(coeff[2], coeff[1])
 
     neg_y = -y  # (-y) - e rounds as (-e) - y does
@@ -258,7 +260,7 @@ def working_points(fit: FringeFit) -> tuple[float, float, float, float]:
 
 def scan_overhead(points: int, pulses_per_point: int, session_pulses: float) -> float:
     """Scan duration in pulse slots as a fraction of the session length; needs no drawn scan."""
-    require_count(pulses_per_point=pulses_per_point)  # before it overflows a float
+    require_count(points=points, pulses_per_point=pulses_per_point)  # before a float overflows
     require_finite(session_pulses=session_pulses)
     if session_pulses <= 0:
         raise ValueError(f"session_pulses={session_pulses} must be > 0")

@@ -4,7 +4,8 @@ Parameter precedence is command-line flag > config file > built-in
 default, and every effective value is echoed as '# key=value' header
 comments in the output for provenance. Outputs are deterministic for a
 fixed seed: no timestamps, repr-formatted floats (lossless re-parse),
-fixed ordering. Every value goes through tables.format_value.
+fixed ordering. key=value lines go through tables.format_value; the rows
+of the bounds table and of the sweep curve write repr directly.
 
 Exit codes: 0 success; 2 usage errors (argparse); 3 unparseable input
 (tables, config files); 4 invalid values or configuration; 5 runtime
@@ -240,13 +241,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
     table = _read_input(args)
     params = _resolve_params(args)
     fit = link.fit_link_report(table, params, y0=args.fit_y0)
-    model = fit.model
-    objective = link.fit_objective(model, table, params)
     header = ["command=fit", *key_value_lines("params.", params, PARAM_KEYS),
-              f"objective={objective!r}"]
+              f"objective={fit.objective!r}"]
     with _output(args, header) as stream:
-        stream.writelines(f"{line}\n" for line in key_value_lines("", model, LINK_KEYS))
-    print(f"fit: converged in {fit.iterations} iterations, objective={objective!r}",
+        stream.writelines(f"{line}\n" for line in key_value_lines("", fit.model, LINK_KEYS))
+    print(f"fit: converged in {fit.iterations} iterations, objective={fit.objective!r}",
           file=sys.stderr)
     return EXIT_OK
 

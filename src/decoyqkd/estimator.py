@@ -240,16 +240,14 @@ def _entropy(p: np.ndarray) -> np.ndarray:
 
 def _yield_factors(mu: float, nu: float) -> tuple[float, ...]:
     """Row-independent factors of the yield bound; all NaN where Python float
-    arithmetic overflows or would divide by zero on them."""
+    arithmetic overflows or divides by zero on them. Where 0.5*mu**2 alone
+    underflows to 0, the bound divided by it is not finite, as check 4 reports."""
     try:
         nu2, mu2 = nu**2, mu**2
-        factors = (mu / (mu * nu - nu2), math.exp(nu), math.exp(mu), nu2, mu2,
-                   mu2 - nu2, 0.5 * mu2)
+        return (mu / (mu * nu - nu2), math.exp(nu), math.exp(mu), nu2, mu2,
+                mu2 - nu2, 0.5 * mu2)
     except (OverflowError, ZeroDivisionError):
         return (math.nan,) * 7
-    if mu2 == 0.0 or factors[-1] == 0.0:  # the bound divides by both
-        return (math.nan,) * 7
-    return factors
 
 
 def analyze_row(params: ProtocolParams, stats: MeasuredStats) -> SecurityBounds:
@@ -310,7 +308,7 @@ def analyze_columns(params: ProtocolParams, s_mu, e_mu, s_nu) -> BoundColumns:
             # A QBER bound above 1 leaves the key-rate entropy term undefined.
             (e1_u > 1.0, NoSinglePhotonBoundError, _QBER_ABOVE_ONE, (e1_u,)),
         ]
-        secure = (r_l > 0) & (e1_u < 0.5) & (s1_l > 0)
+        secure = (r_l > 0) & (e1_u < 0.5)
     ok = np.ones(s_nu.size, dtype=bool)
     causes: list[AnalysisError | None] = [None] * s_nu.size
     for failed, error, message, args in checks:

@@ -19,9 +19,9 @@ _modelled_rates gives a modelled row's (s_mu, e_mu, s_nu, e_nu) for
 expected_stats, the fit and the sweep.
 
 The laws broadcast over numpy arrays. fit_link inverts a measured table,
-the (n, 5) STATS_COLUMNS array tables.read_stats_columns reads, into
-(attenuation, lumped excess loss, visibility) with the dark rate held
-fixed: a straight line through the log gains and the QBER at the
+exactly an (n, 5) array of STATS_COLUMNS as tables.read_stats_columns
+reads it, into (attenuation, lumped excess loss, visibility) with the dark
+rate held fixed: a straight line through the log gains and the QBER at the
 shortest length give the start, and _least_squares, a bounded
 Levenberg-Marquardt refinement in numpy that calibration's fringe fit
 shares, finishes it. It evaluates each point, the start and every trial,
@@ -29,10 +29,11 @@ in one residual call together with the point's central-difference stencil,
 and stops at the cost's rounding floor: before a trial is evaluated, when
 the decrease its linear model predicts for the step is at most 1e-15 of the
 cost. Fitted digits beyond about 1e-8 relative therefore carry no
-information. sweep_key_rate feeds the modelled rates of its whole grid, and
-of each bisection step, through the column bound chain
-(estimator.analyze_columns) to locate the largest fiber length with a
-positive secure rate.
+information. The fit's objective is the sum of squares of the residuals
+the refinement holds at its result. sweep_key_rate feeds the modelled
+rates of its whole grid, and of each bisection step, through the column
+bound chain (estimator.analyze_columns) to locate the largest fiber length
+with a positive secure rate.
 """
 
 from __future__ import annotations
@@ -125,10 +126,13 @@ class LinkModel:
 
 @dataclass(frozen=True)
 class LinkFit:
-    """Fitted link model and the number of trial steps its refinement took."""
+    """Fitted link model, the number of trial steps its refinement took, and
+    the sum of squared residuals the refinement holds at the model: the value
+    fit_objective gives for it."""
 
     model: LinkModel
     iterations: int
+    objective: float
 
 
 @dataclass(frozen=True)
@@ -250,11 +254,13 @@ def _fit_residuals(alpha, lumped_db, visibility, y0: float, rows: np.ndarray,
 def _fit_rows(table: np.ndarray | Sequence[MeasuredStats]) -> np.ndarray:
     """The (n, 5) rows of a measured table that the fit residuals can take.
 
-    Raises UnidentifiableDataError for a row outside MeasuredStats' domain
-    (before a NaN or infinite value reaches np.polyfit) or with a counting
-    rate of 0, whose log residual is infinite.
+    Raises UnidentifiableDataError for a table of another shape, for a row
+    outside MeasuredStats' domain (before a NaN or infinite value reaches
+    np.polyfit) or with a counting rate of 0, whose log residual is infinite.
     """
-    rows = np.asarray(table, dtype=float).reshape(-1, 5)
+    rows = np.asarray(table, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != 5:
+        raise UnidentifiableDataError(f"measured table has shape {rows.shape}, not (n, 5)")
     outside = _first_outside_domain(rows)
     if outside is not None:
         row, message = outside
@@ -271,11 +277,13 @@ def _fit_rows(table: np.ndarray | Sequence[MeasuredStats]) -> np.ndarray:
 
 def fit_objective(model: LinkModel, table: np.ndarray | Sequence[MeasuredStats],
                   params: ProtocolParams) -> float:
-    """Sum of squared fit residuals of a model against a measured table, an
-    (n, 5) STATS_COLUMNS array or a sequence of MeasuredStats rows.
+    """Sum of squared fit residuals of any model against a measured table, as
+    fit_link takes it.
 
-    Raises UnidentifiableDataError for the rows fit_link rejects as outside
-    MeasuredStats' domain or at a counting rate of 0."""
+    fit_link_report holds this value for its own model; this evaluates it
+    for any other, such as another solver's fit or a probe point. Raises
+    UnidentifiableDataError for the tables fit_link rejects as not (n, 5),
+    outside MeasuredStats' domain or at a counting rate of 0."""
     lumped = model.excess_loss_db - 10.0 * math.log10(model.eta_det)
     r = _fit_residuals(model.alpha_db_per_km, lumped, model.visibility, model.y0,
                        _fit_rows(table), params)
@@ -314,9 +322,9 @@ def _least_squares(residuals, x0, lower, upper) -> _LeastSquaresResult:
     was evaluated, and residuals are those of x, from the call that
     evaluated x and its stencil. calibration's fringe fit takes its rms
     residual from them and derives its amplitude on read from the fitted
-    depth, so no residual call follows its refinement; fit_link_report
-    ignores them. Raises FitConvergenceError when the damped normal matrix
-    is singular.
+    depth, and fit_link_report its objective from them, so no residual call
+    follows either refinement. Raises FitConvergenceError when the damped
+    normal matrix is singular.
     """
     # Plain ufuncs and indexing replace numpy's wrappers: same operations, same bits.
     lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
@@ -372,7 +380,8 @@ def fit_link(table: np.ndarray | Sequence[MeasuredStats], params: ProtocolParams
              y0: float = 5e-7) -> LinkModel:
     """Least-squares link model from a table of measured rates.
 
-    table: an (n, 5) STATS_COLUMNS array or a sequence of MeasuredStats rows.
+    table: an (n, 5) STATS_COLUMNS array or a sequence of MeasuredStats rows
+    that converts to one; any other shape raises UnidentifiableDataError.
     Fits (alpha_db_per_km, lumped excess loss, visibility) with y0 held
     fixed. Detector efficiency and excess loss only enter through their
     product, so they are fitted as one lumped dB value reported in
@@ -393,9 +402,10 @@ def fit_link(table: np.ndarray | Sequence[MeasuredStats], params: ProtocolParams
 
 def fit_link_report(table: np.ndarray | Sequence[MeasuredStats], params: ProtocolParams,
                     y0: float = 5e-7) -> LinkFit:
-    """fit_link, also reporting how many trial steps the refinement took.
-
-    table: an (n, 5) STATS_COLUMNS array or a sequence of MeasuredStats rows."""
+    """fit_link, also reporting how many trial steps the refinement took and
+    the objective at the fitted model: the sum of squares of the residuals
+    the refinement returns with its point, which is what fit_objective
+    computes for that model. table is as fit_link takes it."""
     if not 0.0 <= y0 <= 1.0:  # also rejects NaN, before the fit runs on it
         raise ValueError(f"y0={y0} must be in [0, 1]")
     for name, mean_photons in (("mu", params.mu), ("nu", params.nu)):
@@ -437,13 +447,13 @@ def fit_link_report(table: np.ndarray | Sequence[MeasuredStats], params: Protoco
         return _fit_residuals(*points[..., None], y0, rows, params).reshape(
             points.shape[1], -1)
 
-    (alpha, lumped, vis), iterations, converged, _ = _least_squares(
+    (alpha, lumped, vis), iterations, converged, r = _least_squares(
         residuals, start, [0.0, 0.0, 0.0], [5.0, 80.0, 1.0])
     if not converged:
         raise FitConvergenceError(f"link fit did not converge in {iterations} iterations")
     model = LinkModel(alpha_db_per_km=float(alpha), excess_loss_db=float(lumped),
                       eta_det=1.0, y0=y0, visibility=float(vis))
-    return LinkFit(model=model, iterations=iterations)
+    return LinkFit(model=model, iterations=iterations, objective=float(np.square(r).sum()))
 
 
 def _key_rates(model: LinkModel, params: ProtocolParams, eta: np.ndarray) -> np.ndarray:

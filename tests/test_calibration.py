@@ -75,6 +75,12 @@ class TestSimulateScan:
         with pytest.raises(InsufficientScanRangeError):
             simulate_scan(LUMPED, 0.5, np.linspace(0, math.pi, 32), 1000, seed=5)
 
+    def test_two_dimensional_offsets_rejected_by_name(self):
+        # They failed at the span check with numpy's "truth value of an array".
+        with pytest.raises(ValueError, match=r"^scan offsets must be a 1-d sequence, got "
+                                             r"shape \(2, 16\)$"):
+            simulate_scan(LUMPED, 0.5, np.stack([grid(16), grid(16)]), 1000, seed=5)
+
     @given(st.sampled_from(["strong_mean_photons", "offsets", "true_phase_zero"]),
            st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(0, 15))
     def test_non_finite_input_rejected_by_name(self, argument, value, index):
@@ -533,6 +539,12 @@ class TestWorkingPoints:
         overhead = scan_overhead(64, 100_000, session_pulses=2e9)
         assert overhead == pytest.approx(64 * 100_000 / 2e9, rel=1e-12)
         assert overhead <= 0.05
+
+    # Each returned a figure: 0.0, -0.00015 and nan.
+    @pytest.mark.parametrize("points", [0, -3, math.nan])
+    def test_scan_overhead_rejects_a_point_count_by_name(self, points):
+        with pytest.raises(ValueError, match=rf"^points={points!r} must be in \[1, "):
+            scan_overhead(points, 100_000, session_pulses=2e9)
 
 
 class TestFringeFitFields:

@@ -565,6 +565,18 @@ class TestColumnChain:
         columns = analyze_columns(default_params, [], [], [])
         assert columns.causes == [] and columns.r_lower.shape == (0,)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_only_half_mu_squared_underflowing_is_not_representable(self):
+        # mu*nu - nu^2 and mu^2 stay subnormal while 0.5*mu^2 rounds to 0, so
+        # the error term divides by 0: to inf, and to NaN where it is 0 / 0.
+        params = ProtocolParams(mu=2.2e-162, nu=1.4e-162, u_alpha=0.0)
+        bounds = analyze_columns(params, [1.0, 0.0, 1e-3], [1.0, 0.0, 0.01], [1.0, 1.0, 1e-3])
+        assert [str(cause) for cause in bounds.causes] == [
+            f"yield bound is not representable in floating point at mu={2.2e-162}, "
+            f"nu={1.4e-162}"] * 3
+        assert all(type(cause) is AnalysisError for cause in bounds.causes)
+        assert np.isnan(bounds.s1_lower).all() and not bounds.secure.any()
+
 
 # Values outside MeasuredStats' rate domain [0, 1]: negative, above 1, NaN, infinite.
 OUTSIDE_RATE = st.one_of(st.floats(max_value=-5e-324), st.floats(min_value=1.0, exclude_min=True),

@@ -304,6 +304,41 @@ class TestFitLink:
             fit_objective(fitted_model, table, default_params)
         assert str(objective_error.value) == str(fit_error.value)
 
+    # The first two fitted as 6 rows, the third raised numpy's reshape error.
+    @pytest.mark.parametrize("shape_of", [lambda t: t.reshape(30), lambda t: t[None],
+                                          lambda t: np.column_stack([t, t[:, :1]])],
+                             ids=["(30,)", "(1, 6, 5)", "(6, 6)"])
+    def test_table_not_n_by_5_unidentifiable(self, reference_table, fitted_model,
+                                             default_params, shape_of):
+        table = shape_of(np.array(reference_table))
+        for fit in (lambda: link.fit_link_report(table, default_params),
+                    lambda: fit_objective(fitted_model, table, default_params)):
+            with pytest.raises(UnidentifiableDataError) as info:
+                fit()
+            assert str(info.value) == f"measured table has shape {table.shape}, not (n, 5)"
+
+    def test_empty_table_has_too_few_lengths(self, default_params):
+        with pytest.raises(UnidentifiableDataError,
+                           match=r"needs >= 3 distinct fiber lengths, got 0 row\(s\)"):
+            link.fit_link_report(np.empty((0, 5)), default_params)
+
+    # A noisy fit can stall at a bound of its box (0 dB lumped loss, visibility
+    # 1), so these links keep their fits well inside it: the lengths span at least
+    # 20 km and the dark counts stay small against the rates at 130 km.
+    @given(st.floats(0.15, 0.25), st.floats(10.0, 15.0), st.floats(0.80, 0.98),
+           st.lists(st.integers(0, 13).map(lambda k: 10.0 * k), min_size=3, max_size=8,
+                    unique=True),
+           st.integers(0, 2**32 - 1))
+    def test_objective_is_fit_objective_at_the_fit(self, alpha, lumped, visibility, lengths,
+                                                   seed):
+        params = ProtocolParams()
+        truth = LinkModel(alpha_db_per_km=alpha, excess_loss_db=lumped, eta_det=1.0,
+                          y0=5e-7, visibility=visibility)
+        table = np.array([expected_stats(truth, params, length) for length in lengths])
+        table[:, 1:] *= np.random.default_rng(seed).lognormal(0.0, 0.05, table[:, 1:].shape)
+        fit = link.fit_link_report(table, params)
+        assert fit.objective.hex() == fit_objective(fit.model, table, params).hex()
+
     def test_rates_not_above_y0_unidentifiable(self, reference_table, default_params):
         # A modelled rate y0 + (1 - y0)*(signal click) exceeds y0 on every link;
         # the bundled table's smallest rate is s_nu = 1.36e-5 at 123.6 km.
