@@ -12,18 +12,22 @@ times the strong intensity. That law saturates at scan intensities, so
 it is also the fit model, rather than a bare cosine; the fit evaluates it
 at y0 = 0 through the in-place kernel that link's law calls, and link's
 reduction maps phases to [0, 2*pi). Gauss-Newton in the first harmonic's
-coefficients, started from a weighted fit of the log-inverted counts,
-seeds a deterministic local refinement (link's bounded
-Levenberg-Marquardt, the one fit_link uses) that minimizes the residuals
-in the count-fraction domain and owns the bounds and the convergence
-verdict. On a well-sampled unsaturated scan the seed is already that
-minimum, so the refinement stops at its first stop test. The rms residual
-comes from the residuals the refinement holds at its result. The fit keeps
-the fitted depth, and the amplitude (the law's mean click probability over
-1,024 phases) is derived from it on read, so a fit whose amplitude nobody
-reads does not pay for it. Dark counts are negligible against the
-strong-pulse click rates and are not fitted. A seed fixes a sampled
-scan: one default_rng(SeedSequence(seed)) draws all its counts.
+coefficients, started from a weighted fit of the log-inverted counts and
+run until its step is negligible, seeds a deterministic local refinement
+(link's bounded Levenberg-Marquardt, the one fit_link uses) that minimizes
+the residuals in the count-fraction domain and owns the bounds and the
+convergence verdict. Each of the seed's weighted linear fits solves its
+3x3 normal equations in closed form (a Cholesky solve in Python floats,
+without numpy.linalg's per-call overhead); only an ill-conditioned normal
+matrix, as a scan with fewer than three unsaturated points gives, goes to
+numpy.linalg.lstsq. On a well-sampled scan the seed is already the
+refinement's minimum, so the refinement stops at its first stop test. The
+rms residual comes from the residuals the refinement holds at its result.
+The fit keeps the fitted depth, and the amplitude (the law's mean click
+probability over 1,024 phases) is derived from it on read, so a fit whose
+amplitude nobody reads does not pay for it. Dark counts are negligible
+against the strong-pulse click rates and are not fitted. A seed fixes a
+sampled scan: one default_rng(SeedSequence(seed)) draws all its counts.
 """
 
 from __future__ import annotations
@@ -186,14 +190,52 @@ def simulate_scan(model: LinkModel, strong_mean_photons: float, offsets: Sequenc
                      saturated=bool(probs.max() >= SATURATION_PEAK))
 
 
+def _solve_least_squares(a: np.ndarray, b: np.ndarray) -> list[float]:
+    """The x minimizing |a @ x - b| for an (m, 3) a: a closed-form Cholesky
+    solve of the normal equations (a.T @ a) x = a.T @ b in Python floats,
+    which spares numpy.linalg.lstsq's wrapper overhead.
+
+    lstsq solves the problem instead unless a.T @ a is well conditioned: its
+    first entry must exceed 1e-292 (float_info.min / epsilon), so none of its
+    sums rounds in the subnormal range, and its determinant, the product of
+    the pivots, must exceed 1e-12 of its trace cubed, which bounds its
+    condition number by 2.5e11. A rank-deficient a fails the latter, as its
+    computed determinant is rounding noise of about 1e-16 of that cube.
+    """
+    (g00, g01, g02), (_, g11, g12), (_, _, g22) = (a.T @ a).tolist()
+    r0, r1, r2 = (b @ a).tolist()
+    trace = g00 + g11 + g22
+    if g00 > 1e-292:
+        l00 = math.sqrt(g00)
+        l10, l20 = g01 / l00, g02 / l00
+        p1 = g11 - l10 * l10
+        if p1 > 0.0:
+            l11 = math.sqrt(p1)
+            l21 = (g12 - l20 * l10) / l11
+            p2 = g22 - l20 * l20 - l21 * l21
+            # Written so that NaN, for which every comparison is false, fails it.
+            if (g00 / trace) * (p1 / trace) * (p2 / trace) > 1e-12:
+                l22 = math.sqrt(p2)
+                z0 = r0 / l00
+                z1 = (r1 - l10 * z0) / l11
+                z2 = (r2 - l20 * z0 - l21 * z1) / l22
+                x2 = z2 / l22
+                x1 = (z1 - l21 * x2) / l11
+                return [(z0 - l10 * x1 - l20 * x2) / l00, x1, x2]
+    return np.linalg.lstsq(a, b, rcond=None)[0].tolist()
+
+
 def fit_fringe(curve: ScanCurve) -> FringeFit:
     """Fit the click-law fringe and return visibility and fringe zero.
 
     The law is 1 - exp(-(a + b*cos(d) + c*sin(d))) in the first
     harmonic's coefficients (a, b, c), an orientation-free form. A
     least-squares fit of the log-inverted count fractions, weighted by
-    1 - y, starts two Gauss-Newton steps in (a, b, c), each one weighted
-    linear least-squares fit; mapped to (depth, visibility, zero), their
+    1 - y, starts Gauss-Newton steps in (a, b, c) that run until one moves
+    them by at most 1e-7 of a, or 8 times. Each of these weighted linear
+    fits is a closed-form Cholesky solve of its 3x3 normal equations, or
+    numpy.linalg.lstsq where those are ill-conditioned, as when fewer than
+    three points are unsaturated. Mapped to (depth, visibility, zero), the
     result seeds a bounded least-squares refinement that minimizes
     count-fraction residuals and decides convergence. Deterministic: no
     random starts. The reported residual is the rms count-fraction misfit,
@@ -218,20 +260,24 @@ def fit_fringe(curve: ScanCurve) -> FringeFit:
     # The log inversion's error maps to the count fraction's through the law's
     # slope 1 - y, its weight; the clamp keeps the log of a saturated point,
     # of weight 0, finite. Each Gauss-Newton step linearizes
-    # 1 - exp(-design @ coeff) at coeff. At the calibrate defaults one step
-    # left the refinement 2.0 trial steps per fit, two leave it 1: a stop at
-    # its first test.
+    # 1 - exp(-design @ coeff) at coeff; the steps end after the first that
+    # moves coeff by at most 1e-7 of its depth term, or after 8. That is two
+    # steps at the calibrate defaults and three or four on noisy, strongly
+    # saturating scans, where Gauss-Newton converges only linearly; either
+    # way the refinement mostly stops at its first test.
     survival = 1.0 - y
     t = -np.log1p(-np.minimum(y, 1.0 - 1e-12))
     design = np.column_stack([np.ones_like(curve.offsets),
                               np.cos(curve.offsets), np.sin(curve.offsets)])
-    coeff, *_ = np.linalg.lstsq(design * survival[:, None], survival * t, rcond=None)
-    for _ in range(2):
+    coeff = _solve_least_squares(design * survival[:, None], survival * t)
+    for _ in range(8):
         s = design @ coeff
         w = np.exp(-s)
-        coeff, *_ = np.linalg.lstsq(design * w[:, None], w * s + w - survival, rcond=None)
-    depth0 = max(float(coeff[0]), 1e-12)
-    vis0 = math.hypot(coeff[1], coeff[2]) / depth0  # _least_squares clips it to 1
+        previous, coeff = coeff, _solve_least_squares(design * w[:, None], w * s + w - survival)
+        if math.dist(coeff, previous) <= 1e-7 * coeff[0]:
+            break
+    depth0 = max(coeff[0], 1e-12)
+    vis0 = min(math.hypot(coeff[1], coeff[2]) / depth0, 1.0)  # the refinement's bound
     zero0 = math.atan2(coeff[2], coeff[1])
 
     neg_y = -y  # (-y) - e rounds as (-e) - y does

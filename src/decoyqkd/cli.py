@@ -231,8 +231,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
               *key_value_lines("link.", model, LINK_KEYS), f"cutoff_km={cutoff}"]
     with _output(args, header) as stream:
         stream.write("length_km\tr_lower\n")
-        for length, rate in zip(sweep.lengths, sweep.rates):
-            stream.write(f"{float(length)!r}\t{float(rate)!r}\n")
+        for length, rate in zip(sweep.lengths.tolist(), sweep.rates.tolist()):
+            stream.write(f"{length!r}\t{rate!r}\n")
     print(f"sweep: cutoff_km={cutoff}", file=sys.stderr)
     return EXIT_OK
 

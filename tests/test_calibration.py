@@ -268,7 +268,7 @@ class TestFitFringe:
             return kernel(arriving, visibility, cosines, out)
         monkeypatch.setattr(calibration, "_least_squares", refinement)
         monkeypatch.setattr(calibration, "_negated_signal_click", residual_kernel)
-        fit_fringe(simulate_scan(LUMPED, 1.0, grid(64), 1000, seed=0))
+        fit_fringe(simulate_scan(LUMPED, 1.0, grid(64), 1000, seed=57))
         assert events.count("returned") == 1 and events[-1] == "returned"
         assert events.count("residuals") > 1
 
@@ -428,6 +428,54 @@ class TestFitKernel:
         assert [repr(amplitude) for amplitude in amplitudes] == [expected] * len(amplitudes)
 
 
+def weighted_design(weights) -> tuple[np.ndarray, np.ndarray]:
+    """The seed's (m, 3) first-harmonic design over grid(m), its rows scaled
+    by the weights, and the grid."""
+    offsets = grid(len(weights))
+    design = np.column_stack([np.ones_like(offsets), np.cos(offsets), np.sin(offsets)])
+    return design * np.asarray(weights, dtype=float)[:, None], offsets
+
+
+class TestSeedSolve:
+    # The seed's weighted linear fits solve their normal equations in closed
+    # form and hand an ill-conditioned normal matrix to numpy.linalg.lstsq.
+    @given(weights=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=200),
+           seed=st.integers(0, 2**32 - 1))
+    # Rows at 0 and 2*pi point the same way but for sin(2*pi) = -2.4e-16:
+    # lstsq finds rank 2, where each pivot against its own diagonal entry,
+    # all of the sine column's being tiny, would pass as full rank.
+    @example(weights=[0.82] + [0.0] * 4 + [0.05] + [0.0] * 4 + [0.28], seed=0)
+    # Weights whose squares fall in the subnormal range.
+    @example(weights=[1e-160, 3e-160, 2e-160] + [0.0] * 5, seed=0)
+    def test_residual_matches_lstsq(self, weights, seed):
+        a, offsets = weighted_design(weights)
+        b = np.random.default_rng(seed).standard_normal(offsets.size)
+        x = np.array(calibration._solve_least_squares(a, b))
+        expected = np.linalg.lstsq(a, b, rcond=None)[0]
+        # A fallback returns lstsq's bits, whose residual can overflow on a
+        # design of subnormal weights; a closed-form solve leaves the residual.
+        if x.tobytes() != expected.tobytes():
+            norm, lstsq_norm = np.linalg.norm(a @ x - b), np.linalg.norm(a @ expected - b)
+            assert abs(norm - lstsq_norm) <= 1e-9 * lstsq_norm
+
+    @given(points=st.integers(8, 200),
+           rows=st.lists(st.tuples(st.integers(0, 199), st.floats(0.0, 1.0)), max_size=2),
+           seed=st.integers(0, 2**32 - 1))
+    # Adjacent rows, nearly parallel: the second pivot's rounding error grows
+    # as the first pivot shrinks, so a test of the second pivot against its
+    # diagonal entry alone would pass them as full rank.
+    @example(points=186, rows=[(2, 0.86195916), (3, 0.29821206)], seed=0)
+    @example(points=64, rows=[(3, 1e-160), (40, 4e-162)], seed=0)
+    def test_at_most_two_weighted_rows_take_lstsq(self, points, rows, seed):
+        weights = np.zeros(points)
+        for row, weight in rows:
+            weights[row % points] = weight
+        a, _ = weighted_design(weights)
+        b = np.random.default_rng(seed).standard_normal(points)
+        assert_same_bits(calibration._solve_least_squares(a, b),
+                         np.linalg.lstsq(a, b, rcond=None)[0])
+
+
 def phase_gap(a: float, b: float) -> float:
     gap = abs(a - b) % TWO_PI
     return min(gap, TWO_PI - gap)
@@ -459,12 +507,12 @@ class TestFitFringeAgainstScipy:
     # On unsaturated scans the Gauss-Newton seed is the minimum: over 30,000
     # draws of this domain every refinement evaluated one point, its start,
     # and no cost exceeded scipy's by more than 2e-13 relative. Past its edges
-    # the seed is not always there: at peak 0.8 and 1e5 pulses over 32 points,
-    # 2 of 24,000 refinements evaluated 2 and 4 points; at 1e4 pulses or peak
-    # 0.9 up to 8; at 1e6 pulses over 16 points and peak 0.9 scipy, stepping
-    # into the cost's rounding noise, found costs lower by up to 1.4e-12; and
-    # a true visibility near 1 over few points fits at the bound 1, where the
-    # refinement can run out of iterations.
+    # the seed is not always there: at peak 0.9 and 1e4 pulses over 16 points,
+    # 11 of 3,000 refinements evaluated 2 to 4 points; at 1e6 pulses over 16
+    # points and peak 0.9 scipy, stepping into the cost's rounding noise,
+    # found costs lower by up to 1.4e-12; and a true visibility near 1 over
+    # few points fits at the bound 1, where the refinement can run out of
+    # iterations.
     @given(visibility=st.floats(0.5, 0.98), pulses=st.integers(10**5, 10**6),
            peak=st.floats(0.2, 0.7), points=st.integers(32, 128),
            zero=st.floats(0.0, TWO_PI), seed=st.integers(0, 2**32 - 1))
