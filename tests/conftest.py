@@ -1,3 +1,6 @@
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -41,28 +44,55 @@ def fitted_model(reference_table, default_params):
     return fit_link(reference_table, default_params)
 
 
-@pytest.fixture
-def solver_calls(monkeypatch):
-    """Arguments (residuals, x0, lower, upper) of each refinement the fits run."""
+@dataclass
+class Refinement:
+    """One link._least_squares run: its problem (residuals, x0, lower, upper),
+    a copy of each residual call's (points, residuals), and its result, None
+    while it runs or if it raised."""
+    problem: tuple
+    calls: list = field(default_factory=list)
+    result: _LeastSquaresResult | None = None
+
+
+@contextmanager
+def refinements():
+    """Records, as a list of Refinement, every refinement that link's and
+    calibration's fits run in the block. A refinement is listed before it
+    runs, so the calls of one that raises are kept too."""
     from decoyqkd import calibration, link
 
-    solve = link._least_squares
-    calls = []
+    solve, recorded = link._least_squares, []
 
-    def spy(residuals, x0, lower, upper):
-        calls.append((residuals, x0, lower, upper))
-        return solve(residuals, x0, lower, upper)
+    def recorder(residuals, x0, lower, upper):
+        refinement = Refinement((residuals, x0, lower, upper))
+        recorded.append(refinement)
 
-    monkeypatch.setattr(link, "_least_squares", spy)
-    monkeypatch.setattr(calibration, "_least_squares", spy)
-    return calls
+        def traced(points):
+            f = residuals(points)
+            refinement.calls.append((points.copy(), f.copy()))
+            return f
+
+        refinement.result = solve(traced, x0, lower, upper)
+        return refinement.result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(link, "_least_squares", recorder)
+        patch.setattr(calibration, "_least_squares", recorder)
+        yield recorded
 
 
-def scipy_refinement(call, **tolerances):
+@pytest.fixture
+def solver_calls():
+    """refinements() over the whole test."""
+    with refinements() as recorded:
+        yield recorded
+
+
+def scipy_refinement(problem, **tolerances):
     """scipy's bounded least squares (trf) on a recorded refinement problem."""
     from scipy.optimize import least_squares
 
-    residuals, x0, lower, upper = call
+    residuals, x0, lower, upper = problem
     return least_squares(lambda x: residuals(x[:, None])[0], x0, bounds=(lower, upper),
                          method="trf", **tolerances).x
 

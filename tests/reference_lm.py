@@ -1,9 +1,13 @@
 """Reference copy of the bounded Levenberg-Marquardt solver.
 
-link._least_squares writes its loop with plain ufuncs and indexing in place
-of numpy's wrapper functions (np.clip, np.tile, np.diag, np.all); this module
-keeps the loop as it was written with those wrappers, so the tests can check
-that both solvers give the same bits, iteration counts and exceptions.
+This is the loop as first written, with numpy's wrapper functions (np.clip,
+np.tile, np.diag, np.all): it evaluates a point alone and its Jacobian in a
+separate call, and stops only on an accepted step. link._least_squares
+evaluates each point together with its stencil and may stop before a trial,
+when the decrease its step predicts is at the cost's rounding floor.
+test_least_squares checks that the solver walks this reference's iterates
+bit for bit and stops no later, at a cost within COST_GAP (1e-11 relative)
+of the reference's final cost, raising what the reference raises.
 """
 import numpy as np
 

@@ -31,7 +31,8 @@ from decoyqkd.calibration import (
 )
 from decoyqkd.link import _LeastSquaresResult, coherent_click_probability
 
-from conftest import assert_same_bits, model_click, not_converged, scipy_refinement
+from conftest import (assert_same_bits, model_click, not_converged, refinements,
+                      scipy_refinement)
 
 TWO_PI = 2.0 * math.pi
 
@@ -296,19 +297,12 @@ class TestFitFringe:
         model = replace(LUMPED, y0=0.0, visibility=visibility)
         curve = simulate_scan(model, scan_intensity_for_peak(model, peak), grid(points),
                               pulses, seed=seed, true_phase_zero=zero, noiseless=noiseless)
-        solve, returned = calibration._least_squares, []
-
-        def refinement(residuals, *start_and_bounds):
-            result = solve(residuals, *start_and_bounds)
-            returned.append((residuals, result.x))
-            return result
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(calibration, "_least_squares", refinement)
+        with refinements() as recorded:
             try:
                 fit = fit_fringe(curve)
             except (ValueError, FitConvergenceError):
                 return
-        residuals, x = returned[0]
+        residuals, x = recorded[0].problem[0], recorded[0].result.x
         assert repr(fit.residual) == repr(float(np.sqrt(np.mean(residuals(x[:, None]) ** 2))))
 
     def test_fully_saturated_scan_rejected(self):
@@ -500,7 +494,8 @@ class TestFitFringeAgainstScipy:
         curve = simulate_scan(model, strong, grid(64), 100_000, seed=seed,
                               true_phase_zero=0.8, noiseless=noiseless)
         fit = fit_fringe(curve)
-        _, vis, zero = scipy_refinement(solver_calls[0], ftol=1e-15, xtol=1e-15, gtol=1e-15)
+        _, vis, zero = scipy_refinement(solver_calls[0].problem, ftol=1e-15, xtol=1e-15,
+                                        gtol=1e-15)
         assert fit.visibility_est == pytest.approx(vis, abs=1e-9)
         assert phase_gap(fit.phase_zero, zero) <= zero_tol
 
@@ -521,26 +516,14 @@ class TestFitFringeAgainstScipy:
         model = replace(LUMPED, visibility=visibility)
         curve = simulate_scan(model, scan_intensity_for_peak(model, peak), grid(points),
                               pulses, seed=seed, true_phase_zero=zero)
-        solve, refinements = calibration._least_squares, []
-
-        def recorded(residuals, *start_and_bounds):
-            widths = []
-
-            def traced(points):
-                widths.append(points.shape[1])
-                return residuals(points)
-
-            result = solve(traced, *start_and_bounds)
-            refinements.append(((residuals, *start_and_bounds), widths, result))
-            return result
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(calibration, "_least_squares", recorded)
+        with refinements() as recorded:
             fit_fringe(curve)
-        [(call, widths, result)] = refinements
+        [refinement] = recorded
+        problem, result = refinement.problem, refinement.result
         # Each evaluated point goes to one call of odd width 2n+1 with its stencil.
-        assert sum(width % 2 for width in widths) <= 2
-        at_scipy = call[0](scipy_refinement(call, ftol=1e-15, xtol=1e-15, gtol=1e-15)[:, None])[0]
+        assert sum(points.shape[1] % 2 for points, _ in refinement.calls) <= 2
+        scipy_x = scipy_refinement(problem, ftol=1e-15, xtol=1e-15, gtol=1e-15)
+        at_scipy = problem[0](scipy_x[:, None])[0]
         assert result.residuals @ result.residuals <= (at_scipy @ at_scipy) * (1.0 + 1e-12)
 
     def test_non_convergence_raises(self, monkeypatch):

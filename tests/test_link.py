@@ -348,7 +348,7 @@ class TestFitLink:
     def test_objective_no_worse_than_scipy(self, reference_table, default_params,
                                            solver_calls):
         fitted = fit_link(reference_table, default_params)
-        alpha, lumped, vis = scipy_refinement(solver_calls[0])
+        alpha, lumped, vis = scipy_refinement(solver_calls[0].problem)
         scipy_model = LinkModel(alpha_db_per_km=alpha, excess_loss_db=lumped, eta_det=1.0,
                                 y0=5e-7, visibility=vis)
         scipy_cost = fit_objective(scipy_model, reference_table, default_params)
@@ -361,7 +361,7 @@ class TestFitLink:
         # steps, lumped 0-40 dB in 41, V 0.80-0.999 in 20) that seeded the
         # refinement before the closed-form start replaced it.
         fitted = fit_link(reference_table, default_params)
-        residuals, _, lower, upper = solver_calls[0]
+        residuals, _, lower, upper = solver_calls[0].problem
         (alpha, lumped, vis), _, converged, _ = link._least_squares(
             residuals, [0.17, 18.0, 0.9780526315789474], lower, upper)
         assert converged
