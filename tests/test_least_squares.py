@@ -138,6 +138,13 @@ def assert_stops_no_later_than_reference(fit):
          zero=1.0, seed=0)
 @example(visibility=0.0, y0=5e-7, peak=0.5, points=64, pulses=10**6, noiseless=True,
          zero=0.0, seed=0)
+# A scan saturated at 9-10 clicks of 10 pulses: the fit runs down a flat
+# valley, off every bound (depth 58.7, V 0.961), and stops before a trial
+# after 58 steps, 1.3e-11 relative above the cost the reference reaches after
+# 69. A draw found this once; it is kept here so that it fails in every run.
+@example(visibility=0.0, y0=0.0, peak=0.984375, points=8, pulses=10, noiseless=False,
+         zero=0.0, seed=84093302).xfail(
+    raises=AssertionError, reason="stops in a flat valley beyond COST_GAP of the reference")
 def test_fringe_fit_matches_reference_solver(visibility, y0, peak, points, pulses, noiseless,
                                              zero, seed):
     model = LinkModel(alpha_db_per_km=0.0, excess_loss_db=0.0, eta_det=1.0, y0=y0,
