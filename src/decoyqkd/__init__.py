@@ -25,7 +25,6 @@ from .estimator import (
     SecurityBounds,
     analyze_columns,
     analyze_row,
-    binary_entropy,
 )
 from .link import (
     FitConvergenceError,
@@ -67,7 +66,6 @@ __all__ = [
     "UnidentifiableDataError",
     "analyze_columns",
     "analyze_row",
-    "binary_entropy",
     "expected_stats",
     "fit_fringe",
     "fit_link",

@@ -43,7 +43,6 @@ __all__ = [
     "MeasuredStats",
     "SecurityBounds",
     "BoundColumns",
-    "binary_entropy",
     "analyze_row",
     "analyze_columns",
     "require_finite",
@@ -213,22 +212,14 @@ class BoundColumns:
     causes: list[AnalysisError | None]
 
 
-def binary_entropy(p: float) -> float:
-    """Binary Shannon entropy H2(p) in bits, with the 0*log(0) = 0 convention."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"binary_entropy requires p in [0, 1], got {p}")
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
-
-
 def _entropy(p: np.ndarray) -> np.ndarray:
-    """binary_entropy of each value of a 1-d array p, NaN for a value outside
-    [0, 1]."""
+    """Binary Shannon entropy H2 in bits of each value of a 1-d array p, with
+    the 0*log(0) = 0 convention, NaN for a value outside [0, 1]."""
     # math.log2 per value rather than np.log2, whose SIMD loop rounds
     # differently on about one value in a thousand and would move such a
-    # row's r_lower by an ulp. The rest is binary_entropy's expression, so
-    # the operations, their order and the bits are the same.
+    # row's r_lower by an ulp. -x*log2(x) - (1-x)*log2(1-x) in this order
+    # gives the bits of the straight-line transcription in Python floats that
+    # test_bit_identical_to_a_straight_line_transcription pins.
     inner = (0.0 < p) & (p < 1.0)
     x = p[inner]
     log_x = np.fromiter(map(math.log2, x.tolist()), float, x.size)

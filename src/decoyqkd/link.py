@@ -487,17 +487,15 @@ def sweep_key_rate(model: LinkModel, params: ProtocolParams,
     rates = _key_rates(model, params, eta)
     positive = np.nan_to_num(rates, nan=-math.inf) > 0
 
-    cutoff = None
-    for i in range(grid.size - 1):
-        if positive[i] and not positive[i + 1]:
-            lo, hi = float(grid[i]), float(grid[i + 1])
-            # Halving each end cannot overflow; where floats lie more than 0.1 km
-            # apart, the search ends at two adjacent ones.
-            while hi - lo > 0.1 and lo < (mid := 0.5 * lo + 0.5 * hi) < hi:
-                if _key_rates(model, params, np.array([transmittance(model, mid)]))[0] > 0:
-                    lo = mid
-                else:
-                    hi = mid
-            cutoff = lo
-            break
-    return LengthSweep(lengths=grid, rates=rates, cutoff_km=cutoff)
+    brackets = np.flatnonzero(positive[:-1] & ~positive[1:])
+    if brackets.size == 0:
+        return LengthSweep(lengths=grid, rates=rates, cutoff_km=None)
+    lo, hi = float(grid[brackets[0]]), float(grid[brackets[0] + 1])
+    # Halving each end cannot overflow; where floats lie more than 0.1 km
+    # apart, the search ends at two adjacent ones.
+    while hi - lo > 0.1 and lo < (mid := 0.5 * lo + 0.5 * hi) < hi:
+        if _key_rates(model, params, np.array([transmittance(model, mid)]))[0] > 0:
+            lo = mid
+        else:
+            hi = mid
+    return LengthSweep(lengths=grid, rates=rates, cutoff_km=lo)

@@ -214,21 +214,15 @@ def _class_law(mean: float, eta: float, visibility: float, y0: float,
 
 
 def _draw_class(rng: np.random.Generator, pulses: int,
-                law: tuple[np.ndarray, np.ndarray]) -> list[ClassTally]:
-    """Tallies of one intensity class, one per photon bin n = 0, 1, 2, >= 3,
-    drawn as the module docstring fixes from its _class_law."""
+                law: tuple[np.ndarray, np.ndarray]) -> list[tuple[int, int, int, int]]:
+    """(emitted, clicked, sifted, errors) of one intensity class per photon bin
+    n = 0, 1, 2, >= 3, drawn as the module docstring fixes from its _class_law."""
     cell_law, click_table = law
     emitted = rng.multinomial(pulses, cell_law).reshape(4, 4)
     clicks = rng.binomial(emitted, click_table)
     # Columns are the phase differences; 0 and pi are sifted, pi is an error.
-    return [ClassTally(sum(e), sum(c), c[0] + c[2], c[2])
+    return [(sum(e), sum(c), c[0] + c[2], c[2])
             for e, c in zip(emitted.tolist(), clicks.tolist())]
-
-
-def _class_total(bins: list[ClassTally]) -> ClassTally:
-    """One class's tally: the sums of its photon bins' counts."""
-    return ClassTally(sum(b.emitted for b in bins), sum(b.clicked for b in bins),
-                      sum(b.sifted for b in bins), sum(b.errors for b in bins))
 
 
 def measured_stats(tally: SimTally, length_km: float = 0.0) -> MeasuredStats:
@@ -261,8 +255,9 @@ def run_session(config: SimConfig) -> tuple[SimTally, MeasuredStats]:
              _wrap_phase(config.bob_phase_error))
     signal = _draw_class(rng, config.n_pulses - n_decoy, _class_law(mu, *state))
     decoy = _draw_class(rng, n_decoy, _class_law(nu, *state))
-    tally = SimTally(signal=_class_total(signal), decoy=_class_total(decoy),
-                     signal_photons=tuple(signal))
+    signal_total, decoy_total = (ClassTally(*map(sum, zip(*bins))) for bins in (signal, decoy))
+    tally = SimTally(signal=signal_total, decoy=decoy_total,
+                     signal_photons=tuple(ClassTally(*counts) for counts in signal))
     return tally, measured_stats(tally, config.length_km)
 
 

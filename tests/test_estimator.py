@@ -19,7 +19,6 @@ from decoyqkd import (
     SecurityBounds,
     analyze_columns,
     analyze_row,
-    binary_entropy,
     expected_stats,
 )
 from decoyqkd.cli import EXIT_OK, main
@@ -39,38 +38,39 @@ def decoy_floor(s_nu, n_nu, u_alpha):
     return analyze_row(params, MeasuredStats(0.0, 3.0 * s_nu, 0.0, s_nu, 0.0)).s_nu_lower
 
 
+def h2(p):
+    """Binary entropy in bits, straight from its definition in Python floats."""
+    if p == 0.0 or p == 1.0:
+        return 0.0
+    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+
+
 class TestBinaryEntropy:
+    """The bound chain's one binary entropy, _entropy, against h2."""
+
     def test_limit_convention_at_zero_and_one(self):
-        assert binary_entropy(0.0) == 0.0
-        assert binary_entropy(1.0) == 0.0
+        assert _entropy(np.array([0.0, 1.0])).tolist() == [0.0, 0.0]
 
     def test_maximum_at_half(self):
-        assert binary_entropy(0.5) == 1.0
+        assert _entropy(np.array([0.5])).tolist() == [1.0]
 
     def test_direct_evaluation(self):
         # -p*log2(p) - (1-p)*log2(1-p) at p=0.0199, frozen by hand evaluation
-        assert binary_entropy(0.0199) == pytest.approx(0.14087870292058005, rel=1e-12)
-        assert binary_entropy(0.0199) == pytest.approx(0.14088, abs=1e-4)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            binary_entropy(-0.01)
-        with pytest.raises(ValueError):
-            binary_entropy(1.01)
+        [h] = _entropy(np.array([0.0199])).tolist()
+        assert h == pytest.approx(0.14087870292058005, rel=1e-12)
+        assert h == pytest.approx(0.14088, abs=1e-4)
 
     def test_symmetric_about_half(self):
-        for i in range(1, 1000):
-            p = i / 1000.0
-            assert binary_entropy(p) == pytest.approx(binary_entropy(1.0 - p), rel=1e-12)
+        p = np.arange(1, 1000) / 1000.0
+        assert _entropy(p) == pytest.approx(_entropy(1.0 - p), rel=1e-12)
 
     def test_strictly_increasing_below_half(self):
-        grid = [i / 2000.0 for i in range(1001)]
-        values = [binary_entropy(p) for p in grid]
-        assert all(a < b for a, b in zip(values, values[1:]))
+        values = _entropy(np.arange(1001) / 2000.0)
+        assert np.all(values[:-1] < values[1:])
 
     @staticmethod
     def expected_bits(p):
-        return binary_entropy(p).hex() if 0.0 <= p <= 1.0 else "nan"
+        return h2(p).hex() if 0.0 <= p <= 1.0 else "nan"
 
     entropy_arguments = st.one_of(
         st.floats(0.0, 1.0), st.floats(allow_nan=True, allow_infinity=True),
@@ -87,7 +87,7 @@ class TestBinaryEntropy:
     def test_column_entropy_is_bit_for_bit_on_many_values(self):
         # np.log2 rounds differently from math.log2 on about one value in a thousand.
         values = np.random.default_rng(0).random(20_000) ** 4
-        assert _entropy(values).tolist() == [binary_entropy(p) for p in values.tolist()]
+        assert _entropy(values).tolist() == [h2(p) for p in values.tolist()]
 
 
 class TestDecoyRateFloor:
@@ -286,12 +286,6 @@ class TestOracleEquivalence:
         e1 = e_mu * s_mu / (s1 * mu * math.exp(-mu))
         if not 0.0 <= e1 <= 1.0:
             return s_nu_l, s1, e1, None
-
-        def h2(p):
-            if p == 0.0 or p == 1.0:
-                return 0.0
-            return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
-
         r = q * (-s_mu * f * h2(e_mu) + s1 * mu * math.exp(-mu) * (1.0 - h2(e1)))
         return s_nu_l, s1, e1, r
 

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from decoyqkd import LinkModel, ProtocolParams, fit_fringe, simulate_scan
+from decoyqkd import FitConvergenceError, LinkModel, ProtocolParams, fit_fringe, simulate_scan
 from decoyqkd import calibration, cli, link, tables
 from decoyqkd.calibration import scan_intensity_for_peak
 from decoyqkd.link import expected_stats, fit_link_report
@@ -377,3 +377,32 @@ def test_fringe_fit_at_full_visibility_stops_at_the_constrained_minimum():
     scipy_x = scipy_refinement(refinement.problem, ftol=1e-15, xtol=1e-15, gtol=1e-15)
     at_scipy = residuals(scipy_x[:, None])[0]
     assert r @ r <= (at_scipy @ at_scipy) * (1.0 + 1e-9)
+
+
+@pytest.mark.xfail(strict=True, raises=FitConvergenceError,
+                   reason="ROADMAP item 2: clipped steps stall at a bound")
+def test_link_fit_with_its_optimum_at_zero_lumped_loss_converges():
+    # Drawn from default_rng(25), in this order: alpha U(0.15, 0.25) dB/km,
+    # lumped loss U(0, 20) dB and V U(0.80, 0.999), with y0 5e-7 (the truth is
+    # 0.16607, 0.0062, 0.84310); then n = integers(3, 9) lengths, sorted
+    # 5 * choice(27, n, replace=False) km; then per length each of
+    # expected_stats' four rates times exp(normal(0, 0.05)), capped at 1. The
+    # fit runs out of its 100 iterations with the lumped loss at 0.0, its best
+    # point alpha 0.16514, V 0.84338 at cost 0.0262090; scipy's trf reaches
+    # 0.0261701 at alpha 0.16493, V 0.84305 on the same bound.
+    table = np.array([
+        [0.0, 0.2721883957917457, 0.09654159812716052, 0.09270647298603844,
+         0.08880624768741155],
+        [15.0, 0.14913170256176547, 0.09005728968819435, 0.0575911939630901,
+         0.0869386997153904],
+        [25.0, 0.10388955709419954, 0.08368907979951531, 0.036395979354764324,
+         0.08075348955485355],
+        [30.0, 0.0896106571962681, 0.0827265079632278, 0.032263116681227416,
+         0.08059901042532835],
+        [40.0, 0.06217425936177088, 0.07472488048643576, 0.01989219016018936,
+         0.07705649223125396],
+        [70.0, 0.020691228886076107, 0.07634083001219048, 0.0073916640917427116,
+         0.07948302984689826],
+    ])
+    fit = fit_link_report(table, ProtocolParams())
+    assert fit.objective <= 0.02617014570842783 * (1.0 + 1e-9)

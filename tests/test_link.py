@@ -465,6 +465,24 @@ class TestSweep:
         assert rate_at(sweep.cutoff_km) > 0
         assert rate_at(sweep.cutoff_km + 0.11) <= 0
 
+    def test_first_of_two_brackets_is_bisected(self, monkeypatch, default_params):
+        # Rates positive below 15 km and between 25 and 35 km, so the grid
+        # brackets two cutoffs; the sweep reports the first.
+        model = LinkModel(alpha_db_per_km=0.2, excess_loss_db=0.0, eta_det=1.0)
+        probed = []
+
+        def key_rates(model, params, eta):
+            length = -10.0 * np.log10(eta) / 0.2
+            probed.extend(length.tolist())
+            return np.where((length < 15.0) | ((25.0 < length) & (length < 35.0)), 1.0, -1.0)
+
+        monkeypatch.setattr(link, "_key_rates", key_rates)
+        sweep = sweep_key_rate(model, default_params, [0.0, 10.0, 20.0, 30.0, 40.0])
+        assert sweep.rates.tolist() == [1.0, 1.0, -1.0, 1.0, -1.0]
+        assert 14.9 < sweep.cutoff_km <= 15.0
+        bisected = probed[5:]
+        assert bisected and all(10.0 < length < 20.0 for length in bisected)
+
     def test_grid_validation(self, fitted_model, default_params):
         with pytest.raises(ValueError):
             sweep_key_rate(fitted_model, default_params, [])
