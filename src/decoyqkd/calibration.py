@@ -16,11 +16,13 @@ coefficients, started from a weighted fit of the log-inverted counts and
 run until its step is negligible, seeds a deterministic local refinement
 (link's bounded Levenberg-Marquardt, the one fit_link uses) that minimizes
 the residuals in the count-fraction domain and owns the bounds and the
-convergence verdict. Each of the seed's weighted linear fits solves its
-3x3 normal equations in closed form (a Cholesky solve in Python floats,
-without numpy.linalg's per-call overhead); only an ill-conditioned normal
-matrix, as a scan with fewer than three unsaturated points gives, goes to
-numpy.linalg.lstsq. On a well-sampled scan the seed is already the
+convergence verdict. The fit hands it each point's residuals together with
+their Jacobian, which the law gives in closed form, so the refinement
+evaluates the law once per point it visits. Each of the seed's weighted
+linear fits solves its 3x3 normal equations in closed form (a Cholesky
+solve in Python floats, without numpy.linalg's per-call overhead); only an
+ill-conditioned normal matrix, as a scan with fewer than three unsaturated
+points gives, goes to numpy.linalg.lstsq. On a well-sampled scan the seed is already the
 refinement's minimum, so the refinement stops at its first stop test. The
 rms residual comes from the residuals the refinement holds at its result.
 The fit keeps the fitted depth, and the amplitude (the law's mean click
@@ -237,11 +239,12 @@ def fit_fringe(curve: ScanCurve) -> FringeFit:
     numpy.linalg.lstsq where those are ill-conditioned, as when fewer than
     three points are unsaturated. Mapped to (depth, visibility, zero), the
     result seeds a bounded least-squares refinement that minimizes
-    count-fraction residuals and decides convergence. Deterministic: no
-    random starts. The reported residual is the rms count-fraction misfit,
-    taken from the residuals the refinement returns with its point; a flat
-    curve fits with visibility near zero and the residual is the only
-    signal that the phase is unconstrained. The fit stores the fitted
+    count-fraction residuals and decides convergence; it takes each point's
+    residuals and their closed-form Jacobian from one evaluation of the
+    law. Deterministic: no random starts. The reported residual is the rms
+    count-fraction misfit, taken from the residuals the refinement returns
+    with its point; a flat curve fits with visibility near zero and the
+    residual is the only signal that the phase is unconstrained. The fit stores the fitted
     depth; its amplitude, the fitted law's mean click probability, is
     derived on read.
     Raises ValueError when every count is pulses_per_point, and
@@ -282,15 +285,25 @@ def fit_fringe(curve: ScanCurve) -> FringeFit:
 
     neg_y = -y  # (-y) - e rounds as (-e) - y does
 
-    def residuals(points: np.ndarray) -> np.ndarray:
-        # The click law at y0 = 0, where 0 + 1*s is s, and eta*m = 2*depth; a row per point.
-        depth, vis, zero = points[..., None]
+    def evaluate(point: np.ndarray):
+        # The click law at y0 = 0, where 0 + 1*s is s, and eta*m = 2*depth,
+        # 1 - e with e = exp(-depth*(1 + V*cos(t))) at t = offset - zero; its
+        # Jacobian is e*(1 + V*cos(t), depth*cos(t), depth*V*sin(t)).
+        depth, vis, zero = point.tolist()
         terms = curve.offsets - zero
-        return neg_y - _negated_signal_click(2.0 * depth, vis, np.cos(terms, out=terms),
-                                             out=terms)
+        sines = np.sin(terms)
+        cosines = np.cos(terms, out=terms)
+        negated = _negated_signal_click(2.0 * depth, vis, cosines)
+        jac = np.empty((3, terms.size))
+        np.multiply(cosines, vis, out=jac[0])
+        jac[0] += 1.0
+        np.multiply(cosines, depth, out=jac[1])
+        np.multiply(sines, depth * vis, out=jac[2])
+        jac *= negated + 1.0
+        return neg_y - negated, jac.T
 
     (depth, vis, zero), iterations, converged, r = _least_squares(
-        residuals, [depth0, vis0, zero0],
+        evaluate, [depth0, vis0, zero0],
         [1e-15, 0.0, zero0 - math.pi], [np.inf, 1.0, zero0 + math.pi])
     if not converged:
         raise FitConvergenceError(f"fringe fit did not converge in {iterations} iterations")

@@ -24,16 +24,19 @@ reads it, into (attenuation, lumped excess loss, visibility) with the dark
 rate held fixed: a straight line through the log gains and the QBER at the
 shortest length give the start, and _least_squares, a bounded
 Levenberg-Marquardt refinement in numpy that calibration's fringe fit
-shares, finishes it. It evaluates each point, the start and every trial,
-in one residual call together with the point's central-difference stencil,
-and stops at the cost's rounding floor: before a trial is evaluated, when
-the decrease its linear model predicts for the step is at most 1e-15 of the
-cost. Fitted digits beyond about 1e-8 relative therefore carry no
-information. The fit's objective is the sum of squares of the residuals
-the refinement holds at its result. sweep_key_rate feeds the modelled
-rates of its whole grid, and of each bisection step, through the column
-bound chain (estimator.analyze_columns) to locate the largest fiber length
-with a positive secure rate.
+shares, finishes it. The solver takes each point's residuals and Jacobian
+from one call of the fit's own evaluate, once per point it evaluates, the
+start and every trial: the link fit's (_central_differences) evaluates the
+point in one residual call together with its central-difference stencil,
+the fringe fit's writes its Jacobian in closed form. The solver stops at
+the cost's rounding floor: before a trial is evaluated, when the decrease
+its linear model predicts for the step is at most 1e-15 of the cost.
+Fitted digits beyond about 1e-8 relative therefore carry no information.
+The fit's objective is the sum of squares of the residuals the refinement
+holds at its result. sweep_key_rate feeds the modelled rates of its whole
+grid, and of each bisection step, through the column bound chain
+(estimator.analyze_columns) to locate the largest fiber length with a
+positive secure rate.
 """
 
 from __future__ import annotations
@@ -70,8 +73,8 @@ PHASE_GRID = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
 TWO_PI = 2.0 * math.pi
 
 _EPS = np.finfo(float).eps
-# Relative step of the central-difference Jacobian of _least_squares: it
-# balances the rounding error (eps/h) against the truncation error (h^2).
+# Relative step of _central_differences' Jacobian: it balances the rounding
+# error (eps/h) against the truncation error (h^2).
 _DIFF_STEP = _EPS ** (1.0 / 3.0)
 # Relative change of cost and parameters below which _least_squares stops.
 _FIT_TOL = 1e-15
@@ -292,8 +295,8 @@ def fit_objective(model: LinkModel, table: np.ndarray | Sequence[MeasuredStats],
 
 class _LeastSquaresResult(NamedTuple):
     """What _least_squares returns: the point x, the trial steps taken, whether
-    the fit converged, and the (m,) residuals of x: row 0 of the refinement's
-    own call that evaluated x with its stencil."""
+    the fit converged, and the (m,) residuals of x, from the evaluate call
+    that evaluated x."""
 
     x: np.ndarray
     iterations: int
@@ -301,46 +304,31 @@ class _LeastSquaresResult(NamedTuple):
     residuals: np.ndarray
 
 
-def _least_squares(residuals, x0, lower, upper) -> _LeastSquaresResult:
+def _least_squares(evaluate, x0, lower, upper) -> _LeastSquaresResult:
     """Bounded Levenberg-Marquardt minimum of the sum of squared residuals.
 
-    residuals maps an (n, k) array of k parameter points to their (k, m)
-    residuals. Each point the refinement evaluates, the start and every
-    trial, goes to one call of shape (n, 2n+1): column 0 is the point, then
-    the point plus and minus a step in each parameter, one-sided where a bound
-    is nearer than the step, whose central difference is the point's
-    Jacobian. Each trial step solves the normal equations damped by their
-    diagonal and is clipped to lower <= x <= upper. The fit has converged
-    when an accepted step lowers the cost, or moves the parameters, by no
-    more than _FIT_TOL relative, or, before a trial is evaluated, when the
-    decrease the residuals' linear model predicts for its step is at most
-    _FIT_TOL of a finite cost: the cost's rounding floor, the ftol test of
-    MINPACK's lmder. x is then the current point.
+    evaluate maps an (n,) parameter point to its (m,) residuals and their
+    (m, n) Jacobian; the refinement calls it once for each point it
+    evaluates, the start and every trial. Each trial step solves the normal
+    equations damped by their diagonal and is clipped to lower <= x <= upper.
+    The fit has converged when an accepted step lowers the cost, or moves
+    the parameters, by no more than _FIT_TOL relative, or, before a trial is
+    evaluated, when the decrease the residuals' linear model predicts for
+    its step is at most _FIT_TOL of a finite cost: the cost's rounding
+    floor, the ftol test of MINPACK's lmder. x is then the current point.
 
     Returns _LeastSquaresResult(x, iterations, converged, residuals);
     iterations counts trial steps, including one stopped before its trial
-    was evaluated, and residuals are those of x, from the call that
-    evaluated x and its stencil. calibration's fringe fit takes its rms
-    residual from them and derives its amplitude on read from the fitted
-    depth, and fit_link_report its objective from them, so no residual call
-    follows either refinement. Raises FitConvergenceError when the damped
-    normal matrix is singular.
+    was evaluated, and residuals are those of x, from the evaluate call at
+    x. calibration's fringe fit takes its rms residual from them and derives
+    its amplitude on read from the fitted depth, and fit_link_report its
+    objective from them, so no residual call follows either refinement.
+    Raises FitConvergenceError when the damped normal matrix is singular.
     """
     # Plain ufuncs and indexing replace numpy's wrappers: same operations, same bits.
     lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
     x = np.minimum(np.maximum(np.asarray(x0, dtype=float), lower), upper)
-    n = x.size
-    diagonal = np.arange(n)
-
-    def evaluate(point):
-        """Residuals of point and its Jacobian, from one call with its stencil."""
-        h = _DIFF_STEP * np.maximum(np.abs(point), 1.0)
-        ends = np.minimum(point + h, upper), np.maximum(point - h, lower)
-        points = np.repeat(point[:, None], 2 * n + 1, axis=1)
-        points[diagonal, 1 + diagonal], points[diagonal, 1 + n + diagonal] = ends
-        f = residuals(points)
-        return f[0], ((f[1:n + 1] - f[n + 1:]) / (ends[0] - ends[1])[:, None]).T
-
+    diagonal = np.arange(x.size)
     r, jac = evaluate(x)
     cost, damping, rejected, normal = r @ r, 1e-3, 0, None
     for iteration in range(1, _MAX_ITERATIONS + 1):
@@ -374,6 +362,30 @@ def _least_squares(residuals, x0, lower, upper) -> _LeastSquaresResult:
         if converged:
             return _LeastSquaresResult(x, iteration, True, r)
     return _LeastSquaresResult(x, _MAX_ITERATIONS, False, r)
+
+
+def _central_differences(residuals, lower, upper):
+    """The _least_squares evaluate of a fit whose Jacobian is differenced.
+
+    residuals maps an (n, k) array of k parameter points to their (k, m)
+    residuals. Each point goes to one call of shape (n, 2n+1): column 0 is
+    the point, then the point plus and minus a step in each parameter,
+    one-sided where a bound is nearer than the step, whose central
+    difference is the point's Jacobian.
+    """
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+    n = lower.size
+    diagonal = np.arange(n)
+
+    def evaluate(point):
+        h = _DIFF_STEP * np.maximum(np.abs(point), 1.0)
+        ends = np.minimum(point + h, upper), np.maximum(point - h, lower)
+        points = np.repeat(point[:, None], 2 * n + 1, axis=1)
+        points[diagonal, 1 + diagonal], points[diagonal, 1 + n + diagonal] = ends
+        f = residuals(points)
+        return f[0], ((f[1:n + 1] - f[n + 1:]) / (ends[0] - ends[1])[:, None]).T
+
+    return evaluate
 
 
 def fit_link(table: np.ndarray | Sequence[MeasuredStats], params: ProtocolParams,
@@ -442,13 +454,14 @@ def fit_link_report(table: np.ndarray | Sequence[MeasuredStats], params: Protoco
 
     slope, intercept = np.polyfit(length, np.log10(s_mu / params.mu), 1)
     start = [-10.0 * slope, -10.0 * intercept, 1.0 - 2.0 * e_mu[np.argmin(length)]]
+    lower, upper = [0.0, 0.0, 0.0], [5.0, 80.0, 1.0]
 
     def residuals(points: np.ndarray) -> np.ndarray:
         return _fit_residuals(*points[..., None], y0, rows, params).reshape(
             points.shape[1], -1)
 
     (alpha, lumped, vis), iterations, converged, r = _least_squares(
-        residuals, start, [0.0, 0.0, 0.0], [5.0, 80.0, 1.0])
+        _central_differences(residuals, lower, upper), start, lower, upper)
     if not converged:
         raise FitConvergenceError(f"link fit did not converge in {iterations} iterations")
     model = LinkModel(alpha_db_per_km=float(alpha), excess_loss_db=float(lumped),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 
 from decoyqkd import ProtocolParams, fit_link, transmittance
-from decoyqkd.link import _LeastSquaresResult, coherent_click_probability
+from decoyqkd.link import _LeastSquaresResult, _negated_signal_click, coherent_click_probability
 from decoyqkd.tables import bundled_reference_text, read_measured_stats
 
 # Property tests run fits and Monte Carlo sessions whose first call can take
@@ -46,9 +46,9 @@ def fitted_model(reference_table, default_params):
 
 @dataclass
 class Refinement:
-    """One link._least_squares run: its problem (residuals, x0, lower, upper),
-    a copy of each residual call's (points, residuals), and its result, None
-    while it runs or if it raised."""
+    """One link._least_squares run: its problem (evaluate, x0, lower, upper),
+    a copy of each evaluate call's (point, residuals, Jacobian), and its
+    result, None while it runs or if it raised."""
     problem: tuple
     calls: list = field(default_factory=list)
     result: _LeastSquaresResult | None = None
@@ -63,14 +63,14 @@ def refinements():
 
     solve, recorded = link._least_squares, []
 
-    def recorder(residuals, x0, lower, upper):
-        refinement = Refinement((residuals, x0, lower, upper))
+    def recorder(evaluate, x0, lower, upper):
+        refinement = Refinement((evaluate, x0, lower, upper))
         recorded.append(refinement)
 
-        def traced(points):
-            f = residuals(points)
-            refinement.calls.append((points.copy(), f.copy()))
-            return f
+        def traced(point):
+            r, jac = evaluate(point)
+            refinement.calls.append((point.copy(), r.copy(), jac.copy()))
+            return r, jac
 
         refinement.result = solve(traced, x0, lower, upper)
         return refinement.result
@@ -89,18 +89,28 @@ def solver_calls():
 
 
 def scipy_refinement(problem, **tolerances):
-    """scipy's bounded least squares (trf) on a recorded refinement problem."""
+    """scipy's bounded least squares (trf) on a recorded refinement problem,
+    handed the problem's residuals and Jacobian."""
     from scipy.optimize import least_squares
 
-    residuals, x0, lower, upper = problem
-    return least_squares(lambda x: residuals(x[:, None])[0], x0, bounds=(lower, upper),
-                         method="trf", **tolerances).x
+    evaluate, x0, lower, upper = problem
+    return least_squares(lambda x: evaluate(x)[0], x0, jac=lambda x: evaluate(x)[1],
+                         bounds=(lower, upper), method="trf", **tolerances).x
 
 
-def not_converged(residuals, x0, lower, upper):
+def not_converged(evaluate, x0, lower, upper):
     """Stand-in refinement that runs out of iterations at its start."""
     x = np.asarray(x0, dtype=float)
-    return _LeastSquaresResult(x, 100, False, residuals(x[:, None])[0])
+    return _LeastSquaresResult(x, 100, False, evaluate(x)[0])
+
+
+def stencil_fringe_residuals(curve, points):
+    """The fringe fit's count-fraction residuals of k points, an (n, k) array,
+    as the (k, m) residual function that its refinement once differenced."""
+    depth, vis, zero = points[..., None]
+    terms = curve.offsets - zero
+    return -(curve.counts / curve.pulses_per_point) - _negated_signal_click(
+        2.0 * depth, vis, np.cos(terms, out=terms), out=terms)
 
 
 def model_click(model, mean_photons, phase, length_km=0.0):

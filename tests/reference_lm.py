@@ -1,35 +1,29 @@
 """Reference copy of the bounded Levenberg-Marquardt solver.
 
 This is the loop as first written, with numpy's wrapper functions (np.clip,
-np.tile, np.diag, np.all): it evaluates a point alone and its Jacobian in a
-separate call, and stops only on an accepted step. link._least_squares
-evaluates each point together with its stencil and may stop before a trial,
-when the decrease its step predicts is at the cost's rounding floor.
+np.diag, np.all), and it stops only on an accepted step. link._least_squares
+may stop before a trial, when the decrease its step predicts is at the
+cost's rounding floor. Both take the fit's evaluate, which returns a point's
+residuals and Jacobian, and call it once per point they evaluate.
 test_least_squares checks that the solver walks this reference's iterates
 bit for bit and stops no later, at a cost within COST_GAP (1e-11 relative)
 of the reference's final cost, raising what the reference raises.
 """
 import numpy as np
 
-from decoyqkd.link import _DIFF_STEP, _FIT_TOL, _MAX_ITERATIONS, FitConvergenceError
+from decoyqkd.link import _FIT_TOL, _MAX_ITERATIONS, FitConvergenceError
 
 
-def least_squares(residuals, x0, lower, upper):
+def least_squares(evaluate, x0, lower, upper):
     """Bounded Levenberg-Marquardt minimum of the sum of squared residuals;
-    the arguments and the result are those of link._least_squares."""
+    the arguments are those of link._least_squares, the result its first
+    three values (x, iterations, converged)."""
     lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
     x = np.clip(np.asarray(x0, dtype=float), lower, upper)
-    r = residuals(x[:, None])[0]
-    cost, damping, rejected, jac, n = r @ r, 1e-3, 0, None, x.size
-    diagonal = np.arange(n)
+    r, jac = evaluate(x)
+    cost, damping, rejected, normal = r @ r, 1e-3, 0, None
     for iteration in range(1, _MAX_ITERATIONS + 1):
-        if jac is None:
-            h = _DIFF_STEP * np.maximum(np.abs(x), 1.0)
-            ends = np.minimum(x + h, upper), np.maximum(x - h, lower)
-            points = np.tile(x[:, None], 2 * n)
-            points[diagonal, diagonal], points[diagonal, n + diagonal] = ends
-            f = residuals(points)
-            jac = ((f[:n] - f[n:]) / (ends[0] - ends[1])[:, None]).T
+        if normal is None:
             gradient, normal = jac.T @ r, jac.T @ jac
             # A column that vanishes (a phase at zero visibility) still gets damped.
             scale = np.maximum(np.diag(normal), np.finfo(float).eps * np.diag(normal).max())
@@ -38,7 +32,7 @@ def least_squares(residuals, x0, lower, upper):
         except np.linalg.LinAlgError as exc:
             raise FitConvergenceError(f"step {iteration} failed: {exc}") from exc
         trial = np.clip(x + step, lower, upper)
-        r_trial = residuals(trial[:, None])[0]
+        r_trial, jac_trial = evaluate(trial)
         cost_trial = r_trial @ r_trial
         if not cost_trial <= cost:  # also rejects NaN
             # x10, x100, ... on consecutive rejections: at the cost's rounding
@@ -48,7 +42,7 @@ def least_squares(residuals, x0, lower, upper):
             continue
         converged = (cost - cost_trial <= _FIT_TOL * cost
                      or np.all(np.abs(trial - x) <= _FIT_TOL * np.abs(trial)))
-        x, r, cost, jac, rejected = trial, r_trial, cost_trial, None, 0
+        x, r, jac, cost, rejected, normal = trial, r_trial, jac_trial, cost_trial, 0, None
         damping /= 10.0
         if converged:
             return x, iteration, True

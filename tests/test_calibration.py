@@ -32,7 +32,7 @@ from decoyqkd.calibration import (
 from decoyqkd.link import _LeastSquaresResult, coherent_click_probability
 
 from conftest import (assert_same_bits, model_click, not_converged, refinements,
-                      scipy_refinement)
+                      scipy_refinement, stencil_fringe_residuals)
 
 TWO_PI = 2.0 * math.pi
 
@@ -302,8 +302,8 @@ class TestFitFringe:
                 fit = fit_fringe(curve)
             except (ValueError, FitConvergenceError):
                 return
-        residuals, x = recorded[0].problem[0], recorded[0].result.x
-        assert repr(fit.residual) == repr(float(np.sqrt(np.mean(residuals(x[:, None]) ** 2))))
+        evaluate, x = recorded[0].problem[0], recorded[0].result.x
+        assert repr(fit.residual) == repr(float(np.sqrt(np.mean(evaluate(x)[0] ** 2))))
 
     def test_fully_saturated_scan_rejected(self):
         curve = ScanCurve(offsets=grid(64), counts=np.full(64, 1000.0), pulses_per_point=1000)
@@ -348,8 +348,8 @@ class TestFitFringe:
 
 
 @st.composite
-def scans(draw) -> ScanCurve:
-    size = draw(st.integers(MIN_FIT_POINTS, 70))
+def scans(draw, max_points: int = 70) -> ScanCurve:
+    size = draw(st.integers(MIN_FIT_POINTS, max_points))
     pulses = draw(st.integers(1, 10**6))
     counts = draw(st.lists(st.integers(0, pulses), min_size=size, max_size=size))
     counts[0] = 0  # fit_fringe refuses a scan that is saturated everywhere
@@ -370,12 +370,12 @@ DIP = ScanCurve(offsets=grid(65), counts=np.arange(65.0), pulses_per_point=100)
 
 def fit_with_refinement(curve: ScanCurve, fitted: np.ndarray):
     """fit_fringe with the refinement replaced by one returning fitted, and
-    the residual function it was handed."""
+    the evaluate function it was handed."""
     handed = []
 
-    def refinement(residuals, x0, lower, upper):
-        handed.append(residuals)
-        return _LeastSquaresResult(fitted, 1, True, residuals(fitted[:, None])[0])
+    def refinement(evaluate, x0, lower, upper):
+        handed.append(evaluate)
+        return _LeastSquaresResult(fitted, 1, True, evaluate(fitted)[0])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(calibration, "_least_squares", refinement)
         fit = fit_fringe(curve)
@@ -384,7 +384,7 @@ def fit_with_refinement(curve: ScanCurve, fitted: np.ndarray):
 
 class TestFitKernel:
     # The fit evaluates link's click law through its own in-place kernel; both
-    # test_least_squares solvers call that one residual function, so only a
+    # test_least_squares solvers call that one evaluate function, so only a
     # comparison with the law itself can catch a change to it.
     @given(scans(), JACOBIAN_POINTS)
     @example(curve=DIP, points=[(2.0**1023, 1.0, 0.0), (2.0**1023, 0.0, 0.0),
@@ -394,13 +394,48 @@ class TestFitKernel:
                                 (1.0, 0.5, math.nan), (math.nan, math.nan, math.nan),
                                 (1e3, 1.0, 0.0), (1e-15, 0.0, 0.0)])
     def test_residuals_are_the_law_bit_for_bit(self, curve, points):
-        _, residuals = fit_with_refinement(curve, np.array([1.0, 0.5, 0.0]))
+        _, evaluate = fit_with_refinement(curve, np.array([1.0, 0.5, 0.0]))
         points = np.array(points).T
         depth, vis, zero = points[..., None]
         with np.errstate(invalid="ignore", over="ignore"):
             expected = (coherent_click_probability(2.0 * depth, vis, 0.0, curve.offsets - zero)
                         - curve.counts / curve.pulses_per_point)
-            assert_same_bits(residuals(points), expected)
+            assert_same_bits([evaluate(point)[0] for point in points.T], expected)
+
+    # The Jacobian the fit hands its refinement, e*(1 + V*cos(t), depth*cos(t),
+    # depth*V*sin(t)), against a central difference of its residuals with a
+    # step h = 1e-6 in each parameter. The difference's truncation error,
+    # h^2/6 times a third derivative, about h^2*(depth*V)^2/6 relative, stays
+    # far below 1e-6 of each column's largest entry at depths up to 50, and
+    # rounding residuals of magnitude at most 1 leaves it within about 2*eps/h
+    # of the exact difference quotient. The tolerance, fixed before the test
+    # first ran, is 1e-6 of each column's largest entry plus twice that
+    # rounding floor, 4*eps/h = 8.9e-10.
+    # Zeros span the fit's bounds, its seed's zero plus or minus pi.
+    @given(scans(max_points=64), st.floats(1e-3, 50.0), VISIBILITIES,
+           st.floats(-TWO_PI, TWO_PI))
+    @example(curve=ScanCurve(offsets=grid(64), counts=np.arange(64.0), pulses_per_point=100),
+             depth=50.0, visibility=1.0, zero=0.0)
+    @example(curve=ScanCurve(offsets=grid(8), counts=np.zeros(8), pulses_per_point=1),
+             depth=1e-3, visibility=0.0, zero=-TWO_PI)
+    def test_jacobian_is_the_central_difference_of_the_residuals(self, curve, depth,
+                                                                 visibility, zero):
+        _, evaluate = fit_with_refinement(curve, np.array([1.0, 0.5, 0.0]))
+        point = np.array([depth, visibility, zero])
+        r, jac = evaluate(point)
+        assert jac.shape == (curve.offsets.size, 3)
+        # The residual row keeps the bits of the residual function whose
+        # central differences were the fit's Jacobian before it had its own.
+        assert_same_bits(r, stencil_fringe_residuals(curve, point[:, None])[0])
+        h = 1e-6
+        for k in range(3):
+            ends = point.copy(), point.copy()
+            ends[0][k] += h
+            ends[1][k] -= h
+            step = ends[0][k] - ends[1][k]
+            difference = (evaluate(ends[0])[0] - evaluate(ends[1])[0]) / step
+            tolerance = 1e-6 * np.abs(jac[:, k]).max() + 4.0 * np.finfo(float).eps / h
+            assert np.abs(jac[:, k] - difference).max() <= tolerance, k
 
     @given(DEPTHS, VISIBILITIES)
     @example(depth=2.0**1023, visibility=1.0)
@@ -520,10 +555,10 @@ class TestFitFringeAgainstScipy:
             fit_fringe(curve)
         [refinement] = recorded
         problem, result = refinement.problem, refinement.result
-        # Each evaluated point goes to one call of odd width 2n+1 with its stencil.
-        assert sum(points.shape[1] % 2 for points, _ in refinement.calls) <= 2
+        # Each evaluated point goes to one evaluate call.
+        assert len(refinement.calls) <= 2
         scipy_x = scipy_refinement(problem, ftol=1e-15, xtol=1e-15, gtol=1e-15)
-        at_scipy = problem[0](scipy_x[:, None])[0]
+        at_scipy = problem[0](scipy_x)[0]
         assert result.residuals @ result.residuals <= (at_scipy @ at_scipy) * (1.0 + 1e-12)
 
     def test_non_convergence_raises(self, monkeypatch):

@@ -361,9 +361,9 @@ class TestFitLink:
         # steps, lumped 0-40 dB in 41, V 0.80-0.999 in 20) that seeded the
         # refinement before the closed-form start replaced it.
         fitted = fit_link(reference_table, default_params)
-        residuals, _, lower, upper = solver_calls[0].problem
+        evaluate, _, lower, upper = solver_calls[0].problem
         (alpha, lumped, vis), _, converged, _ = link._least_squares(
-            residuals, [0.17, 18.0, 0.9780526315789474], lower, upper)
+            evaluate, [0.17, 18.0, 0.9780526315789474], lower, upper)
         assert converged
         grid_model = LinkModel(alpha_db_per_km=alpha, excess_loss_db=lumped, eta_det=1.0,
                                y0=5e-7, visibility=vis)
@@ -411,8 +411,9 @@ class TestFitLink:
     def test_singular_step_raises_convergence_error(self):
         # Residuals flat in every parameter: the damped normal matrix is all zeros.
         with pytest.raises(FitConvergenceError, match="step 1 failed: Singular matrix"):
-            link._least_squares(lambda points: np.ones((points.shape[1], 3)),
-                                [1.0, 2.0], [0.0, 0.0], [5.0, 5.0])
+            link._least_squares(link._central_differences(
+                lambda points: np.ones((points.shape[1], 3)), [0.0, 0.0], [5.0, 5.0]),
+                [1.0, 2.0], [0.0, 0.0], [5.0, 5.0])
 
 
 class TestSweep:
