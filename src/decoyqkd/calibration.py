@@ -10,7 +10,7 @@ The scan draws its counts from link's coherent-state click law
 (link.coherent_click_probability) at the zero-length transmittance
 times the strong intensity. That law saturates at scan intensities, so
 it is also the fit model, rather than a bare cosine; the fit evaluates it
-at y0 = 0 through the in-place kernel that link's law calls, and link's
+at y0 = 0 through the kernel that link's law calls, and link's
 reduction maps phases to [0, 2*pi). Gauss-Newton in the first harmonic's
 coefficients, started from a weighted fit of the log-inverted counts and
 run until its step is negligible, seeds a deterministic local refinement

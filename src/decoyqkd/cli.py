@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_simulate.add_argument("--length-km", type=float, default=50.0, help="fiber length")
     p_simulate.add_argument("--decoy-fraction", type=float, default=0.5)
     p_simulate.add_argument("--seed", type=int, default=0, help="pseudo-random seed")
-    # Accepted and ignored: a session is one cheap count-level draw.
+    # Accepted and ignored; kept because bench/run.py passes it (ROADMAP item 1).
     p_simulate.add_argument("--workers", type=int, help=argparse.SUPPRESS)
     add_common(p_simulate, "params", "link")
 

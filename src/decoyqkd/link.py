@@ -11,7 +11,7 @@ n photons (photon_click_probability, drawn by the Monte Carlo) P is
 number m (coherent_click_probability) is 1 - exp(-eta*m*(1 + V*cos(d))/2).
 Both are evaluated through expm1 and log1p, so they keep full relative
 precision however few photons arrive; calibration's fringe fit calls the
-coherent law's in-place kernel, _negated_signal_click, directly. Expected
+coherent law's kernel, _negated_signal_click, directly. Expected
 gains average over the uniform phase differences of PHASE_GRID, which
 sim offsets by a phase that _wrap_phase reduces to [0, 2*pi); the QBER is
 the fraction of matched-basis clicks at the destructive phase.
@@ -185,14 +185,13 @@ def _with_darks(y0, signal_click):
     return y0 + (1.0 - y0) * signal_click
 
 
-def _negated_signal_click(arriving_photons, visibility, cosines, out=None):
+def _negated_signal_click(arriving_photons, visibility, cosines):
     """expm1(-a*(1 + V*cos(d))/2), minus the signal-click probability of a coherent
-    pulse of a = arriving_photons, from cosines = cos(d); written into out if given."""
-    negated = np.multiply(cosines, visibility, out=out)
+    pulse of a = arriving_photons, from cosines = cos(d)."""
+    negated = np.multiply(cosines, visibility)
     negated += 1.0
-    # Not in place without out: (k, 1) visibilities meet (k, rows) photons in the fit.
-    negated = np.multiply(negated, arriving_photons / -2.0, out=out)
-    return np.expm1(negated, out=out)
+    # Not in place: (k, 1) visibilities meet (k, rows) photons in the fit.
+    return np.expm1(np.multiply(negated, arriving_photons / -2.0))
 
 
 def coherent_click_probability(arriving_photons, visibility, y0, phase_diff):

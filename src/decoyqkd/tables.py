@@ -7,7 +7,7 @@ reads one into the (n, 5) array that analyze and the link fit take; a
 MeasuredStats is the tuple of one of its rows. numpy's text reader
 parses the common table in one call; a malformed table, or one only
 float() reads, is parsed again line by line, so an error names the first
-bad line as before. Bounds tables carry one output row per input row
+bad line. Bounds tables carry one output row per input row
 in input order; rows whose analysis aborts carry the cause in the
 diagnostics column instead of values. Every command writes its
 key=value output values through format_value.
@@ -15,7 +15,6 @@ key=value output values through format_value.
 
 from __future__ import annotations
 
-from array import array
 from importlib import resources
 from typing import IO, Iterable, Sequence
 
@@ -98,36 +97,23 @@ def _header_end(lines: Sequence[str]) -> int:
 
 
 def _parse_lines(data: Sequence[str], lines_before: int) -> np.ndarray:
-    """read_stats_columns one data line at a time; line numbers count the
-    lines_before lines that precede data. Raises TableParseError for the
-    first malformed line, where a domain error on an earlier line comes first."""
+    """read_stats_columns one data line at a time, each line validated as it
+    is read; line numbers count the lines_before lines that precede data.
+    Raises TableParseError for the first malformed line."""
     width = len(STATS_COLUMNS)
-    numbers = array("d")
-    linenos: list[int] = []
-    failure = None  # ends the pass; a domain error on an earlier line still comes first
+    rows = []
     for lineno, raw in enumerate(data, start=lines_before + 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
         if len(parts) != width:
-            failure = TableParseError(lineno, f"expected {width} columns, got {len(parts)}")
-            break
+            raise TableParseError(lineno, f"expected {width} columns, got {len(parts)}")
         try:
-            row = list(map(float, parts))
-        except ValueError as exc:
-            failure = TableParseError(lineno, str(exc))
-            break
-        numbers.extend(row)
-        linenos.append(lineno)
-    table = np.array(numbers, dtype=float).reshape(-1, width)
-    outside = _first_outside_domain(table)
-    if outside is not None:
-        row, message = outside
-        raise TableParseError(linenos[row], message)
-    if failure is not None:
-        raise failure
-    return table
+            rows.append(MeasuredStats(*map(float, parts)))
+        except ValueError as exc:  # not a number, or outside MeasuredStats' domain
+            raise TableParseError(lineno, str(exc)) from None
+    return np.array(rows, dtype=float).reshape(-1, width)
 
 
 def read_measured_stats(stream: Iterable[str]) -> list[MeasuredStats]:

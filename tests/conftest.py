@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 
 from decoyqkd import ProtocolParams, fit_link, transmittance
-from decoyqkd.link import _LeastSquaresResult, _negated_signal_click, coherent_click_probability
+from decoyqkd.link import _LeastSquaresResult, coherent_click_probability
 from decoyqkd.tables import bundled_reference_text, read_measured_stats
 
 # Property tests run fits and Monte Carlo sessions whose first call can take
@@ -102,15 +102,6 @@ def not_converged(evaluate, x0, lower, upper):
     """Stand-in refinement that runs out of iterations at its start."""
     x = np.asarray(x0, dtype=float)
     return _LeastSquaresResult(x, 100, False, evaluate(x)[0])
-
-
-def stencil_fringe_residuals(curve, points):
-    """The fringe fit's count-fraction residuals of k points, an (n, k) array,
-    as the (k, m) residual function that its refinement once differenced."""
-    depth, vis, zero = points[..., None]
-    terms = curve.offsets - zero
-    return -(curve.counts / curve.pulses_per_point) - _negated_signal_click(
-        2.0 * depth, vis, np.cos(terms, out=terms), out=terms)
 
 
 def model_click(model, mean_photons, phase, length_km=0.0):

@@ -32,7 +32,7 @@ from decoyqkd.calibration import (
 from decoyqkd.link import _LeastSquaresResult, coherent_click_probability
 
 from conftest import (assert_same_bits, model_click, not_converged, refinements,
-                      scipy_refinement, stencil_fringe_residuals)
+                      scipy_refinement)
 
 TWO_PI = 2.0 * math.pi
 
@@ -263,10 +263,10 @@ class TestFitFringe:
             events.append("returned")
             return result
 
-        def residual_kernel(arriving, visibility, cosines, out=None):
+        def residual_kernel(arriving, visibility, cosines):
             if cosines is not calibration._AMPLITUDE_COSINES:
                 events.append("residuals")
-            return kernel(arriving, visibility, cosines, out)
+            return kernel(arriving, visibility, cosines)
         monkeypatch.setattr(calibration, "_least_squares", refinement)
         monkeypatch.setattr(calibration, "_negated_signal_click", residual_kernel)
         fit_fringe(simulate_scan(LUMPED, 1.0, grid(64), 1000, seed=57))
@@ -276,9 +276,9 @@ class TestFitFringe:
     def test_amplitude_kernel_runs_only_when_the_amplitude_is_read(self, monkeypatch):
         kernel, calls = calibration._negated_signal_click, []
 
-        def spy(arriving, visibility, cosines, out=None):
+        def spy(arriving, visibility, cosines):
             calls.append(cosines is calibration._AMPLITUDE_COSINES)
-            return kernel(arriving, visibility, cosines, out)
+            return kernel(arriving, visibility, cosines)
         monkeypatch.setattr(calibration, "_negated_signal_click", spy)
         fit = fit_fringe(simulate_scan(LUMPED, 1.0, grid(64), 1000, seed=0))
         assert calls and not any(calls)
@@ -307,8 +307,10 @@ class TestFitFringe:
 
     def test_fully_saturated_scan_rejected(self):
         curve = ScanCurve(offsets=grid(64), counts=np.full(64, 1000.0), pulses_per_point=1000)
-        with pytest.raises(ValueError, match="every scan point is saturated"):
+        with refinements() as recorded, pytest.raises(ValueError,
+                                                      match="every scan point is saturated"):
             fit_fringe(curve)
+        assert not recorded  # refused before its refinement evaluates a point
 
     def test_flat_curve_fits_near_zero_visibility(self):
         model = LinkModel(excess_loss_db=0.0, y0=5e-7, visibility=0.0)
@@ -351,7 +353,9 @@ class TestFitFringe:
 def scans(draw, max_points: int = 70) -> ScanCurve:
     size = draw(st.integers(MIN_FIT_POINTS, max_points))
     pulses = draw(st.integers(1, 10**6))
-    counts = draw(st.lists(st.integers(0, pulses), min_size=size, max_size=size))
+    # Integer counts, or the float counts of a noiseless scan.
+    count = st.floats(0.0, pulses) if draw(st.booleans()) else st.integers(0, pulses)
+    counts = draw(st.lists(count, min_size=size, max_size=size))
     counts[0] = 0  # fit_fringe refuses a scan that is saturated everywhere
     return ScanCurve(offsets=grid(size), counts=counts, pulses_per_point=pulses)
 
@@ -359,10 +363,10 @@ def scans(draw, max_points: int = 70) -> ScanCurve:
 DEPTHS = st.floats(0.0, 1e3) | st.sampled_from([2.0**1023, 1.7976931348623157e308,
                                                  math.inf, math.nan])
 VISIBILITIES = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0])
-# A Jacobian's six points, one column each: a central difference in 3 parameters.
-JACOBIAN_POINTS = st.lists(st.tuples(DEPTHS, VISIBILITIES | st.just(math.nan),
-                                     st.floats(-10.0, 10.0) | st.just(math.nan)),
-                           min_size=6, max_size=6)
+# Six points at which the fit's residuals are compared with the law, NaN among them.
+LAW_POINTS = st.lists(st.tuples(DEPTHS, VISIBILITIES | st.just(math.nan),
+                                st.floats(-10.0, 10.0) | st.just(math.nan)),
+                      min_size=6, max_size=6)
 # grid(65) samples d = pi exactly at zero = 0, where 1 + V*cos(d) is 0 at V = 1
 # and (2 * 2**1023) / -2 * 0 is NaN as in the law, where -2**1023 * 0 is -0.0.
 DIP = ScanCurve(offsets=grid(65), counts=np.arange(65.0), pulses_per_point=100)
@@ -383,10 +387,10 @@ def fit_with_refinement(curve: ScanCurve, fitted: np.ndarray):
 
 
 class TestFitKernel:
-    # The fit evaluates link's click law through its own in-place kernel; both
+    # The fit evaluates link's click law through link's kernel; both
     # test_least_squares solvers call that one evaluate function, so only a
     # comparison with the law itself can catch a change to it.
-    @given(scans(), JACOBIAN_POINTS)
+    @given(scans(), LAW_POINTS)
     @example(curve=DIP, points=[(2.0**1023, 1.0, 0.0), (2.0**1023, 0.0, 0.0),
                                 (1.0, 1.0, 0.0), (0.0, 1.0, 0.0), (5.0, 0.0, 1.0),
                                 (math.inf, 1.0, 0.0)])
@@ -406,11 +410,16 @@ class TestFitKernel:
     # depth*V*sin(t)), against a central difference of its residuals with a
     # step h = 1e-6 in each parameter. The difference's truncation error,
     # h^2/6 times a third derivative, about h^2*(depth*V)^2/6 relative, stays
-    # far below 1e-6 of each column's largest entry at depths up to 50, and
-    # rounding residuals of magnitude at most 1 leaves it within about 2*eps/h
-    # of the exact difference quotient. The tolerance, fixed before the test
-    # first ran, is 1e-6 of each column's largest entry plus twice that
-    # rounding floor, 4*eps/h = 8.9e-10.
+    # far below 1e-6 of each column's largest entry at depths up to 50.
+    # Its rounding floor: the residual -y - expm1(-depth*u) rounds
+    # u = 1 + V*cos(t) to about eps before the depth multiplies it, and
+    # expm1's slope exp(-depth*u) is at most 1, so a residual carries about
+    # eps*depth from u (reached at the dip of a V = 1 fringe, where u is near
+    # 0) and about eps from expm1 and the subtraction: at most
+    # 2*eps*(1 + depth). Two such residuals over the step 2h leave the
+    # quotient within 2*eps*(1 + depth)/h of the exact one. The tolerance is
+    # 1e-6 of each column's largest entry plus twice that floor,
+    # 4*eps*(1 + depth)/h: 8.9e-10 at depth 0 and 3.4e-8 at depth 37.
     # Zeros span the fit's bounds, its seed's zero plus or minus pi.
     @given(scans(max_points=64), st.floats(1e-3, 50.0), VISIBILITIES,
            st.floats(-TWO_PI, TWO_PI))
@@ -418,15 +427,16 @@ class TestFitKernel:
              depth=50.0, visibility=1.0, zero=0.0)
     @example(curve=ScanCurve(offsets=grid(8), counts=np.zeros(8), pulses_per_point=1),
              depth=1e-3, visibility=0.0, zero=-TWO_PI)
+    # At the dip of a deep V = 1 fringe the zero column's quotient misses the
+    # exact entry by 1.5e-9, more than 4*eps/h: the floor's depth term.
+    @example(curve=ScanCurve(offsets=grid(9), counts=np.zeros(9), pulses_per_point=1),
+             depth=37.0, visibility=1.0, zero=5.960464477539063e-08)
     def test_jacobian_is_the_central_difference_of_the_residuals(self, curve, depth,
                                                                  visibility, zero):
         _, evaluate = fit_with_refinement(curve, np.array([1.0, 0.5, 0.0]))
         point = np.array([depth, visibility, zero])
-        r, jac = evaluate(point)
+        jac = evaluate(point)[1]
         assert jac.shape == (curve.offsets.size, 3)
-        # The residual row keeps the bits of the residual function whose
-        # central differences were the fit's Jacobian before it had its own.
-        assert_same_bits(r, stencil_fringe_residuals(curve, point[:, None])[0])
         h = 1e-6
         for k in range(3):
             ends = point.copy(), point.copy()
@@ -434,7 +444,8 @@ class TestFitKernel:
             ends[1][k] -= h
             step = ends[0][k] - ends[1][k]
             difference = (evaluate(ends[0])[0] - evaluate(ends[1])[0]) / step
-            tolerance = 1e-6 * np.abs(jac[:, k]).max() + 4.0 * np.finfo(float).eps / h
+            tolerance = (1e-6 * np.abs(jac[:, k]).max()
+                         + 4.0 * np.finfo(float).eps * (1.0 + depth) / h)
             assert np.abs(jac[:, k] - difference).max() <= tolerance, k
 
     @given(DEPTHS, VISIBILITIES)

@@ -32,8 +32,7 @@ from decoyqkd.calibration import scan_intensity_for_peak
 from decoyqkd.link import expected_stats, fit_link_report
 
 import reference_lm
-from conftest import (assert_same_bits, refinements, scipy_refinement,
-                      stencil_fringe_residuals)
+from conftest import assert_same_bits, refinements, scipy_refinement
 
 # Largest cost, relative to the reference's final cost, at which the solver may stop.
 COST_GAP = 1e-11
@@ -280,14 +279,12 @@ def test_returned_residuals_are_those_of_the_point(solver_calls, capsys, argv, p
     assert result.residuals.tobytes() == evaluate(result.x)[0].tobytes()
 
 
-def checked_rows(fit, curve=None):
-    """Runs fit() and checks the residuals of every point its refinements
-    evaluated, those of one that raised too. Each of the link fit's residual
+def checked_rows(fit):
+    """Runs fit() and checks the residuals of every point the link fit's
+    refinement evaluated, those of one that raised too. Each of its residual
     calls evaluates a point with its stencil: each point's row of a call has
-    the bits of a call at that point alone. The fringe fit evaluates each
-    point of a scan `curve` alone: its row has the bits of the residual
-    function that its Jacobian was once differenced through. Returns the
-    widths of the checked calls."""
+    the bits of a call at that point alone. Returns the widths of the
+    checked calls."""
     fit_residuals, residual_calls = link._fit_residuals, []
 
     def spy(alpha, lumped, visibility, *rest):
@@ -295,7 +292,7 @@ def checked_rows(fit, curve=None):
         residual_calls.append(((alpha, lumped, visibility, *rest), f))
         return f
 
-    with refinements() as recorded, pytest.MonkeyPatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(link, "_fit_residuals", spy)
         try:
             fit()
@@ -307,42 +304,14 @@ def checked_rows(fit, curve=None):
             alone = fit_residuals(*(p[column:column + 1] for p in point), y0, rows, params)
             assert_same_bits(f[column], alone[0])
         widths.append(len(point[0]))
-    if curve is not None:
-        for refinement in recorded:
-            for point, r, _ in refinement.calls:
-                assert_same_bits(r, stencil_fringe_residuals(curve, point[:, None])[0])
-                widths.append(1)
     return widths
 
 
 # The link fit evaluates a point together with its stencil in one residual
 # call, so the residuals the solver keeps for the point are bit-safe only if
 # that residual function is elementwise per point, whatever the point's
-# position in the call; the fringe fit, which evaluates a point alone, must
-# keep the bits those calls gave. Scan and row counts that are not multiples
-# of a SIMD width leave vector tails.
-@given(visibility=st.floats(0.0, 1.0), peak=st.floats(0.01, 0.999),
-       points=st.integers(8, 97), pulses=st.integers(10, 10**9), noiseless=st.booleans(),
-       zero=st.floats(0.0, 2.0 * math.pi), seed=st.integers(0, 2**32 - 1))
-# A draw that clicks on every pulse of every point: there is no fringe to fit.
-@example(visibility=0.0, peak=0.9921875, points=8, pulses=10, noiseless=False, zero=0.0,
-         seed=0)
-def test_fringe_residual_rows_are_single_point_calls(visibility, peak, points, pulses,
-                                                     noiseless, zero, seed):
-    model = LinkModel(alpha_db_per_km=0.0, excess_loss_db=0.0, eta_det=1.0, y0=0.0,
-                      visibility=visibility)
-    curve = simulate_scan(model, scan_intensity_for_peak(model, peak),
-                          np.linspace(0.0, 2.0 * math.pi, points), pulses, seed=seed,
-                          true_phase_zero=zero, noiseless=noiseless)
-    if (curve.counts == curve.pulses_per_point).all():
-        # The fit refuses such a scan before its refinement evaluates a point.
-        with refinements() as recorded, pytest.raises(ValueError, match="every scan point"):
-            fit_fringe(curve)
-        assert not recorded
-    else:
-        assert checked_rows(lambda: fit_fringe(curve), curve)
-
-
+# position in the call. Row counts that are not multiples of a SIMD width
+# leave vector tails.
 @given(alpha=st.floats(0.05, 0.40), lumped=st.floats(0.0, 40.0),
        visibility=st.floats(0.80, 0.999), y0=st.sampled_from([0.0, 5e-7]),
        lengths=st.lists(st.integers(0, 1600).map(lambda k: k / 10), min_size=3, max_size=12,

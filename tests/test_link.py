@@ -148,21 +148,6 @@ class TestCoherentLawBits:
         assert_reference_law(np.array([[arriving]]), np.array([[visibility]]), y0, math.pi)
         assert_reference_law(arriving, visibility, y0, np.array([0.0, math.pi]))
 
-    @given(st.data(), st.integers(1, 4), st.integers(1, 70))
-    def test_kernel_gives_the_same_bits_into_a_buffer(self, data, points, size):
-        # The fringe fit: (k, 1) photon numbers and visibilities over (k, n) cosines.
-        def column(values):
-            return np.array(data.draw(st.lists(values, min_size=points, max_size=points)))[:, None]
-        arriving, visibility = column(ARRIVING), column(UNIT)
-        phases = data.draw(st.lists(PHASES, min_size=points * size, max_size=points * size))
-        cosines = np.cos(np.reshape(phases, (points, size)))
-        buffer = cosines.copy()
-        with np.errstate(invalid="ignore", over="ignore"):
-            fresh = link._negated_signal_click(arriving, visibility, cosines)
-            into = link._negated_signal_click(arriving, visibility, buffer, out=buffer)
-        assert into is buffer
-        assert_same_bits(into, fresh)
-
 
 def one_intensity(mean_photons):
     return ProtocolParams(mu=mean_photons, nu=mean_photons)
