@@ -19,12 +19,14 @@ the residuals in the count-fraction domain and owns the bounds and the
 convergence verdict. The fit hands it each point's residuals together with
 their Jacobian, which the law gives in closed form, so the refinement
 evaluates the law once per point it visits. Each of the seed's weighted
-linear fits solves its 3x3 normal equations in closed form (a Cholesky
-solve in Python floats, without numpy.linalg's per-call overhead); only an
-ill-conditioned normal matrix, as a scan with fewer than three unsaturated
-points gives, goes to numpy.linalg.lstsq. On a well-sampled scan the seed is already the
-refinement's minimum, so the refinement stops at its first stop test. The
-rms residual comes from the residuals the refinement holds at its result.
+linear fits solves its 3x3 normal equations with link's closed-form
+Cholesky solve in Python floats (_cholesky_solve, without numpy.linalg's
+per-call overhead); only an ill-conditioned normal matrix, as a scan with
+fewer than three unsaturated points gives, goes to numpy.linalg.lstsq. On
+a well-sampled scan the seed is already the refinement's minimum, so the
+refinement stops at its first stop test, which takes its step from the
+same Cholesky solve: such a fit calls no numpy.linalg at all. The rms
+residual comes from the residuals the refinement holds at its result.
 The fit keeps the fitted depth, and the amplitude (the law's mean click
 probability over 1,024 phases) is derived from it on read, so a fit whose
 amplitude nobody reads does not pay for it. Dark counts are negligible
@@ -41,8 +43,8 @@ from typing import Sequence
 import numpy as np
 
 from .estimator import require_count, require_finite, require_seed
-from .link import (PHASE_GRID, TWO_PI, FitConvergenceError, LinkModel, _fringe,
-                   _least_squares, _negated_signal_click, _wrap_phase,
+from .link import (PHASE_GRID, TWO_PI, FitConvergenceError, LinkModel, _cholesky_solve,
+                   _fringe, _least_squares, _negated_signal_click, _wrap_phase,
                    coherent_click_probability, transmittance)
 
 __all__ = [
@@ -193,38 +195,16 @@ def simulate_scan(model: LinkModel, strong_mean_photons: float, offsets: Sequenc
 
 
 def _solve_least_squares(a: np.ndarray, b: np.ndarray) -> list[float]:
-    """The x minimizing |a @ x - b| for an (m, 3) a: a closed-form Cholesky
-    solve of the normal equations (a.T @ a) x = a.T @ b in Python floats,
-    which spares numpy.linalg.lstsq's wrapper overhead.
+    """The x minimizing |a @ x - b| for an (m, 3) a: link's closed-form
+    Cholesky solve of the normal equations (a.T @ a) x = a.T @ b in Python
+    floats, which spares numpy.linalg.lstsq's wrapper overhead.
 
-    lstsq solves the problem instead unless a.T @ a is well conditioned: its
-    first entry must exceed 1e-292 (float_info.min / epsilon), so none of its
-    sums rounds in the subnormal range, and its determinant, the product of
-    the pivots, must exceed 1e-12 of its trace cubed, which bounds its
-    condition number by 2.5e11. A rank-deficient a fails the latter, as its
-    computed determinant is rounding noise of about 1e-16 of that cube.
+    lstsq solves the problem instead where that solve refuses a.T @ a as
+    ill-conditioned, as it does for a rank-deficient a.
     """
     (g00, g01, g02), (_, g11, g12), (_, _, g22) = (a.T @ a).tolist()
-    r0, r1, r2 = (b @ a).tolist()
-    trace = g00 + g11 + g22
-    if g00 > 1e-292:
-        l00 = math.sqrt(g00)
-        l10, l20 = g01 / l00, g02 / l00
-        p1 = g11 - l10 * l10
-        if p1 > 0.0:
-            l11 = math.sqrt(p1)
-            l21 = (g12 - l20 * l10) / l11
-            p2 = g22 - l20 * l20 - l21 * l21
-            # Written so that NaN, for which every comparison is false, fails it.
-            if (g00 / trace) * (p1 / trace) * (p2 / trace) > 1e-12:
-                l22 = math.sqrt(p2)
-                z0 = r0 / l00
-                z1 = (r1 - l10 * z0) / l11
-                z2 = (r2 - l20 * z0 - l21 * z1) / l22
-                x2 = z2 / l22
-                x1 = (z1 - l21 * x2) / l11
-                return [(z0 - l10 * x1 - l20 * x2) / l00, x1, x2]
-    return np.linalg.lstsq(a, b, rcond=None)[0].tolist()
+    x = _cholesky_solve(g00, g01, g02, g11, g12, g22, *(b @ a).tolist())
+    return np.linalg.lstsq(a, b, rcond=None)[0].tolist() if x is None else x
 
 
 def fit_fringe(curve: ScanCurve) -> FringeFit:
@@ -241,7 +221,9 @@ def fit_fringe(curve: ScanCurve) -> FringeFit:
     result seeds a bounded least-squares refinement that minimizes
     count-fraction residuals and decides convergence; it takes each point's
     residuals and their closed-form Jacobian from one evaluation of the
-    law. Deterministic: no random starts. The reported residual is the rms
+    law. At a seed that is already the minimum, the refinement's first stop
+    test, made on the same Cholesky solve, ends it without numpy.linalg.
+    Deterministic: no random starts. The reported residual is the rms
     count-fraction misfit, taken from the residuals the refinement returns
     with its point; a flat curve fits with visibility near zero and the
     residual is the only signal that the phase is unconstrained. The fit stores the fitted
@@ -270,8 +252,10 @@ def fit_fringe(curve: ScanCurve) -> FringeFit:
     # way the refinement mostly stops at its first test.
     survival = 1.0 - y
     t = -np.log1p(-np.minimum(y, 1.0 - 1e-12))
-    design = np.column_stack([np.ones_like(curve.offsets),
-                              np.cos(curve.offsets), np.sin(curve.offsets)])
+    design = np.empty((curve.offsets.size, 3))
+    design[:, 0] = 1.0
+    np.cos(curve.offsets, out=design[:, 1])
+    np.sin(curve.offsets, out=design[:, 2])
     coeff = _solve_least_squares(design * survival[:, None], survival * t)
     for _ in range(8):
         s = design @ coeff
@@ -309,7 +293,7 @@ def fit_fringe(curve: ScanCurve) -> FringeFit:
         raise FitConvergenceError(f"fringe fit did not converge in {iterations} iterations")
     return FringeFit(depth=float(depth), visibility_est=float(vis),
                      phase_zero=_wrap_phase(float(zero)),
-                     residual=float(np.sqrt(np.mean(r ** 2))))
+                     residual=math.sqrt(np.add.reduce(r * r) / r.size))
 
 
 def working_points(fit: FringeFit) -> tuple[float, float, float, float]:

@@ -32,6 +32,11 @@ the fringe fit's writes its Jacobian in closed form. The solver stops at
 the cost's rounding floor: before a trial is evaluated, when the decrease
 its linear model predicts for the step is at most 1e-15 of the cost.
 Fitted digits beyond about 1e-8 relative therefore carry no information.
+That test first takes its step from _cholesky_solve, a closed-form 3x3
+Cholesky solve in Python floats that calibration's fringe seed shares, so
+a refinement that stops there calls no numpy.linalg; every step whose
+trial is evaluated comes from numpy.linalg.solve, the bits of the
+reference solver the tests replay.
 The fit's objective is the sum of squares of the residuals the refinement
 holds at its result. sweep_key_rate feeds the modelled rates of its whole
 grid, and of each bisection step, through the column bound chain
@@ -303,6 +308,40 @@ class _LeastSquaresResult(NamedTuple):
     residuals: np.ndarray
 
 
+def _cholesky_solve(g00, g01, g02, g11, g12, g22, r0, r1, r2) -> list[float] | None:
+    """The x solving G x = r for a symmetric 3x3 G, given as the Python
+    floats of its upper triangle, and r: a closed-form Cholesky solve in
+    Python floats, which spares numpy.linalg's per-call overhead.
+
+    Returns None unless G is well conditioned: g00 must exceed 1e-292
+    (float_info.min / epsilon), so none of its sums rounds in the subnormal
+    range, each pivot must be positive, and the determinant, the product of
+    the pivots, must exceed 1e-12 of the trace cubed, which bounds the
+    condition number by 2.5e11. A singular G fails the latter, as its
+    computed determinant is rounding noise of about 1e-16 of that cube, and
+    so does a G with a NaN or an infinite entry.
+    """
+    trace = g00 + g11 + g22
+    if g00 > 1e-292:
+        l00 = math.sqrt(g00)
+        l10, l20 = g01 / l00, g02 / l00
+        p1 = g11 - l10 * l10
+        if p1 > 0.0:
+            l11 = math.sqrt(p1)
+            l21 = (g12 - l20 * l10) / l11
+            p2 = g22 - l20 * l20 - l21 * l21
+            # Written so that NaN, for which every comparison is false, fails it.
+            if (g00 / trace) * (p1 / trace) * (p2 / trace) > 1e-12:
+                l22 = math.sqrt(p2)
+                z0 = r0 / l00
+                z1 = (r1 - l10 * z0) / l11
+                z2 = (r2 - l20 * z0 - l21 * z1) / l22
+                x2 = z2 / l22
+                x1 = (z1 - l21 * x2) / l11
+                return [(z0 - l10 * x1 - l20 * x2) / l00, x1, x2]
+    return None
+
+
 def _least_squares(evaluate, x0, lower, upper) -> _LeastSquaresResult:
     """Bounded Levenberg-Marquardt minimum of the sum of squared residuals.
 
@@ -316,6 +355,17 @@ def _least_squares(evaluate, x0, lower, upper) -> _LeastSquaresResult:
     its step is at most _FIT_TOL of a finite cost: the cost's rounding
     floor, the ftol test of MINPACK's lmder. x is then the current point.
 
+    For three parameters, as both fits have, that stop test first takes the
+    step from _cholesky_solve in Python floats; when it fires there, the
+    refinement returns without calling numpy.linalg, which is where a fringe
+    fit seeded at its minimum stops. Otherwise, or when the damped matrix is
+    ill-conditioned or n is not 3, the step comes from numpy.linalg.solve on
+    the damped matrix, and the stop test is made again on it. Trial steps
+    always come from numpy.linalg.solve: a Python-float step rounds
+    differently, so it would move every trial off the bits of the reference
+    solver the tests replay (tests/reference_lm.py) until a first-order
+    optimality certificate replaces that replay (ROADMAP item 11).
+
     Returns _LeastSquaresResult(x, iterations, converged, residuals);
     iterations counts trial steps, including one stopped before its trial
     was evaluated, and residuals are those of x, from the evaluate call at
@@ -327,18 +377,29 @@ def _least_squares(evaluate, x0, lower, upper) -> _LeastSquaresResult:
     # Plain ufuncs and indexing replace numpy's wrappers: same operations, same bits.
     lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
     x = np.minimum(np.maximum(np.asarray(x0, dtype=float), lower), upper)
-    diagonal = np.arange(x.size)
     r, jac = evaluate(x)
     cost, damping, rejected, normal = r @ r, 1e-3, 0, None
     for iteration in range(1, _MAX_ITERATIONS + 1):
         if normal is None:
             neg_gradient, normal = -(jac.T @ r), jac.T @ jac
-            normal_diagonal = normal[diagonal, diagonal]
-            # The damping's diagonal matrix, built once per Jacobian; a column
-            # that vanishes (a phase at zero visibility) still gets damped.
-            scale = np.diag(np.maximum(normal_diagonal, _EPS * normal_diagonal.max()))
+            normal_diagonal = normal.diagonal()
+            # A column that vanishes (a phase at zero visibility) still gets damped.
+            scale = np.maximum(normal_diagonal, _EPS * normal_diagonal.max())
+            if x.size == 3:
+                (g00, g01, g02), (_, g11, g12), (_, _, g22) = normal.tolist()
+                (s0, s1, s2), (b0, b1, b2) = scale.tolist(), neg_gradient.tolist()
+        if x.size == 3 and cost < math.inf:
+            step = _cholesky_solve(g00 + damping * s0, g01, g02, g11 + damping * s1, g12,
+                                   g22 + damping * s2, b0, b1, b2)
+            if step is not None:  # the numpy path's predicted decrease, in Python floats
+                d0, d1, d2 = step
+                predicted = 2.0 * (d0 * b0 + d1 * b1 + d2 * b2) - (
+                    (d0 * g00 + d1 * g01 + d2 * g02) * d0 + (d0 * g01 + d1 * g11 + d2 * g12) * d1
+                    + (d0 * g02 + d1 * g12 + d2 * g22) * d2)
+                if predicted <= _FIT_TOL * cost:
+                    return _LeastSquaresResult(x, iteration, True, r)
         try:  # singular when every residual is flat in every parameter
-            step = np.linalg.solve(normal + damping * scale, neg_gradient)
+            step = np.linalg.solve(normal + damping * np.diag(scale), neg_gradient)
         except np.linalg.LinAlgError as exc:
             raise FitConvergenceError(f"step {iteration} failed: {exc}") from exc
         # |r|^2 - |r + J step|^2, the decrease the linear model predicts for

@@ -47,10 +47,12 @@ def fitted_model(reference_table, default_params):
 @dataclass
 class Refinement:
     """One link._least_squares run: its problem (evaluate, x0, lower, upper),
-    a copy of each evaluate call's (point, residuals, Jacobian), and its
-    result, None while it runs or if it raised."""
+    a copy of each evaluate call's (point, residuals, Jacobian), the number
+    of numpy.linalg.solve calls it made, and its result, None while it runs
+    or if it raised."""
     problem: tuple
     calls: list = field(default_factory=list)
+    solves: int = 0
     result: _LeastSquaresResult | None = None
 
 
@@ -61,7 +63,7 @@ def refinements():
     runs, so the calls of one that raises are kept too."""
     from decoyqkd import calibration, link
 
-    solve, recorded = link._least_squares, []
+    solve, linear_solve, recorded = link._least_squares, np.linalg.solve, []
 
     def recorder(evaluate, x0, lower, upper):
         refinement = Refinement((evaluate, x0, lower, upper))
@@ -72,7 +74,13 @@ def refinements():
             refinement.calls.append((point.copy(), r.copy(), jac.copy()))
             return r, jac
 
-        refinement.result = solve(traced, x0, lower, upper)
+        def counted(a, b):
+            refinement.solves += 1
+            return linear_solve(a, b)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.linalg, "solve", counted)
+            refinement.result = solve(traced, x0, lower, upper)
         return refinement.result
 
     with pytest.MonkeyPatch.context() as patch:

@@ -3,8 +3,12 @@
 This is the loop as first written, with numpy's wrapper functions (np.clip,
 np.diag, np.all), and it stops only on an accepted step. link._least_squares
 may stop before a trial, when the decrease its step predicts is at the
-cost's rounding floor. Both take the fit's evaluate, which returns a point's
-residuals and Jacobian, and call it once per point they evaluate.
+cost's rounding floor; for three parameters it first makes that test on a
+step from its closed-form Cholesky solve in Python floats, and it takes
+every step whose trial it evaluates from np.linalg.solve, as this loop
+does, so its trials keep this loop's bits. Both take the fit's evaluate,
+which returns a point's residuals and Jacobian, and call it once per point
+they evaluate.
 test_least_squares checks that the solver walks this reference's iterates
 bit for bit and stops no later, at a cost within COST_GAP (1e-11 relative)
 of the reference's final cost, raising what the reference raises.
